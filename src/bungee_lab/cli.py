@@ -17,13 +17,14 @@ import json
 import sys
 
 from .expr import ParseError, constant_value, parse
-from .grid import GridSpec, classify_grid, mask_stats
+from .grid import GridSpec, classify_grid, mask_stats, resolve_workers
 from .orbit import OrbitParams, Rect, classify_point, find_fixed_points
 from .presets import DEFAULT_SAMPLES, PRESETS, run_preset
 from .render import DEFAULT_N_SHADE, render_ppm
 from .verify import (
     SamplerSpec,
     pair,
+    shared_classifications,
     verify_commute,
     verify_composition_containments,
     verify_invariance,
@@ -195,9 +196,20 @@ def _cmd_render(args) -> int:
     f = _load_expr(args.f)
     params = _orbit_params(args)
     spec = _grid_spec(args.grid)
-    grid = classify_grid(f, spec, params, workers=args.workers)
-    data = render_ppm(grid, n_shade=args.n_shade)
-    with open(args.out, "wb") as fh:
+    try:
+        workers = resolve_workers(args.workers)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+    if args.n_shade < 1:
+        raise CliError("--n-shade must be at least 1")
+    # open the output first so an unwritable path fails before the render
+    try:
+        fh = open(args.out, "wb")
+    except OSError as exc:
+        raise CliError(f"cannot write --out {args.out!r}: {exc.strerror}") from exc
+    with fh:
+        grid = classify_grid(f, spec, params, workers=workers)
+        data = render_ppm(grid, n_shade=args.n_shade)
         fh.write(data)
     stats = mask_stats(grid)
     payload = {
@@ -276,46 +288,47 @@ def _cmd_verify(args) -> int:
     sampler = _sampler(args)
     strict = bool(getattr(args, "strict", False))
 
-    if args.relation == "containment":
-        f = _load_expr(args.f)
-        g = _load_expr(args.g)
-        reports = verify_composition_containments(
-            f,
-            g,
-            sampler,
-            params,
-            strict=strict,
-            bu_mode="all" if args.bu_mode == "intersection" else "any",
-        )
-    elif args.relation == "invariance":
-        f = _load_expr(args.f)
-        g = _load_expr(args.g)
-        kinds = (
-            ("escaping", "bounded") if args.kind == "both" else (args.kind,)
-        )
-        reports = [
-            verify_invariance(f, g, kind, sampler, params, strict=strict)
-            for kind in kinds
-        ]
-    elif args.relation == "commute":
-        f = _load_expr(args.f)
-        g = _load_expr(args.g)
-        reports = [verify_commute(f, g, sampler, params, tol=args.tol)]
-    elif args.relation == "translate":
-        f = _load_expr(args.f)
-        c = _load_constant(args.C)
-        reports = [
-            verify_translate(f, c, sampler, params, n_max=args.n_max, tol=args.tol)
-        ]
-    elif args.relation == "property-a":
-        f = _load_expr(args.f)
-        g = _load_expr(args.g)
-        reports = [verify_property_a(f, g, sampler, params)]
-    elif args.relation == "partition":
-        f = _load_expr(args.f)
-        reports = [verify_partition(f, sampler, params)]
-    else:  # pragma: no cover - argparse restricts choices
-        raise CliError(f"unknown relation {args.relation!r}")
+    with shared_classifications():
+        if args.relation == "containment":
+            f = _load_expr(args.f)
+            g = _load_expr(args.g)
+            reports = verify_composition_containments(
+                f,
+                g,
+                sampler,
+                params,
+                strict=strict,
+                bu_mode="all" if args.bu_mode == "intersection" else "any",
+            )
+        elif args.relation == "invariance":
+            f = _load_expr(args.f)
+            g = _load_expr(args.g)
+            kinds = (
+                ("escaping", "bounded") if args.kind == "both" else (args.kind,)
+            )
+            reports = [
+                verify_invariance(f, g, kind, sampler, params, strict=strict)
+                for kind in kinds
+            ]
+        elif args.relation == "commute":
+            f = _load_expr(args.f)
+            g = _load_expr(args.g)
+            reports = [verify_commute(f, g, sampler, params, tol=args.tol)]
+        elif args.relation == "translate":
+            f = _load_expr(args.f)
+            c = _load_constant(args.C)
+            reports = [
+                verify_translate(f, c, sampler, params, n_max=args.n_max, tol=args.tol)
+            ]
+        elif args.relation == "property-a":
+            f = _load_expr(args.f)
+            g = _load_expr(args.g)
+            reports = [verify_property_a(f, g, sampler, params)]
+        elif args.relation == "partition":
+            f = _load_expr(args.f)
+            reports = [verify_partition(f, sampler, params)]
+        else:  # pragma: no cover - argparse restricts choices
+            raise CliError(f"unknown relation {args.relation!r}")
 
     payload = [r.to_dict() for r in reports]
     _emit(payload[0] if len(payload) == 1 else payload, getattr(args, "out", None))

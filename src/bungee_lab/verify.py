@@ -1,8 +1,12 @@
 """Sampling-based checks of orbit-set relations between maps.
 
 Each check draws a fixed pseudorandom sample of seed points, classifies
-them (always by re-running the orbit classifier, never by reusing a
-cached membership), and reports violations of the claimed relation.
+them with the orbit classifier, and reports violations of the claimed
+relation.  Inside one run (a shared_classifications() block, opened by
+each preset run and each CLI verify command) a classification is reused
+only for bit-identical samples, the same canonical map text and the same
+params; classify_batch is deterministic in exactly those, so reuse never
+changes a verdict.  Nothing is reused once the run ends.
 Membership talks about three sets per map: escaping, bounded, bungee.
 A sample is usable for a relation only when every involved verdict is
 decisive, meaning escaping, bounded, or bungee; undecided and pole
@@ -20,7 +24,11 @@ where detail carries relation-specific diagnostics.
 
 from __future__ import annotations
 
+import contextvars
+import dataclasses
+import hashlib
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +45,8 @@ from .orbit import (
 )
 
 MAX_VIOLATION_EXAMPLES = 20
+# A check with fewer usable samples than this is inconclusive, never a pass.
+MIN_USABLE = 10
 
 KIND_VERDICT = {
     "escaping": Verdict.ESCAPING,
@@ -121,6 +131,55 @@ def _label(code: int) -> str:
     return Verdict(int(code)).label
 
 
+# (canonical map text, sha256 of the complex128 samples, params) ->
+# BatchClassification without tails; None outside shared_classifications().
+_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "bungee_lab_classifications", default=None
+)
+
+
+@contextmanager
+def shared_classifications():
+    """Classify each (map, samples, params) once inside the block.
+
+    Reentrant: an inner block reuses the memo of the outer one.  The
+    memo is dropped when the outermost block exits.
+    """
+    if _MEMO.get() is not None:
+        yield
+        return
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
+def _classify(
+    f: Expr, pts: np.ndarray, params: OrbitParams, want_tail_values: bool = False
+) -> BatchClassification:
+    """classify_batch, served from the open memo when it can be.
+
+    Stored entries drop their tails and have read-only arrays, so a
+    request for tail values is always classified afresh.
+    """
+    memo = _MEMO.get()
+    if memo is None:
+        return classify_batch(f, pts, params, want_tail_values=want_tail_values)
+    samples = np.ascontiguousarray(pts, dtype=np.complex128)
+    key = (format_expr(f), hashlib.sha256(samples.tobytes()).digest(), params)
+    if not want_tail_values and key in memo:
+        return memo[key]
+    batch = classify_batch(f, pts, params, want_tail_values=want_tail_values)
+    if key not in memo:
+        entry = dataclasses.replace(batch, tail_values=None, tail_last=None)
+        for a in (entry.verdict, entry.confident, entry.term_kind,
+                  entry.term_step, entry.oscillations):
+            a.flags.writeable = False
+        memo[key] = entry
+    return batch
+
+
 # ---------------------------------------------------------------------------
 # Containment
 
@@ -160,7 +219,7 @@ def verify_containment(
     for e, _ in lhs + rhs:
         text = format_expr(e)
         if text not in batches:
-            batches[text] = classify_batch(e, pts, params)
+            batches[text] = _classify(e, pts, params)
 
     usable = np.ones(pts.size, dtype=bool)
     for e, _ in lhs + rhs:
@@ -183,6 +242,7 @@ def verify_containment(
     in_lhs = members(lhs, lhs_mode)
     in_rhs = members(rhs, rhs_mode)
     violating = usable & in_lhs & ~in_rhs
+    n_usable = int(usable.sum())
 
     examples = []
     for i in np.nonzero(violating)[0][:MAX_VIOLATION_EXAMPLES]:
@@ -211,7 +271,7 @@ def verify_containment(
         params=_params_dict(params, sampler, strict),
         seed=sampler.seed,
         samples_total=int(pts.size),
-        samples_confident=int(usable.sum()),
+        samples_confident=n_usable,
         violations=int(violating.sum()),
         violation_examples=examples,
         runtime_ms=(time.perf_counter() - t0) * 1000,
@@ -222,6 +282,7 @@ def verify_containment(
             "rhs_mode": rhs_mode,
             "lhs_members": int((usable & in_lhs).sum()),
             "rhs_members": int((usable & in_rhs).sum()),
+            "inconclusive": n_usable < MIN_USABLE,
         },
     )
 
@@ -243,34 +304,35 @@ def verify_composition_containments(
     """
     fg = compose(f, g)
     ft, gt = format_expr(f), format_expr(g)
-    k_report = verify_containment(
-        [(f, "bounded"), (g, "bounded")],
-        [(fg, "bounded")],
-        sampler,
-        params,
-        strict=strict,
-        lhs_mode="all",
-        rhs_mode="any",
-        relation="bounded-intersection-inside-composition",
-        f_text=ft,
-        g_text=gt,
-    )
-    bu_report = verify_containment(
-        [(fg, "bungee")],
-        [(f, "bungee"), (g, "bungee")],
-        sampler,
-        params,
-        strict=strict,
-        lhs_mode="all",
-        rhs_mode=bu_mode,
-        relation=(
-            "bungee-composition-inside-union"
-            if bu_mode == "any"
-            else "bungee-composition-inside-intersection"
-        ),
-        f_text=ft,
-        g_text=gt,
-    )
+    with shared_classifications():
+        k_report = verify_containment(
+            [(f, "bounded"), (g, "bounded")],
+            [(fg, "bounded")],
+            sampler,
+            params,
+            strict=strict,
+            lhs_mode="all",
+            rhs_mode="any",
+            relation="bounded-intersection-inside-composition",
+            f_text=ft,
+            g_text=gt,
+        )
+        bu_report = verify_containment(
+            [(fg, "bungee")],
+            [(f, "bungee"), (g, "bungee")],
+            sampler,
+            params,
+            strict=strict,
+            lhs_mode="all",
+            rhs_mode=bu_mode,
+            relation=(
+                "bungee-composition-inside-union"
+                if bu_mode == "any"
+                else "bungee-composition-inside-intersection"
+            ),
+            f_text=ft,
+            g_text=gt,
+        )
     return [k_report, bu_report]
 
 
@@ -301,15 +363,16 @@ def verify_invariance(
     pts = sampler.points()
     want = int(KIND_VERDICT[kind])
 
-    batch_z = classify_batch(f, pts, params)
+    batch_z = _classify(f, pts, params)
     gz, gstatus = eval_array(g, pts)
     g_ok = gstatus == engine.OK
-    batch_w = classify_batch(f, np.where(g_ok, gz, 0), params)
+    batch_w = _classify(f, np.where(g_ok, gz, 0), params)
 
     usable = g_ok & _usable(batch_z.verdict, strict) & _usable(batch_w.verdict, strict)
     member_z = batch_z.verdict == want
     member_w = batch_w.verdict == want
     violating = usable & member_z & ~member_w
+    n_usable = int(usable.sum())
 
     examples = []
     for i in np.nonzero(violating)[0][:MAX_VIOLATION_EXAMPLES]:
@@ -329,7 +392,7 @@ def verify_invariance(
         params=_params_dict(params, sampler, strict),
         seed=sampler.seed,
         samples_total=int(pts.size),
-        samples_confident=int(usable.sum()),
+        samples_confident=n_usable,
         violations=int(violating.sum()),
         violation_examples=examples,
         runtime_ms=(time.perf_counter() - t0) * 1000,
@@ -339,6 +402,7 @@ def verify_invariance(
             "members_at_gz": int((usable & member_w).sum()),
             "reverse_only": int((usable & ~member_z & member_w).sum()),
             "g_defined": int(g_ok.sum()),
+            "inconclusive": n_usable < MIN_USABLE,
         },
     )
 
@@ -359,7 +423,7 @@ def verify_commute(
 
     The error is |fg - gf| / max(1, |fg|, |gf|).  Samples where any of
     the four evaluations leaves the finite range are unusable; fewer
-    than 10 usable samples marks the whole check inconclusive.
+    than MIN_USABLE usable samples marks the whole check inconclusive.
     """
     t0 = time.perf_counter()
     params = params or OrbitParams()
@@ -414,10 +478,10 @@ def verify_commute(
         runtime_ms=(time.perf_counter() - t0) * 1000,
         detail={
             "tol": tol,
-            "commutes": bool(n_viol == 0 and n_usable >= 10),
+            "commutes": bool(n_viol == 0 and n_usable >= MIN_USABLE),
             "max_relative_error": max_err,
             "witness": witness,
-            "inconclusive": n_usable < 10,
+            "inconclusive": n_usable < MIN_USABLE,
         },
     )
 
@@ -512,8 +576,8 @@ def verify_translate(
         max_exact_err = max(max_exact_err, float(err_exact[usable].max()))
         max_drift_err = max(max_drift_err, float(err_drift[usable].max()))
 
-    batch_f = classify_batch(f, pts, params)
-    batch_g = classify_batch(g, pts, params)
+    batch_f = _classify(f, pts, params)
+    batch_g = _classify(g, pts, params)
     both = _usable(batch_f.verdict, False) & _usable(batch_g.verdict, False)
     agree = both & (batch_f.verdict == batch_g.verdict)
 
@@ -551,6 +615,7 @@ def verify_translate(
                 "agreeing": int(agree.sum()),
                 "disagreeing": int((both & ~agree).sum()),
             },
+            "inconclusive": n_compared < MIN_USABLE,
         },
     )
 
@@ -604,7 +669,7 @@ def verify_value_identity(
         detail={
             "tol": tol,
             "max_relative_error": float(rel[usable].max()) if n_usable else 0.0,
-            "inconclusive": n_usable < 10,
+            "inconclusive": n_usable < MIN_USABLE,
         },
     )
 
@@ -630,7 +695,7 @@ def verify_property_a(
     """
     t0 = time.perf_counter()
     pts = sampler.points()
-    batch = classify_batch(g, pts, params, want_tail_values=True)
+    batch = _classify(g, pts, params, want_tail_values=True)
     escaping = (batch.verdict == int(Verdict.ESCAPING)) & batch.confident
     idx = np.nonzero(escaping)[0]
 
@@ -674,7 +739,10 @@ def verify_property_a(
         violations=violations,
         violation_examples=examples,
         runtime_ms=(time.perf_counter() - t0) * 1000,
-        detail={"tail_window": params.tail_window},
+        detail={
+            "tail_window": params.tail_window,
+            "inconclusive": idx.size < MIN_USABLE,
+        },
     )
 
 
@@ -693,7 +761,7 @@ def verify_partition(
     """
     t0 = time.perf_counter()
     pts = sampler.points()
-    batch = classify_batch(f, pts, params)
+    batch = _classify(f, pts, params)
     counts = {
         v.label: int((batch.verdict == int(v)).sum()) for v in Verdict
     }

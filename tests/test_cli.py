@@ -108,6 +108,25 @@ class TestRender:
             digests.append(json.loads(out)["sha256"])
         assert digests[0] == digests[1]
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--workers", "0"), ("--n-shade", "0"), ("--out", "no-such-dir/x.ppm")],
+    )
+    def test_bad_render_options_exit_2_before_rendering(
+        self, capsys, tmp_path, monkeypatch, flag, value
+    ):
+        def no_render(*args, **kwargs):
+            raise AssertionError("rendered despite a usage error")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("bungee_lab.cli.classify_grid", no_render)
+        code, _, err = run(
+            capsys, "render", "--f", "z^2", "--grid", "0,0,4,4,8,8",
+            "--out", "x.ppm", flag, value,
+        )
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestFixedPoints:
     def test_squaring_map(self, capsys):
@@ -180,6 +199,22 @@ class TestVerify:
             "--g=-z*exp(z^2)", "--kind", "escaping", "--samples", "400",
         )
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("invariance", "--f", "1/z^2", "--g", "z", "--grid", "0,0,1e-300,1e-300"),
+            ("translate", "--f", "sin(z)", "--C", "2*pi", "--n-max", "0"),
+        ],
+    )
+    def test_no_usable_samples_is_inconclusive(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 1
+        docs = json.loads(out)
+        docs = docs if isinstance(docs, list) else [docs]
+        assert all(d["samples_confident"] == 0 for d in docs)
+        assert all(d["detail"]["inconclusive"] is True for d in docs)
+        assert "inconclusive" in err
 
     def test_verify_without_relation_exits_2(self, capsys):
         code, _, err = run(capsys, "verify")

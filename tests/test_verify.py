@@ -7,10 +7,12 @@ import math
 import numpy as np
 import pytest
 
+from bungee_lab import orbit, presets, verify
 from bungee_lab.expr import parse
 from bungee_lab.orbit import OrbitParams, Rect
 from bungee_lab.verify import (
     SamplerSpec,
+    shared_classifications,
     verify_commute,
     verify_composition_containments,
     verify_containment,
@@ -240,3 +242,76 @@ class TestPropertyAAndPartition:
         r = verify_partition(parse("z^2"), sampler(500), p)
         assert r.detail["counts"]["pole"] == 0
         assert r.detail["entire"] is True
+
+
+@pytest.fixture
+def counted_batches(monkeypatch):
+    """Count the classify_batch calls that verify really makes."""
+    calls = []
+
+    def counting(f, seeds, params, want_tail_values=False):
+        calls.append(want_tail_values)
+        return orbit.classify_batch(f, seeds, params, want_tail_values)
+
+    monkeypatch.setattr(verify, "classify_batch", counting)
+    return calls
+
+
+class TestSharedClassifications:
+    F = parse("1/z^2")
+    P = OrbitParams(max_iter=200)
+
+    def test_hit_matches_fresh_classification(self, counted_batches):
+        pts = sampler(300).points()
+        with shared_classifications():
+            verify._classify(self.F, pts, self.P)
+            hit = verify._classify(self.F, pts.copy(), self.P)
+        assert len(counted_batches) == 1
+        fresh = orbit.classify_batch(self.F, pts, self.P)
+        for name in ("verdict", "confident", "term_kind", "term_step", "oscillations"):
+            assert np.array_equal(getattr(hit, name), getattr(fresh, name))
+
+    def test_key_separates_samples_maps_and_params(self, counted_batches):
+        pts = sampler(100).points()
+        with shared_classifications():
+            verify._classify(self.F, pts, self.P)
+            verify._classify(self.F, pts[::-1], self.P)
+            verify._classify(parse("z^2"), pts, self.P)
+            verify._classify(self.F, pts, OrbitParams(max_iter=201))
+        assert len(counted_batches) == 4
+
+    def test_tail_request_is_never_served_from_memo(self, counted_batches):
+        pts = sampler(100).points()
+        with shared_classifications():
+            verify._classify(self.F, pts, self.P)
+            tails = verify._classify(self.F, pts, self.P, want_tail_values=True)
+            verify._classify(self.F, pts, self.P)
+        assert counted_batches == [False, True]
+        assert tails.tail_values is not None
+        assert tails.ordered_tail(0).size > 0
+
+    def test_cached_arrays_are_read_only(self):
+        pts = sampler(100).points()
+        with shared_classifications():
+            verify._classify(self.F, pts, self.P)
+            cached = verify._classify(self.F, pts, self.P)
+        assert cached.tail_values is None and cached.tail_last is None
+        with pytest.raises(ValueError):
+            cached.verdict[0] = 0
+
+    def test_nothing_is_reused_outside_a_scope(self, counted_batches):
+        pts = sampler(100).points()
+        with shared_classifications():
+            with shared_classifications():
+                verify._classify(self.F, pts, self.P)
+            verify._classify(self.F, pts, self.P)
+        verify._classify(self.F, pts, self.P)
+        assert len(counted_batches) == 2
+
+    def test_all_paper_classifies_each_input_once_per_run(self, counted_batches):
+        # the 38 classifications of an all-paper run cover 15 distinct
+        # (map, samples, params) inputs whatever the sample count
+        presets.run_preset("all-paper", samples=512)
+        assert len(counted_batches) == 15
+        presets.run_preset("all-paper", samples=512)
+        assert len(counted_batches) == 30
