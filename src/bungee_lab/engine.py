@@ -1,83 +1,291 @@
 """Vectorized expression evaluation over IEEE complex doubles.
 
 Every evaluation in the package goes through eval_array so that single
-points and pixel grids see bit-identical arithmetic.  Each node returns
-a complex128 value array plus a uint8 status array:
+points and pixel grids see bit-identical arithmetic.  Each evaluation
+returns a complex128 value array plus a uint8 status array:
 
     OK        value is finite
     OVERFLOW  value left the representable range
     POLE      a division consumed a vanishing divisor
 
-Statuses propagate child-first, left operand before right.  A node
-whose own result is non-finite despite OK children reports OVERFLOW,
-except division, which reports POLE: with a finite numerator a
-non-finite quotient means the divisor was zero or indistinguishable
-from zero at double precision.  One asymmetry keeps reciprocals honest:
-a finite numerator over an OVERFLOW divisor evaluates to 0 with OK
-status (the limiting value), rather than propagating the divisor's
-failure.  Negative Pow exponents share the division rules.
+The status of a node is its first non-OK child status, left operand
+before right; a node whose own result is non-finite despite OK children
+reports OVERFLOW, except division, which reports POLE: with a finite
+numerator a non-finite quotient means the divisor was zero or
+indistinguishable from zero at double precision.  One asymmetry keeps
+reciprocals honest: a finite numerator over an OVERFLOW divisor
+evaluates to 0 with OK status (the limiting value), rather than
+propagating the divisor's failure.  Negative Pow exponents share the
+division rules.
+
+Plans.  An Expr is compiled once into a flat plan of numpy ufunc calls,
+cached on the node the way node_count is.  The plan calls the same
+ufuncs in the same order as a node-by-node evaluation (Pow is
+square-and-multiply with *, constants are full arrays), so values are
+bit-identical to it; intermediates are overwritten in place when no
+other node reads them.  Buffers belong to one call, so threads can
+share a plan.
+
+Status is tracked only where it can change.  Without division, a
+non-finite value stays non-finite in every ancestor up to the nearest
+exp (exp(-inf) is 0), so a division-free tree is OVERFLOW exactly
+where some node value is non-finite, and it suffices to check
+finiteness at
+
+    the input of each exp (this also covers a non-finite seed below it)
+    both operands of each division and negative power, which then
+        apply the pole and rescue rules to full status arrays
+    the left operand of a node whose right operand can report POLE,
+        so that the left operand's failure still comes first
+    the root
+
+Finiteness checks between two division statuses are ANDed into one
+mask; a status array is built only at a division and at the root.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .expr import Add, Const, Cos, Div, Exp, Expr, Mul, Neg, Pow, Sin, Sub, Var
 
 OK = np.uint8(0)
-OVERFLOW = np.uint8(1)
+OVERFLOW = np.uint8(1)  # == True viewed as uint8: a failed finiteness mask
 POLE = np.uint8(2)
 
 STATUS_NAMES = ("finite", "overflow", "pole")
 
-
-def _settle(values: np.ndarray, status: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Demote OK entries whose value turned non-finite to OVERFLOW."""
-    blown = (status == OK) & ~np.isfinite(values)
-    if blown.any():
-        status = np.where(blown, OVERFLOW, status)
-    return values, status
+# a plan step reads and writes the call's register list; register 0 is z
+Step = Callable[[list], None]
 
 
-def _merge2(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
-    return np.where(sa != OK, sa, sb)
+@dataclass(frozen=True)
+class _Plan:
+    steps: tuple[Step, ...]
+    n_regs: int
+    value: int  # register of the result value
+    status: int  # register of the result status (uint8)
+
+    def run(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        regs = [None] * self.n_regs
+        regs[0] = z
+        for step in self.steps:
+            step(regs)
+        return regs[self.value], regs[self.status]
 
 
-def _mul_combine(va, sa, vb, sb):
-    return _settle(va * vb, _merge2(sa, sb))
+@dataclass
+class _Operand:
+    """A compiled subtree during compilation."""
+
+    reg: int
+    owned: bool  # no other node reads reg, so it may be overwritten
+    pending: bool  # the value may be non-finite without a check so far
+    terms: list  # ("ok", mask reg) or ("st", status reg), in status order
 
 
-def _div_combine(va, sa, vb, sb):
-    q = va / vb
-    status = _merge2(sa, sb)
-    rescue = (sa == OK) & (sb == OVERFLOW)
+class _Compiler:
+    def __init__(self):
+        self.steps: list[Step] = []
+        self.n_regs = 1
+
+    def new_reg(self) -> int:
+        self.n_regs += 1
+        return self.n_regs - 1
+
+    # -- values ----------------------------------------------------------
+
+    def ufunc(self, fn, *args: _Operand) -> int:
+        """Emit fn(*args) into the first owned operand's register, else a new one."""
+        out = next((a.reg for a in args if a.owned), None)
+        in_place = out is not None
+        if not in_place:
+            out = self.new_reg()
+        if len(args) == 1:
+            i = args[0].reg
+
+            def step(r):
+                if in_place:
+                    fn(r[i], out=r[out])
+                else:
+                    r[out] = fn(r[i])
+
+        else:
+            i, j = args[0].reg, args[1].reg
+
+            def step(r):
+                x, y = r[i], r[j]
+                if in_place and x.size > 1:
+                    fn(x, y, out=r[out])
+                else:
+                    # numpy runs a one-element binary op whose output
+                    # overlaps an input through another loop, which can
+                    # round differently
+                    r[out] = fn(x, y)
+
+        self.steps.append(step)
+        return out
+
+    def fill(self, make) -> int:
+        dst = self.new_reg()
+
+        def step(r):
+            r[dst] = make(r[0].shape)
+
+        self.steps.append(step)
+        return dst
+
+    # -- statuses --------------------------------------------------------
+
+    def check(self, x: _Operand) -> None:
+        """Record where x's value is non-finite as an OVERFLOW term."""
+        if not x.pending:
+            return
+        x.pending = False
+        v = x.reg
+        if x.terms and x.terms[-1][0] == "ok":
+            m = x.terms[-1][1]
+            self.steps.append(lambda r: np.logical_and(r[m], np.isfinite(r[v]), out=r[m]))
+            return
+        m = self.new_reg()
+
+        def step(r):
+            r[m] = np.isfinite(r[v])
+
+        self.steps.append(step)
+        x.terms.append(("ok", m))
+
+    def status(self, x: _Operand) -> int | None:
+        """Emit x's full status array; return its register (None: all OK)."""
+        self.check(x)
+        groups = []  # the terms with each run of masks ANDed into its first
+        for kind, reg in x.terms:
+            if kind == "ok" and groups and groups[-1][0] == "ok":
+                m = groups[-1][1]
+                self.steps.append(lambda r, m=m, reg=reg: np.logical_and(r[m], r[reg], out=r[m]))
+            else:
+                groups.append((kind, reg))
+        if not groups:
+            return None
+        for kind, reg in groups:
+            if kind == "ok":
+                self.steps.append(lambda r, m=reg: _mask_to_status(r, m))
+        acc = groups[0][1]
+        for _, reg in groups[1:]:
+            self.steps.append(lambda r, s=reg: _first_failure(r, acc, s))
+        return acc
+
+    # -- nodes -----------------------------------------------------------
+
+    def compile(self, e: Expr) -> _Operand:
+        if isinstance(e, Var):
+            return _Operand(0, owned=False, pending=True, terms=[])
+        if isinstance(e, Const):
+            value = e.value
+            reg = self.fill(lambda shape: np.full(shape, value, dtype=np.complex128))
+            return _Operand(reg, owned=True, pending=False, terms=[])
+        if isinstance(e, (Add, Sub, Mul)):
+            fn = np.add if isinstance(e, Add) else np.subtract if isinstance(e, Sub) else np.multiply
+            a = self.compile(e.a)
+            if not e.b.entire:
+                self.check(a)
+            b = self.compile(e.b)
+            return _Operand(self.ufunc(fn, a, b), True, True, a.terms + b.terms)
+        if isinstance(e, Div):
+            a = self.compile(e.a)
+            sa = self.status(a)
+            b = self.compile(e.b)
+            return self.divide(a, sa, b)
+        if isinstance(e, Neg):
+            a = self.compile(e.a)
+            return _Operand(self.ufunc(np.negative, a), True, a.pending, a.terms)
+        if isinstance(e, Pow):
+            p = self.power(self.compile(e.base), abs(e.exponent))
+            if e.exponent > 0:
+                return p
+            ones = self.fill(lambda shape: np.ones(shape, dtype=np.complex128))
+            return self.divide(_Operand(ones, True, False, []), None, p)
+        if isinstance(e, Exp):
+            a = self.compile(e.a)
+            self.check(a)
+            return _Operand(self.ufunc(np.exp, a), True, True, a.terms)
+        if isinstance(e, (Sin, Cos)):
+            a = self.compile(e.a)
+            fn = np.sin if isinstance(e, Sin) else np.cos
+            return _Operand(self.ufunc(fn, a), True, True, a.terms)
+        raise TypeError(f"not an expression node: {e!r}")
+
+    def power(self, base: _Operand, n: int) -> _Operand:
+        """base**n for n >= 1 by square-and-multiply on whole arrays."""
+        acc = base
+        res = None
+        m = n
+        while True:
+            if m & 1:
+                if res is None:
+                    # res shares acc's register; only res may overwrite it
+                    res = acc
+                    acc = _Operand(acc.reg, False, acc.pending, [])
+                else:
+                    # acc is squared again unless this is the last bit
+                    last = _Operand(acc.reg, acc.owned and m == 1, True, [])
+                    res = _Operand(self.ufunc(np.multiply, res, last), True, True, res.terms)
+            m >>= 1
+            if not m:
+                return _Operand(res.reg, res.owned, True, base.terms)
+            acc = _Operand(self.ufunc(np.multiply, acc, acc), True, True, [])
+
+    def divide(self, a: _Operand, sa: int | None, b: _Operand) -> _Operand:
+        """a / b with the pole and rescue rules; sa is a's status register."""
+        sb = self.status(b)
+        q = self.ufunc(np.divide, a, b)
+        s = self.new_reg()
+        self.steps.append(lambda r: _divide_status(r, q, sa, sb, s))
+        return _Operand(q, True, False, [("st", s)])
+
+
+def _mask_to_status(r: list, m: int) -> None:
+    np.logical_not(r[m], out=r[m])
+    r[m] = r[m].view(np.uint8)
+
+
+def _first_failure(r: list, acc: int, s: int) -> None:
+    r[acc] = np.where(r[acc] != OK, r[acc], r[s])
+
+
+def _divide_status(r: list, q: int, sa: int | None, sb: int | None, s: int) -> None:
+    """Status of the quotient in r[q]; rescued quotients become 0.
+
+    sa and sb are the operand status registers, None where an operand
+    is OK everywhere.
+    """
+    vq = r[q]
+    status = np.zeros(vq.shape, dtype=np.uint8) if sb is None else r[sb]
+    rescue = status == OVERFLOW
+    pole = (status == OK) & ~np.isfinite(vq)
+    if sa is not None:
+        a_ok = r[sa] == OK
+        rescue &= a_ok
+        pole &= a_ok
+        status = np.where(a_ok, status, r[sa])
     if rescue.any():
         status = np.where(rescue, OK, status)
-        q = np.where(rescue, np.complex128(0), q)
-    pole = (sa == OK) & (sb == OK) & ~np.isfinite(q)
+        vq[rescue] = 0
     if pole.any():
         status = np.where(pole, POLE, status)
-    return q, status
+    r[s] = status
 
 
-def _pow_combine(vals, status, n: int):
-    """vals**n for n >= 1 by square-and-multiply on whole arrays."""
-    acc_v, acc_s = vals, status
-    res_v = None
-    res_s = None
-    m = n
-    while True:
-        if m & 1:
-            if res_v is None:
-                res_v, res_s = acc_v, acc_s
-            else:
-                res_v, res_s = _mul_combine(res_v, res_s, acc_v, acc_s)
-        m >>= 1
-        if not m:
-            return res_v, res_s
-        acc_v, acc_s = _mul_combine(acc_v, acc_s, acc_v, acc_s)
+def _compile(e: Expr) -> _Plan:
+    c = _Compiler()
+    root = c.compile(e)
+    status = c.status(root)
+    if status is None:
+        status = c.fill(lambda shape: np.zeros(shape, dtype=np.uint8))
+    return _Plan(tuple(c.steps), c.n_regs, root.reg, status)
 
 
 def eval_array(e: Expr, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -87,57 +295,14 @@ def eval_array(e: Expr, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     meaningful only where status == OK; elsewhere they are whatever the
     hardware produced.
     """
+    plan = e.__dict__.get("_plan")
+    if plan is None:
+        plan = _compile(e)
+        object.__setattr__(e, "_plan", plan)
     z = np.asarray(z, dtype=np.complex128)
     with np.errstate(all="ignore"):
-        return _eval(e, z)
-
-
-def _eval(e: Expr, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(e, Var):
-        status = np.where(np.isfinite(z), OK, OVERFLOW)
-        return z, status
-    if isinstance(e, Const):
-        return (
-            np.full(z.shape, e.value, dtype=np.complex128),
-            np.zeros(z.shape, dtype=np.uint8),
-        )
-    if isinstance(e, Add):
-        va, sa = _eval(e.a, z)
-        vb, sb = _eval(e.b, z)
-        return _settle(va + vb, _merge2(sa, sb))
-    if isinstance(e, Sub):
-        va, sa = _eval(e.a, z)
-        vb, sb = _eval(e.b, z)
-        return _settle(va - vb, _merge2(sa, sb))
-    if isinstance(e, Mul):
-        va, sa = _eval(e.a, z)
-        vb, sb = _eval(e.b, z)
-        return _mul_combine(va, sa, vb, sb)
-    if isinstance(e, Div):
-        va, sa = _eval(e.a, z)
-        vb, sb = _eval(e.b, z)
-        return _div_combine(va, sa, vb, sb)
-    if isinstance(e, Neg):
-        va, sa = _eval(e.a, z)
-        return -va, sa
-    if isinstance(e, Pow):
-        vb, sb = _eval(e.base, z)
-        n = e.exponent
-        if n > 0:
-            return _pow_combine(vb, sb, n)
-        pv, ps = _pow_combine(vb, sb, -n)
-        ones = np.ones(z.shape, dtype=np.complex128)
-        return _div_combine(ones, np.zeros(z.shape, dtype=np.uint8), pv, ps)
-    if isinstance(e, Exp):
-        va, sa = _eval(e.a, z)
-        return _settle(np.exp(va), sa)
-    if isinstance(e, Sin):
-        va, sa = _eval(e.a, z)
-        return _settle(np.sin(va), sa)
-    if isinstance(e, Cos):
-        va, sa = _eval(e.a, z)
-        return _settle(np.cos(va), sa)
-    raise TypeError(f"not an expression node: {e!r}")
+        vals, status = plan.run(z.reshape(-1))
+    return vals.reshape(z.shape), status.reshape(z.shape)
 
 
 @dataclass(frozen=True)

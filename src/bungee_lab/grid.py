@@ -8,6 +8,8 @@ Pixel (j, k) of an nx x ny grid samples the center of its cell:
 so k = 0 is the lowest imaginary row and the flat index is k * nx + j.
 Grids are classified in fixed 65536-pixel chunks regardless of worker
 count, which keeps the output bit-identical across thread settings.
+Each chunk builds its own pixel centers, so memory follows the chunk
+size rather than the grid size.
 """
 
 from __future__ import annotations
@@ -65,11 +67,18 @@ class GridSpec:
     def pixel_count(self) -> int:
         return self.nx * self.ny
 
-    def points(self) -> np.ndarray:
-        """All pixel centers, flattened so index k * nx + j is pixel (j, k)."""
+    def points(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Pixel centers at flat indices lo..hi-1 (default: all of them).
+
+        Flat index i = k * nx + j is pixel (j, k).  Any range gives the
+        same bits as the matching slice of the whole grid, so chunks can
+        be generated one at a time.
+        """
+        hi = self.pixel_count if hi is None else hi
         xs = self.center.real + ((np.arange(self.nx) + 0.5) / self.nx - 0.5) * self.width
         ys = self.center.imag + ((np.arange(self.ny) + 0.5) / self.ny - 0.5) * self.height
-        return (xs[None, :] + 1j * ys[:, None]).ravel()
+        i = np.arange(lo, hi)
+        return xs[i % self.nx] + 1j * ys[i // self.nx]
 
     def to_dict(self) -> dict:
         return {
@@ -100,8 +109,7 @@ def classify_grid(
     workers: int | None = None,
     chunk: int = CHUNK_PIXELS,
 ) -> ClassGrid:
-    pts = spec.points()
-    k = pts.size
+    k = spec.pixel_count
     verdict = np.empty(k, dtype=np.uint8)
     confident = np.empty(k, dtype=bool)
     term_kind = np.empty(k, dtype=np.uint8)
@@ -109,7 +117,7 @@ def classify_grid(
     osc = np.empty(k, dtype=np.int32)
 
     def run(lo: int, hi: int) -> None:
-        batch = classify_batch(f, pts[lo:hi], params)
+        batch = classify_batch(f, spec.points(lo, hi), params)
         verdict[lo:hi] = batch.verdict
         confident[lo:hi] = batch.confident
         term_kind[lo:hi] = batch.term_kind

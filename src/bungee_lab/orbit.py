@@ -89,6 +89,9 @@ class OrbitParams:
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
+        if self.max_iter > np.iinfo(np.int32).max:
+            # termination steps are stored as int32
+            raise ValueError(f"max_iter must be at most {np.iinfo(np.int32).max}")
         if not (self.escape_radius > self.bound_radius > 0):
             raise ValueError("need escape_radius > bound_radius > 0")
         if self.min_oscillations < 1:
@@ -290,7 +293,11 @@ def classify_batch(
     """Classify many seeds at once.
 
     Streaming counterpart of classify_point: per-seed state is updated
-    step by step and finished seeds drop out of the working set.
+    step by step and finished seeds drop out of the working set.  The
+    state of live seeds (excursion flag, all-below flag, oscillation
+    count) is kept compact, in the order of the live set, and written
+    to the outputs when a seed finishes.  The tail test runs only over
+    the last tail_window magnitudes, since only completed orbits read it.
     """
     seeds = np.ascontiguousarray(seeds, dtype=np.complex128).ravel()
     k = seeds.size
@@ -302,10 +309,8 @@ def classify_batch(
     term_kind = np.full(k, TERM_COMPLETED, dtype=np.uint8)
     term_step = np.full(k, n_total, dtype=np.int32)
     osc = np.zeros(k, dtype=np.int32)
-    in_exc = np.zeros(k, dtype=bool)
-    all_below = np.ones(k, dtype=bool)
+    all_below = np.zeros(k, dtype=bool)
     tail_escape = np.zeros(k, dtype=bool)
-    mag_ring = np.full((k, w), -np.inf, dtype=np.float64)
     val_ring = np.zeros((k, w), dtype=np.complex128) if want_tail_values else None
     tail_last = np.zeros(k, dtype=np.int32) if want_tail_values else None
 
@@ -314,15 +319,19 @@ def classify_batch(
     if bad0.any():
         term_kind[bad0] = TERM_OVERFLOW
         term_step[bad0] = 0
-        all_below[bad0] = False
     alive = np.nonzero(finite0)[0]
     z = seeds[alive]
 
     with np.errstate(divide="ignore"):
         m = np.log10(np.abs(z))
-    in_exc[alive] = m > log_esc
-    all_below[alive] = m <= log_bound
-    mag_ring[alive, 0] = m
+    # live-set state, aligned with alive
+    in_exc = m > log_esc
+    below = m <= log_bound
+    n_osc = np.zeros(alive.size, dtype=np.int32)
+    # from step first_tail on: every magnitude so far above log_esc and
+    # nondecreasing (as m - prev >= 0, which fails on inf - inf)
+    first_tail = n_total - w
+    tail_ok = prev = None
     if want_tail_values:
         val_ring[alive, 0] = z
 
@@ -342,22 +351,30 @@ def classify_batch(
                 idx = alive[over]
                 term_kind[idx] = TERM_OVERFLOW
                 term_step[idx] = n + 1
-            alive = alive[ok]
-            vals = vals[ok]
-            z = z[ok]
+            done = ~ok
+            osc[alive[done]] = n_osc[done]
+            all_below[alive[done]] = below[done]
+            alive, vals, z = alive[ok], vals[ok], z[ok]
+            in_exc, below, n_osc = in_exc[ok], below[ok], n_osc[ok]
+            if tail_ok is not None:
+                tail_ok, prev = tail_ok[ok], prev[ok]
             if alive.size == 0:
                 break
+        m = np.abs(vals)
         with np.errstate(divide="ignore"):
-            m = np.log10(np.abs(vals))
-        excursion = in_exc[alive]
-        returned = excursion & (m < log_bound)
+            np.log10(m, out=m)
+        returned = in_exc & (m < log_bound)
         if returned.any():
-            osc[alive[returned]] += 1
-        in_exc[alive] = (excursion | (m > log_esc)) & ~returned
-        all_below[alive] &= m <= log_bound
-        col = (n + 1) % w
-        mag_ring[alive, col] = m
+            n_osc += returned
+            in_exc &= ~returned
+        in_exc |= m > log_esc
+        below &= m <= log_bound
+        if n >= first_tail:
+            above = m > log_esc
+            tail_ok = above if tail_ok is None else tail_ok & above & (m - prev >= 0)
+            prev = m
         if want_tail_values:
+            col = (n + 1) % w
             val_ring[alive, col] = vals
             tail_last[alive] = n + 1
         frozen = vals == z
@@ -366,22 +383,22 @@ def classify_batch(
             # constant tail: every later magnitude equals m, so the
             # window test reduces to a single comparison
             tail_escape[idx] = m[frozen] > log_esc
+            osc[idx] = n_osc[frozen]
+            all_below[idx] = below[frozen]
             if want_tail_values:
                 val_ring[idx, :] = vals[frozen][:, None]
                 tail_last[idx] = n_total
-            alive = alive[~frozen]
-            vals = vals[~frozen]
-            z = z[~frozen]
+            live = ~frozen
+            alive, vals = alive[live], vals[live]
+            in_exc, below, n_osc = in_exc[live], below[live], n_osc[live]
+            if tail_ok is not None:
+                tail_ok, prev = tail_ok[live], prev[live]
         z = vals
 
     if alive.size:
-        start = max(0, n_total + 1 - w)
-        cols = np.arange(start, n_total + 1) % w
-        tails = mag_ring[alive][:, cols]
-        escaped = (tails > log_esc).all(axis=1)
-        if tails.shape[1] > 1:
-            escaped &= (np.diff(tails, axis=1) >= 0).all(axis=1)
-        tail_escape[alive] = escaped
+        osc[alive] = n_osc
+        all_below[alive] = below
+        tail_escape[alive] = tail_ok
 
     verdict, confident = _verdicts(term_kind, osc, all_below, tail_escape, params)
     return BatchClassification(

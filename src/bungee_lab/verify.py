@@ -757,7 +757,8 @@ def verify_partition(
 ) -> RelationReport:
     """Every sample gets exactly one decisive verdict or an honest
     undecided; for a map without division, a pole verdict would break
-    the three-way partition and counts as a violation.
+    the three-way partition and counts as a violation.  Fewer than
+    MIN_USABLE decisive samples mark the check inconclusive.
     """
     t0 = time.perf_counter()
     pts = sampler.points()
@@ -789,5 +790,6 @@ def verify_partition(
             "counts": counts,
             "decisive_fraction": float(decisive.mean()),
             "entire": bool(f.entire),
+            "inconclusive": int(decisive.sum()) < MIN_USABLE,
         },
     )

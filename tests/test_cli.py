@@ -48,6 +48,13 @@ class TestClassify:
         assert doc["params"]["max_iter"] == 50
         assert doc["params"]["min_oscillations"] == 2
 
+    def test_max_iter_beyond_int32_exits_2(self, capsys):
+        # rejected when the params are built, before any step runs
+        code, _, err = run(capsys, "classify", "--f", "z^2", "--z0", "0.5",
+                           "--max-iter", "2147483648")
+        assert code == 2
+        assert "max_iter" in err
+
     def test_parse_error_exits_2(self, capsys):
         code, _, err = run(capsys, "classify", "--f", "z+", "--z0", "0")
         assert code == 2
@@ -215,6 +222,25 @@ class TestVerify:
         assert all(d["samples_confident"] == 0 for d in docs)
         assert all(d["detail"]["inconclusive"] is True for d in docs)
         assert "inconclusive" in err
+
+    def test_partition_without_decisive_samples_is_inconclusive(self, capsys):
+        # every sample of this tiny square sits on the pole at 0
+        code, out, err = run(
+            capsys, "verify", "partition", "--f", "1/z^2", "--grid", "0,0,1e-300,1e-300"
+        )
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["samples_confident"] == 0
+        assert doc["detail"]["counts"]["pole"] == doc["samples_total"]
+        assert doc["detail"]["inconclusive"] is True
+        assert "inconclusive" in err
+
+    def test_partition_with_decisive_samples_exits_0(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "partition", "--f", "z^2", "--samples", "256", "--max-iter", "100"
+        )
+        assert code == 0
+        assert json.loads(out)["detail"]["inconclusive"] is False
 
     def test_verify_without_relation_exits_2(self, capsys):
         code, _, err = run(capsys, "verify")

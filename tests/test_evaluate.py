@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import cmath
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -12,9 +14,18 @@ from hypothesis import strategies as st
 
 from bungee_lab import engine
 from bungee_lab.engine import eval_array, evaluate
-from bungee_lab.expr import Z, compose, derivative, parse
+from bungee_lab.expr import Z, Div, Pow, compose, derivative, parse
+from bungee_lab.presets import PRESET_FUNCTIONS
 
 from conftest import random_expr, random_points
+from eval_oracle import oracle_eval
+
+# points where statuses change: underflowing reciprocals, overflowing
+# squares, exp and trig blow-ups, and non-finite seeds
+ADVERSARIAL = np.array(
+    [0, 5e-324, 1e308, -1e308, 1000, -1000, 1000j, -1000j, complex("inf"), complex("nan")],
+    dtype=np.complex128,
+)
 
 
 class TestScalarStatuses:
@@ -54,6 +65,121 @@ class TestScalarStatuses:
     def test_trig_overflow_on_large_imaginary(self):
         assert evaluate(parse("sin(z)"), 1000j).kind == "overflow"
         assert evaluate(parse("cos(z)"), 1000j).kind == "overflow"
+
+
+class TestStatusOrder:
+    """Status rules that hold however the evaluator is organised."""
+
+    def test_overflow_survives_a_finite_value(self):
+        # exp(-inf) is 0, yet the inner exp overflowed
+        r = evaluate(parse("exp(-exp(z))"), 1000.0)
+        assert r.kind == "overflow"
+
+    def test_cancelled_overflow_stays_overflow(self):
+        assert evaluate(parse("exp(z)-exp(z)"), 1000.0).kind == "overflow"
+
+    def test_left_operand_status_wins(self):
+        assert evaluate(parse("1/(z-1000)+exp(z)"), 1000.0).kind == "pole"
+        assert evaluate(parse("exp(z)+1/(z-1000)"), 1000.0).kind == "overflow"
+
+    def test_negative_power_rescue(self):
+        r = evaluate(parse("z^-2"), 1e200)
+        assert r.kind == "finite"
+        assert r.value == 0j
+
+
+class TestOracleAgreement:
+    """eval_array against the recursive reference evaluator, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 2**63 - 1),
+        st.lists(st.complex_numbers(allow_nan=True, allow_infinity=True), max_size=6),
+    )
+    def test_matches_oracle(self, seed, extra):
+        e = random_expr(random.Random(seed), 6)
+        pts = np.concatenate([ADVERSARIAL, np.array(extra, dtype=np.complex128)])
+        pts = np.concatenate([pts, random_points(np.random.default_rng(seed), 8)])
+        vals, stats = eval_array(e, pts)
+        want_vals, want_stats = oracle_eval(e, pts)
+        assert stats.dtype == np.uint8 and vals.dtype == np.complex128
+        assert np.array_equal(stats, want_stats), str(e)
+        ok = stats == engine.OK
+        assert np.array_equal(vals[ok], want_vals[ok]), str(e)
+        assert np.array_equal(vals[ok].view(np.uint64), want_vals[ok].view(np.uint64))
+        # one-element arrays take other numpy loops than long ones
+        for k in range(0, pts.size, 3):
+            v1, s1 = eval_array(e, pts[k : k + 1])
+            assert s1[0] == stats[k]
+            if s1[0] == engine.OK:
+                assert v1.tobytes() == vals[k : k + 1].tobytes()
+
+    def test_preset_maps_match_oracle(self):
+        pts = np.concatenate([ADVERSARIAL, random_points(np.random.default_rng(3), 500, 4.0)])
+        for text in PRESET_FUNCTIONS:
+            e = parse(text)
+            vals, stats = eval_array(e, pts)
+            want_vals, want_stats = oracle_eval(e, pts)
+            assert np.array_equal(stats, want_stats), text
+            ok = stats == engine.OK
+            assert np.array_equal(vals[ok].view(np.uint64), want_vals[ok].view(np.uint64)), text
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**63 - 1))
+    def test_division_free_overflow_iff_some_node_nonfinite(self, seed):
+        # the claim that lets eval_array check finiteness only at a few
+        # nodes: without division, a result is OVERFLOW exactly when some
+        # node value in its tree is non-finite
+        e = random_expr(random.Random(seed), 6)
+        pts = np.concatenate([ADVERSARIAL, random_points(np.random.default_rng(seed), 8, 40.0)])
+        nodes, stack = [], [e]
+        while stack:
+            node = stack.pop()
+            nodes.append(node)
+            stack.extend(node.children())
+        if any(isinstance(n, Div) or (isinstance(n, Pow) and n.exponent < 0) for n in nodes):
+            return
+        with np.errstate(all="ignore"):
+            some_nonfinite = np.zeros(pts.shape, dtype=bool)
+            for node in nodes:
+                some_nonfinite |= ~np.isfinite(oracle_eval(node, pts)[0])
+        _, stats = eval_array(e, pts)
+        assert np.array_equal(stats == engine.OVERFLOW, some_nonfinite), str(e)
+        assert not (stats == engine.POLE).any()
+
+
+class TestSharedPlan:
+    def test_threads_share_one_plan(self):
+        # grid workers evaluate one Expr at once: the first calls race to
+        # compile its plan, and every call must use buffers of its own
+        e = parse("z*exp(-z^2) + 1/(z-0.5)^2")
+        inputs = [random_points(np.random.default_rng(k), 4000 + k) for k in range(8)]
+        want = [oracle_eval(e, z) for z in inputs]
+        failures = []
+
+        def work(k):
+            try:
+                for _ in range(20):
+                    vals, stats = eval_array(e, inputs[k])
+                    ok = stats == engine.OK
+                    if not (np.array_equal(stats, want[k][1])
+                            and vals[ok].tobytes() == want[k][0][ok].tobytes()):
+                        failures.append(k)
+            except Exception as exc:  # a thread's exception would be lost
+                failures.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
 
 
 class TestNegativePowers:

@@ -34,6 +34,21 @@ class TestGridSpec:
             pts, [0.5 + 1.5j, 1.5 + 1.5j, 0.5 + 2.5j, 1.5 + 2.5j]
         )
 
+    def test_chunks_concatenate_to_whole_grid(self):
+        # nx = 37 does not divide the chunk size, so chunks start mid-row
+        spec = GridSpec(0.3 - 1.7j, 5.0, 3.0, 37, 29)
+        whole = spec.points()
+        chunk = 100
+        parts = [spec.points(lo, min(lo + chunk, spec.pixel_count))
+                 for lo in range(0, spec.pixel_count, chunk)]
+        joined = np.concatenate(parts)
+        assert joined.dtype == np.complex128
+        assert joined.tobytes() == whole.tobytes()
+        # the old all-at-once construction, kept as the reference
+        xs = 0.3 + ((np.arange(37) + 0.5) / 37 - 0.5) * 5.0
+        ys = -1.7 + ((np.arange(29) + 0.5) / 29 - 0.5) * 3.0
+        assert whole.tobytes() == (xs[None, :] + 1j * ys[:, None]).ravel().tobytes()
+
     def test_single_pixel_is_center(self):
         assert GridSpec(0.25j, 1.0, 1.0, 1, 1).points()[0] == 0.25j
 

@@ -46,11 +46,16 @@ class TestParams:
             {"min_oscillations": 0},
             {"tail_window": 0},
             {"max_iter": 5, "tail_window": 6},
+            {"max_iter": 2**31},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             OrbitParams(**kwargs)
+
+    def test_max_iter_up_to_int32_limit(self):
+        # term_step is int32; the largest storable step is still allowed
+        assert OrbitParams(max_iter=2**31 - 1).max_iter == 2**31 - 1
 
 
 class TestOscillationCounting:
@@ -159,6 +164,23 @@ class TestBatchAgreement:
                 assert (c.confidence == CONFIDENT) == bool(batch.confident[i])
                 assert c.oscillation_count == batch.oscillations[i]
                 assert c.termination.step == batch.term_step[i]
+
+    @pytest.mark.parametrize("text", ["10*z", "1e20/z", "-10*z"])
+    def test_tail_rule_edges_match_scalar(self, text):
+        # 10*z: log10|z_n| = log10|z_0| + n, so the seeds straddle the first
+        # step of the tail window; 1e20/z alternates 10^a, 10^(20-a) above
+        # the escape radius without ever being monotone
+        p = OrbitParams(max_iter=20, tail_window=10)
+        seeds = np.concatenate([10.0 ** np.linspace(-5, -1, 81), 10.0 ** np.linspace(8.5, 11.5, 13)])
+        f = parse(text)
+        batch = classify_batch(f, seeds, p)
+        verdicts = set()
+        for i, z in enumerate(seeds):
+            c, _ = classify_point(f, complex(z), p)
+            assert int(c.verdict) == int(batch.verdict[i]), (text, z)
+            verdicts.add(c.verdict)
+        assert Verdict.ESCAPING in verdicts
+        assert verdicts - {Verdict.ESCAPING}
 
     def test_tail_values_window(self):
         b = classify_batch(parse("z^2"), np.array([0.5 + 0j]), OrbitParams(max_iter=20),

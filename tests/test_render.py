@@ -10,6 +10,7 @@ import pytest
 from bungee_lab.expr import parse
 from bungee_lab.grid import ClassGrid, GridSpec, classify_grid
 from bungee_lab.orbit import OrbitParams
+from bungee_lab.presets import FATOU_PARAMS
 from bungee_lab.render import DEFAULT_N_SHADE, Palette, render_ppm, write_ppm
 
 
@@ -122,3 +123,23 @@ class TestValidation:
         )
         with pytest.raises(ValueError):
             render_ppm(bad)
+
+
+# sha256 of render_ppm on 64x64 grids of maps whose seeds mostly stay
+# live for every step, recorded before the evaluator ran compiled plans;
+# they pin the long-orbit path of classify_batch and must never change
+LONG_ORBIT_GOLDEN = (
+    ("z*exp(-z^2)", 6.0, OrbitParams(),
+     "e215c2178755253376dbab25b5fd19b0ac6b013288726d455c95b234af7ea387"),
+    ("z*exp(z^2)", 4.0, OrbitParams(),
+     "dfd9e8c475998bb5f5b10f88d17a3e04e00800bfc073a9b54cc01dba1d7b7077"),
+    ("z+sin(z)", 12.0, FATOU_PARAMS,
+     "40103a7f72ccbe90af9af1e326c5dd8da8383bb6c5a10113e953640f2d694666"),
+)
+
+
+@pytest.mark.parametrize("text,width,params,digest", LONG_ORBIT_GOLDEN,
+                         ids=[g[0] for g in LONG_ORBIT_GOLDEN])
+def test_long_orbit_golden_digests(text, width, params, digest):
+    grid = classify_grid(parse(text), GridSpec(0j, width, width, 64, 64), params)
+    assert hashlib.sha256(render_ppm(grid)).hexdigest() == digest
