@@ -12,6 +12,7 @@ import sys
 import time
 
 from bungee_lab.presets import PRESETS, run_preset
+from bungee_lab.verify import shared_classifications
 
 
 def main() -> int:
@@ -24,13 +25,15 @@ def main() -> int:
     combined = []
     failures = 0
     start = time.monotonic()
-    for name in PRESETS:
-        checks = run_preset(name, samples=args.samples, seed=args.seed)
-        for c in checks:
-            mark = "PASS" if c.passed else "FAIL"
-            print(f"{mark}  {name}:{c.name}  ({c.expectation})", file=sys.stderr)
-            failures += 0 if c.passed else 1
-        combined.append({"preset": name, "checks": [c.to_dict() for c in checks]})
+    # one block for the whole loop, so inputs shared by presets are classified once
+    with shared_classifications():
+        for name in PRESETS:
+            checks = run_preset(name, samples=args.samples, seed=args.seed)
+            for c in checks:
+                mark = "PASS" if c.passed else "FAIL"
+                print(f"{mark}  {name}:{c.name}  ({c.expectation})", file=sys.stderr)
+                failures += 0 if c.passed else 1
+            combined.append({"preset": name, "checks": [c.to_dict() for c in checks]})
     elapsed = time.monotonic() - start
 
     report = {

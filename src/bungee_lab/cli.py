@@ -146,7 +146,6 @@ def _note(line: str) -> None:
 
 
 def _reports_exit(reports) -> int:
-    bad = False
     for r in reports:
         flag = "" if r.violations == 0 else "  <- violations"
         if r.detail.get("inconclusive"):
@@ -155,8 +154,7 @@ def _reports_exit(reports) -> int:
             f"{r.relation}: {r.violations} violations, "
             f"{r.samples_confident}/{r.samples_total} usable samples{flag}"
         )
-        bad = bad or r.violations > 0 or bool(r.detail.get("inconclusive"))
-    return 1 if bad else 0
+    return 0 if all(r.passes() for r in reports) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -229,16 +227,7 @@ def _cmd_fixed_points(args) -> int:
     f = _load_expr(args.f)
     region = _grid_rect(args.grid)
     reports = find_fixed_points(f, region, starts=args.starts)
-    payload = [
-        {
-            "location": pair(r.location),
-            "multiplier": pair(r.multiplier),
-            "kind": r.kind,
-            "root_of_unity_order": r.root_of_unity_order,
-            "residual": r.residual,
-        }
-        for r in reports
-    ]
+    payload = [r.to_dict() for r in reports]
     _emit({"function": str(f), "fixed_points": payload}, getattr(args, "out", None))
     _note(f"{len(reports)} fixed point(s) in region")
     return 0
@@ -287,11 +276,11 @@ def _cmd_verify(args) -> int:
     params = _orbit_params(args)
     sampler = _sampler(args)
     strict = bool(getattr(args, "strict", False))
+    f = _load_expr(args.f)
+    g = _load_expr(args.g) if "g" in vars(args) else None
 
     with shared_classifications():
         if args.relation == "containment":
-            f = _load_expr(args.f)
-            g = _load_expr(args.g)
             reports = verify_composition_containments(
                 f,
                 g,
@@ -301,8 +290,6 @@ def _cmd_verify(args) -> int:
                 bu_mode="all" if args.bu_mode == "intersection" else "any",
             )
         elif args.relation == "invariance":
-            f = _load_expr(args.f)
-            g = _load_expr(args.g)
             kinds = (
                 ("escaping", "bounded") if args.kind == "both" else (args.kind,)
             )
@@ -311,21 +298,15 @@ def _cmd_verify(args) -> int:
                 for kind in kinds
             ]
         elif args.relation == "commute":
-            f = _load_expr(args.f)
-            g = _load_expr(args.g)
             reports = [verify_commute(f, g, sampler, params, tol=args.tol)]
         elif args.relation == "translate":
-            f = _load_expr(args.f)
             c = _load_constant(args.C)
             reports = [
                 verify_translate(f, c, sampler, params, n_max=args.n_max, tol=args.tol)
             ]
         elif args.relation == "property-a":
-            f = _load_expr(args.f)
-            g = _load_expr(args.g)
             reports = [verify_property_a(f, g, sampler, params)]
         elif args.relation == "partition":
-            f = _load_expr(args.f)
             reports = [verify_partition(f, sampler, params)]
         else:  # pragma: no cover - argparse restricts choices
             raise CliError(f"unknown relation {args.relation!r}")

@@ -25,7 +25,6 @@ round trip exact the constructors fold arithmetic on pairs of constants
 
 from __future__ import annotations
 
-import cmath
 import math
 import re
 from dataclasses import dataclass, fields
@@ -483,7 +482,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
-            return Const(complex(float(tok.text)))
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise ParseError(f"number {tok.text!r} is out of range", tok.offset)
+            return Const(complex(value))
         if tok.kind == "(":
             self.advance()
             e = self.expr()
@@ -618,34 +620,17 @@ def scale(f: Expr, a: complex) -> Expr:
 
 
 def constant_value(e: Expr) -> complex:
-    """Evaluate a variable-free expression tree to a complex number.
+    """Evaluate a variable-free expression to a complex number.
 
-    Used for CLI arguments like --C "2*pi*i".  Raises ValueError if the
-    expression mentions z or does not reduce to a finite constant.
+    Used for CLI arguments like --C "2*pi*i".  The value comes from the
+    same compiled plan as every map.  Raises ValueError if the
+    expression mentions z or does not evaluate to a finite constant.
     """
+    from .engine import evaluate  # engine imports this module
+
     if e.var_count:
         raise ValueError("expected a constant expression without z")
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Add):
-        return constant_value(e.a) + constant_value(e.b)
-    if isinstance(e, Sub):
-        return constant_value(e.a) - constant_value(e.b)
-    if isinstance(e, Mul):
-        return constant_value(e.a) * constant_value(e.b)
-    if isinstance(e, Div):
-        b = constant_value(e.b)
-        if b == 0:
-            raise ValueError("constant expression divides by zero")
-        return constant_value(e.a) / b
-    if isinstance(e, Neg):
-        return -constant_value(e.a)
-    if isinstance(e, Pow):
-        return constant_value(e.base) ** e.exponent
-    if isinstance(e, Exp):
-        return cmath.exp(constant_value(e.a))
-    if isinstance(e, Sin):
-        return cmath.sin(constant_value(e.a))
-    if isinstance(e, Cos):
-        return cmath.cos(constant_value(e.a))
-    raise TypeError(f"not an expression node: {e!r}")
+    result = evaluate(e, 0j)
+    if result.kind != "finite":
+        raise ValueError(f"value is not finite ({result.kind})")
+    return result.value

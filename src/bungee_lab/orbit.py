@@ -424,6 +424,15 @@ class FixedPointReport:
     root_of_unity_order: int | None
     residual: float  # |f(z) - z| at the reported location
 
+    def to_dict(self) -> dict:
+        return {
+            "location": [self.location.real, self.location.imag],
+            "multiplier": [self.multiplier.real, self.multiplier.imag],
+            "kind": self.kind,
+            "root_of_unity_order": self.root_of_unity_order,
+            "residual": self.residual,
+        }
+
 
 MULTIPLIER_BAND = 1e-6
 UNITY_TOLERANCE = 1e-6

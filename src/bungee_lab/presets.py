@@ -9,8 +9,10 @@ failing run shows exactly which relation broke and where.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from .expr import compose, iterate_expr, parse
@@ -59,31 +61,22 @@ class CheckResult:
     report: dict
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "expectation": self.expectation,
-            "report": self.report,
-        }
+        return dataclasses.asdict(self)
 
 
-def _expect_clean(name: str, report: RelationReport, extra: str = "") -> CheckResult:
-    passed = report.violations == 0 and not report.detail.get("inconclusive", False)
-    expectation = "no violations" + (f"; {extra}" if extra else "")
-    return CheckResult(name, passed, expectation, report.to_dict())
+def _expect(
+    name: str, report: RelationReport, extra: str = "", *, violations: bool = False
+) -> CheckResult:
+    expectation = "violations found" if violations else "no violations"
+    expectation += f"; {extra}" if extra else ""
+    return CheckResult(name, report.passes(violations), expectation, report.to_dict())
 
 
-def _expect_violations(name: str, report: RelationReport, extra: str = "") -> CheckResult:
-    passed = report.violations > 0 and not report.detail.get("inconclusive", False)
-    expectation = "violations found" + (f"; {extra}" if extra else "")
-    return CheckResult(name, passed, expectation, report.to_dict())
-
-
-def _invariance_checks(f, g, sampler, params, prefix="") -> list[CheckResult]:
+def _invariance_checks(f, g, sampler, params) -> list[CheckResult]:
     out = []
     for kind in ("escaping", "bounded"):
         rep = verify_invariance(f, g, kind, sampler, params)
-        out.append(_expect_clean(f"{prefix}invariance-{kind}", rep))
+        out.append(_expect(f"invariance-{kind}", rep))
     return out
 
 
@@ -93,12 +86,12 @@ def run_power_pair(samples: int = DEFAULT_SAMPLES, seed: int = 42) -> list[Check
     g = parse("1/z^2")
     params = OrbitParams()
     sampler = SamplerSpec(Rect(0, 4.0, 4.0), samples, seed)
-    checks = [_expect_clean("commute", verify_commute(f, g, _bidisc(samples, seed), params))]
+    checks = [_expect("commute", verify_commute(f, g, _bidisc(samples, seed), params))]
     k_rep, bu_rep = verify_composition_containments(
         f, g, sampler, params, bu_mode="any"
     )
-    checks.append(_expect_clean("bounded-intersection", k_rep))
-    checks.append(_expect_clean("bungee-union", bu_rep))
+    checks.append(_expect("bounded-intersection", k_rep))
+    checks.append(_expect("bungee-union", bu_rep))
     empty = verify_containment(
         [(f, "bungee")],
         [],
@@ -108,7 +101,7 @@ def run_power_pair(samples: int = DEFAULT_SAMPLES, seed: int = 42) -> list[Check
         f_text=str(f),
     )
     checks.append(
-        _expect_clean("bungee-of-square-empty", empty, "no sample oscillates under z^2")
+        _expect("bungee-of-square-empty", empty, "no sample oscillates under z^2")
     )
     return checks
 
@@ -119,12 +112,12 @@ def run_exp_family(samples: int = DEFAULT_SAMPLES, seed: int = 42) -> list[Check
     g = parse("-z*exp(z^2)")
     params = OrbitParams()
     sampler = SamplerSpec(Rect(0, 4.0, 4.0), samples, seed)
-    checks = [_expect_clean("commute", verify_commute(f, g, _bidisc(samples, seed), params))]
+    checks = [_expect("commute", verify_commute(f, g, _bidisc(samples, seed), params))]
     k_rep, bu_rep = verify_composition_containments(
         f, g, sampler, params, bu_mode="all"
     )
-    checks.append(_expect_clean("bounded-intersection", k_rep))
-    checks.append(_expect_clean("bungee-intersection", bu_rep))
+    checks.append(_expect("bounded-intersection", k_rep))
+    checks.append(_expect("bungee-intersection", bu_rep))
     checks.extend(_invariance_checks(f, g, sampler, params))
     small = SamplerSpec(Rect(0, 1.0, 1.0), samples, seed)
     ident = verify_value_identity(
@@ -136,7 +129,7 @@ def run_exp_family(samples: int = DEFAULT_SAMPLES, seed: int = 42) -> list[Check
         f_text=str(f),
         g_text=str(g),
     )
-    checks.append(_expect_clean("compose-square-is-f4", ident))
+    checks.append(_expect("compose-square-is-f4", ident))
     return checks
 
 
@@ -152,10 +145,11 @@ def run_scaled_family(samples: int = DEFAULT_SAMPLES, seed: int = 42) -> list[Ch
     params = OrbitParams()
     rep = verify_commute(f, g, _bidisc(samples, seed), params)
     return [
-        _expect_violations(
+        _expect(
             "commute-fails",
             rep,
             "scaling by 0.5 breaks commutation (only roots of unity work)",
+            violations=True,
         )
     ]
 
@@ -172,19 +166,7 @@ def run_indifferent_fixed_point(
         and r.kind in ("rationally_indifferent", "indifferent")
         for r in origin
     )
-    payload = {
-        "function": str(f),
-        "fixed_points": [
-            {
-                "location": [r.location.real, r.location.imag],
-                "multiplier": [r.multiplier.real, r.multiplier.imag],
-                "kind": r.kind,
-                "root_of_unity_order": r.root_of_unity_order,
-                "residual": r.residual,
-            }
-            for r in reports
-        ],
-    }
+    payload = {"function": str(f), "fixed_points": [r.to_dict() for r in reports]}
     return [
         CheckResult(
             "origin-indifferent",
@@ -195,6 +177,9 @@ def run_indifferent_fixed_point(
     ]
 
 
+# Orbits of 1+z+exp(-z) escape by unit drift, |z_n| roughly n, so the
+# default radii would never trigger; its drift pair uses small radii and
+# a longer horizon instead.
 FATOU_PARAMS = OrbitParams(
     max_iter=2000,
     escape_radius=50.0,
@@ -204,60 +189,29 @@ FATOU_PARAMS = OrbitParams(
 )
 
 
-def run_fatou_pair(samples: int = DEFAULT_SAMPLES, seed: int = 42) -> list[CheckResult]:
-    """1+z+exp(-z) and its 2*pi*i translate.
+def run_drift_pair(
+    f_text: str,
+    g_text: str,
+    c: complex,
+    params: OrbitParams,
+    samples: int = DEFAULT_SAMPLES,
+    seed: int = 42,
+) -> list[CheckResult]:
+    """A map f and its translate g = f + c by a pseudo-period c.
 
-    Orbits here escape by unit drift, |z_n| roughly n, so the default
-    radii would never trigger; this preset uses small radii and a
-    longer horizon instead.
+    The pair commutes, each map forwards the other's escaping orbits and
+    keeps its escaping and bounded sets invariant, and the iterates obey
+    the drift law g^n = f^n + n*c rather than g^n = f^n + c.
     """
-    f = parse("1+z+exp(-z)")
-    c = 2j * math.pi
-    params = FATOU_PARAMS
+    f = parse(f_text)
+    g = parse(g_text)
     sampler = SamplerSpec(Rect(0, 8.0, 8.0), samples, seed)
-    g = parse("1+z+exp(-z)+2*pi*i")
-    checks = [_expect_clean("commute", verify_commute(f, g, _bidisc(samples, seed), params))]
+    checks = [_expect("commute", verify_commute(f, g, _bidisc(samples, seed), params))]
     checks.append(
-        _expect_clean("forward-escaping-f-g", verify_property_a(f, g, sampler, params))
+        _expect("forward-escaping-f-g", verify_property_a(f, g, sampler, params))
     )
     checks.append(
-        _expect_clean("forward-escaping-g-f", verify_property_a(g, f, sampler, params))
-    )
-    checks.extend(_invariance_checks(f, g, sampler, params))
-    trep = verify_translate(f, c, sampler, params)
-    ff = trep.detail.get("first_failure")
-    sig = (
-        not trep.detail["identity_holds"]
-        and trep.detail["drift_identity_holds"]
-        and ff is not None
-        and ff["n"] == 2
-        and abs(ff["error"] - abs(c)) <= 1e-6
-    )
-    checks.append(
-        CheckResult(
-            "translate-drift-signature",
-            sig,
-            "g^n = f^n + C fails first at n=2 with error |C|; g^n = f^n + n*C holds",
-            trep.to_dict(),
-        )
-    )
-    return checks
-
-
-def run_sine_drift_pair(samples: int = DEFAULT_SAMPLES, seed: int = 42) -> list[CheckResult]:
-    """z+sin(z) and its 2*pi translate: same structure as the
-    exponential drift pair but with default radii."""
-    f = parse("z+sin(z)")
-    c = 2 * math.pi
-    params = OrbitParams()
-    sampler = SamplerSpec(Rect(0, 8.0, 8.0), samples, seed)
-    g = parse("z+sin(z)+2*pi")
-    checks = [_expect_clean("commute", verify_commute(f, g, _bidisc(samples, seed), params))]
-    checks.append(
-        _expect_clean("forward-escaping-f-g", verify_property_a(f, g, sampler, params))
-    )
-    checks.append(
-        _expect_clean("forward-escaping-g-f", verify_property_a(g, f, sampler, params))
+        _expect("forward-escaping-g-f", verify_property_a(g, f, sampler, params))
     )
     checks.extend(_invariance_checks(f, g, sampler, params))
     trep = verify_translate(f, c, sampler, params)
@@ -289,15 +243,10 @@ def run_sine_periodic_translate(
     params = OrbitParams()
     sampler = SamplerSpec(Rect(0, 2.0, 2.0), samples, seed)
     trep = verify_translate(f, c, sampler, params)
-    passed = (
-        trep.violations == 0
-        and trep.detail["identity_holds"]
-        and not trep.detail["inconclusive"]
-    )
     return [
         CheckResult(
             "translate-identity-holds",
-            passed,
+            trep.passes() and trep.detail["identity_holds"],
             "g^n = f^n + C for all n up to n_max (C is a period of f)",
             trep.to_dict(),
         )
@@ -368,12 +317,18 @@ PRESETS: dict[str, Preset] = {
         Preset(
             "fatou-pair",
             "1+z+exp(-z) and its 2*pi*i translate (drift radii)",
-            run_fatou_pair,
+            partial(
+                run_drift_pair,
+                "1+z+exp(-z)",
+                "1+z+exp(-z)+2*pi*i",
+                2j * math.pi,
+                FATOU_PARAMS,
+            ),
         ),
         Preset(
             "sine-drift-pair",
             "z+sin(z) and its 2*pi translate",
-            run_sine_drift_pair,
+            partial(run_drift_pair, "z+sin(z)", "z+sin(z)+2*pi", 2 * math.pi, OrbitParams()),
         ),
         Preset(
             "sine-periodic-translate",

@@ -14,12 +14,14 @@ verdicts drop the sample.  With strict=True the heuristic bungee
 verdict is excluded as well, so usable means confident escaping or
 bounded everywhere.
 
-Reports serialize with a fixed key order:
+Reports serialize with a fixed key order, the RelationReport fields:
 
     relation, f, g, params, seed, samples_total, samples_confident,
     violations, violation_examples, runtime_ms, detail
 
-where detail carries relation-specific diagnostics.
+where detail carries relation-specific diagnostics and ends with
+inconclusive, the one rule every relation shares: samples_confident <
+MIN_USABLE.  RelationReport.passes holds the pass rule built on it.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import hashlib
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -92,32 +95,14 @@ class RelationReport:
     runtime_ms: float
     detail: dict = field(default_factory=dict)
 
+    def passes(self, expect_violations: bool = False) -> bool:
+        """The pass rule: the check is conclusive and found violations
+        exactly when they were expected."""
+        inconclusive = self.detail.get("inconclusive", False)
+        return not inconclusive and (self.violations > 0) == expect_violations
+
     def to_dict(self) -> dict:
-        return {
-            "relation": self.relation,
-            "f": self.f,
-            "g": self.g,
-            "params": self.params,
-            "seed": self.seed,
-            "samples_total": self.samples_total,
-            "samples_confident": self.samples_confident,
-            "violations": self.violations,
-            "violation_examples": self.violation_examples,
-            "runtime_ms": self.runtime_ms,
-            "detail": self.detail,
-        }
-
-
-def _params_dict(params: OrbitParams, sampler: SamplerSpec, strict: bool | None) -> dict:
-    d = params.to_dict()
-    d["rect"] = {
-        "center": pair(sampler.rect.center),
-        "width": sampler.rect.width,
-        "height": sampler.rect.height,
-    }
-    if strict is not None:
-        d["strict"] = strict
-    return d
+        return dataclasses.asdict(self)
 
 
 def _usable(verdict: np.ndarray, strict: bool) -> np.ndarray:
@@ -129,6 +114,52 @@ def _usable(verdict: np.ndarray, strict: bool) -> np.ndarray:
 
 def _label(code: int) -> str:
     return Verdict(int(code)).label
+
+
+def _finish_report(
+    t0: float,
+    sampler: SamplerSpec,
+    params: OrbitParams,
+    relation: str,
+    f: str,
+    g: str | None,
+    *,
+    strict: bool | None = None,
+    confident: int,
+    violating: np.ndarray,
+    witness: Callable[[int], dict],
+    detail: dict,
+) -> RelationReport:
+    """Build a checker's report: params with the sampling rectangle (and
+    strict, when given), witnesses for the first MAX_VIOLATION_EXAMPLES
+    violating samples, the runtime since t0, and detail["inconclusive"]
+    (fewer than MIN_USABLE confident samples) as the last detail key."""
+    params_dict = params.to_dict()
+    params_dict["rect"] = {
+        "center": pair(sampler.rect.center),
+        "width": sampler.rect.width,
+        "height": sampler.rect.height,
+    }
+    if strict is not None:
+        params_dict["strict"] = strict
+    confident = int(confident)
+    examples = [
+        witness(int(i)) for i in np.nonzero(violating)[0][:MAX_VIOLATION_EXAMPLES]
+    ]
+    detail["inconclusive"] = confident < MIN_USABLE
+    return RelationReport(
+        relation=relation,
+        f=f,
+        g=g,
+        params=params_dict,
+        seed=sampler.seed,
+        samples_total=int(sampler.count),
+        samples_confident=confident,
+        violations=int(violating.sum()),
+        violation_examples=examples,
+        runtime_ms=(time.perf_counter() - t0) * 1000,
+        detail=detail,
+    )
 
 
 # (canonical map text, sha256 of the complex128 samples, params) ->
@@ -242,39 +273,23 @@ def verify_containment(
     in_lhs = members(lhs, lhs_mode)
     in_rhs = members(rhs, rhs_mode)
     violating = usable & in_lhs & ~in_rhs
-    n_usable = int(usable.sum())
 
-    examples = []
-    for i in np.nonzero(violating)[0][:MAX_VIOLATION_EXAMPLES]:
-        examples.append(
-            {
-                "z": pair(pts[i]),
-                "lhs": {
-                    f"{format_expr(e)}:{kind}": _label(
-                        batches[format_expr(e)].verdict[i]
-                    )
-                    for e, kind in lhs
-                },
-                "rhs": {
-                    f"{format_expr(e)}:{kind}": _label(
-                        batches[format_expr(e)].verdict[i]
-                    )
-                    for e, kind in rhs
-                },
-            }
-        )
+    def verdicts(terms, i):
+        return {
+            f"{format_expr(e)}:{kind}": _label(batches[format_expr(e)].verdict[i])
+            for e, kind in terms
+        }
 
-    return RelationReport(
-        relation=relation,
-        f=f_text if f_text is not None else format_expr(lhs[0][0]),
-        g=g_text,
-        params=_params_dict(params, sampler, strict),
-        seed=sampler.seed,
-        samples_total=int(pts.size),
-        samples_confident=n_usable,
-        violations=int(violating.sum()),
-        violation_examples=examples,
-        runtime_ms=(time.perf_counter() - t0) * 1000,
+    return _finish_report(
+        t0, sampler, params, relation,
+        f_text if f_text is not None else format_expr(lhs[0][0]),
+        g_text,
+        strict=strict,
+        confident=usable.sum(),
+        violating=violating,
+        witness=lambda i: {
+            "z": pair(pts[i]), "lhs": verdicts(lhs, i), "rhs": verdicts(rhs, i)
+        },
         detail={
             "lhs": [[format_expr(e), kind] for e, kind in lhs],
             "rhs": [[format_expr(e), kind] for e, kind in rhs],
@@ -282,7 +297,6 @@ def verify_containment(
             "rhs_mode": rhs_mode,
             "lhs_members": int((usable & in_lhs).sum()),
             "rhs_members": int((usable & in_rhs).sum()),
-            "inconclusive": n_usable < MIN_USABLE,
         },
     )
 
@@ -372,43 +386,65 @@ def verify_invariance(
     member_z = batch_z.verdict == want
     member_w = batch_w.verdict == want
     violating = usable & member_z & ~member_w
-    n_usable = int(usable.sum())
 
-    examples = []
-    for i in np.nonzero(violating)[0][:MAX_VIOLATION_EXAMPLES]:
-        examples.append(
-            {
-                "z": pair(pts[i]),
-                "gz": pair(gz[i]),
-                "z_verdict": _label(batch_z.verdict[i]),
-                "gz_verdict": _label(batch_w.verdict[i]),
-            }
-        )
-
-    return RelationReport(
-        relation=f"{kind}-set-forward-invariant",
-        f=format_expr(f),
-        g=format_expr(g),
-        params=_params_dict(params, sampler, strict),
-        seed=sampler.seed,
-        samples_total=int(pts.size),
-        samples_confident=n_usable,
-        violations=int(violating.sum()),
-        violation_examples=examples,
-        runtime_ms=(time.perf_counter() - t0) * 1000,
+    return _finish_report(
+        t0, sampler, params, f"{kind}-set-forward-invariant",
+        format_expr(f), format_expr(g),
+        strict=strict,
+        confident=usable.sum(),
+        violating=violating,
+        witness=lambda i: {
+            "z": pair(pts[i]),
+            "gz": pair(gz[i]),
+            "z_verdict": _label(batch_z.verdict[i]),
+            "gz_verdict": _label(batch_w.verdict[i]),
+        },
         detail={
             "kind": kind,
             "members_at_z": int((usable & member_z).sum()),
             "members_at_gz": int((usable & member_w).sum()),
             "reverse_only": int((usable & ~member_z & member_w).sum()),
             "g_defined": int(g_ok.sum()),
-            "inconclusive": n_usable < MIN_USABLE,
         },
     )
 
 
 # ---------------------------------------------------------------------------
-# Commutation
+# Pointwise comparison: commutation and value identities
+
+
+def _pointwise(pts, lhs, rhs, tol, names):
+    """Compare two chains of maps, each applied in turn to every sample.
+
+    The error is |l - r| / max(1, |l|, |r|).  A sample is usable when
+    every evaluation in both chains stays finite, and violating when it
+    is usable with error above tol.  Returns the usable and violating
+    masks, the witness record for a sample index (the chain values under
+    names), and the witness of the largest usable error, or None.
+    """
+    values, usable = [], np.ones(pts.shape, dtype=bool)
+    for chain in (lhs, rhs):
+        v, ok = pts, np.ones(pts.shape, dtype=bool)
+        for m in chain:
+            v, status = eval_array(m, np.where(ok, v, 0))
+            ok &= status == engine.OK
+        values.append(v)
+        usable &= ok
+    lv, rv = values
+    denom = np.maximum(1.0, np.maximum(np.abs(lv), np.abs(rv)))
+    with np.errstate(invalid="ignore"):
+        rel = np.abs(lv - rv) / denom
+
+    def witness(i: int) -> dict:
+        return {
+            "z": pair(pts[i]),
+            names[0]: pair(lv[i]),
+            names[1]: pair(rv[i]),
+            "relative_error": float(rel[i]),
+        }
+
+    worst = witness(int(np.where(usable, rel, -1.0).argmax())) if usable.any() else None
+    return usable, usable & (rel > tol), witness, worst
 
 
 def verify_commute(
@@ -428,60 +464,19 @@ def verify_commute(
     t0 = time.perf_counter()
     params = params or OrbitParams()
     pts = sampler.points()
-
-    gz, s1 = eval_array(g, pts)
-    fgz, s2 = eval_array(f, np.where(s1 == engine.OK, gz, 0))
-    fz, s3 = eval_array(f, pts)
-    gfz, s4 = eval_array(g, np.where(s3 == engine.OK, fz, 0))
-    usable = (s1 == engine.OK) & (s2 == engine.OK) & (s3 == engine.OK) & (s4 == engine.OK)
-
-    denom = np.maximum(1.0, np.maximum(np.abs(fgz), np.abs(gfz)))
-    with np.errstate(invalid="ignore"):
-        rel = np.abs(fgz - gfz) / denom
-    violating = usable & (rel > tol)
-
-    examples = []
-    for i in np.nonzero(violating)[0][:MAX_VIOLATION_EXAMPLES]:
-        examples.append(
-            {
-                "z": pair(pts[i]),
-                "f_of_g": pair(fgz[i]),
-                "g_of_f": pair(gfz[i]),
-                "relative_error": float(rel[i]),
-            }
-        )
-
-    n_usable = int(usable.sum())
-    max_err = 0.0
-    witness = None
-    if n_usable:
-        masked = np.where(usable, rel, -1.0)
-        w = int(masked.argmax())
-        max_err = float(rel[w])
-        witness = {
-            "z": pair(pts[w]),
-            "f_of_g": pair(fgz[w]),
-            "g_of_f": pair(gfz[w]),
-            "relative_error": float(rel[w]),
-        }
-    n_viol = int(violating.sum())
-    return RelationReport(
-        relation="commute",
-        f=format_expr(f),
-        g=format_expr(g),
-        params=_params_dict(params, sampler, None),
-        seed=sampler.seed,
-        samples_total=int(pts.size),
-        samples_confident=n_usable,
-        violations=n_viol,
-        violation_examples=examples,
-        runtime_ms=(time.perf_counter() - t0) * 1000,
+    usable, violating, witness, worst = _pointwise(
+        pts, (g, f), (f, g), tol, ("f_of_g", "g_of_f")
+    )
+    return _finish_report(
+        t0, sampler, params, "commute", format_expr(f), format_expr(g),
+        confident=usable.sum(),
+        violating=violating,
+        witness=witness,
         detail={
             "tol": tol,
-            "commutes": bool(n_viol == 0 and n_usable >= MIN_USABLE),
-            "max_relative_error": max_err,
-            "witness": witness,
-            "inconclusive": n_usable < MIN_USABLE,
+            "commutes": bool(not violating.any() and usable.sum() >= MIN_USABLE),
+            "max_relative_error": worst["relative_error"] if worst else 0.0,
+            "witness": worst,
         },
     )
 
@@ -581,24 +576,12 @@ def verify_translate(
     both = _usable(batch_f.verdict, False) & _usable(batch_g.verdict, False)
     agree = both & (batch_f.verdict == batch_g.verdict)
 
-    examples = []
-    for i in np.nonzero(exact_bad)[0][:MAX_VIOLATION_EXAMPLES]:
-        examples.append({"z": pair(pts[i])})
-    if first_failure is not None and examples:
-        examples[0] = dict(examples[0], **first_failure)
-
     n_compared = int(compared.sum())
-    return RelationReport(
-        relation="translate-iterate-identity",
-        f=format_expr(f),
-        g=format_expr(g),
-        params=_params_dict(params, sampler, None),
-        seed=sampler.seed,
-        samples_total=int(k),
-        samples_confident=n_compared,
-        violations=int(exact_bad.sum()),
-        violation_examples=examples,
-        runtime_ms=(time.perf_counter() - t0) * 1000,
+    report = _finish_report(
+        t0, sampler, params, "translate-iterate-identity", format_expr(f), format_expr(g),
+        confident=n_compared,
+        violating=exact_bad,
+        witness=lambda i: {"z": pair(pts[i])},
         detail={
             "C": pair(c),
             "n_max": n_max,
@@ -615,9 +598,11 @@ def verify_translate(
                 "agreeing": int(agree.sum()),
                 "disagreeing": int((both & ~agree).sum()),
             },
-            "inconclusive": n_compared < MIN_USABLE,
         },
     )
+    if first_failure is not None:
+        report.violation_examples[0].update(first_failure)
+    return report
 
 
 def verify_value_identity(
@@ -635,41 +620,17 @@ def verify_value_identity(
     t0 = time.perf_counter()
     params = params or OrbitParams()
     pts = sampler.points()
-    va, sa = eval_array(a, pts)
-    vb, sb = eval_array(b, pts)
-    usable = (sa == engine.OK) & (sb == engine.OK)
-    denom = np.maximum(1.0, np.maximum(np.abs(va), np.abs(vb)))
-    with np.errstate(invalid="ignore"):
-        rel = np.abs(va - vb) / denom
-    violating = usable & (rel > tol)
-
-    examples = []
-    for i in np.nonzero(violating)[0][:MAX_VIOLATION_EXAMPLES]:
-        examples.append(
-            {
-                "z": pair(pts[i]),
-                "lhs": pair(va[i]),
-                "rhs": pair(vb[i]),
-                "relative_error": float(rel[i]),
-            }
-        )
-
-    n_usable = int(usable.sum())
-    return RelationReport(
-        relation=relation,
-        f=f_text if f_text is not None else format_expr(a),
-        g=g_text if g_text is not None else format_expr(b),
-        params=_params_dict(params, sampler, None),
-        seed=sampler.seed,
-        samples_total=int(pts.size),
-        samples_confident=n_usable,
-        violations=int(violating.sum()),
-        violation_examples=examples,
-        runtime_ms=(time.perf_counter() - t0) * 1000,
+    usable, violating, witness, worst = _pointwise(pts, (a,), (b,), tol, ("lhs", "rhs"))
+    return _finish_report(
+        t0, sampler, params, relation,
+        f_text if f_text is not None else format_expr(a),
+        g_text if g_text is not None else format_expr(b),
+        confident=usable.sum(),
+        violating=violating,
+        witness=witness,
         detail={
             "tol": tol,
-            "max_relative_error": float(rel[usable].max()) if n_usable else 0.0,
-            "inconclusive": n_usable < MIN_USABLE,
+            "max_relative_error": worst["relative_error"] if worst else 0.0,
         },
     )
 
@@ -704,45 +665,34 @@ def verify_property_a(
         tail = batch.ordered_tail(int(i))
         tails.append(tail[np.abs(tail) > params.escape_radius])
     offsets = np.cumsum([0] + [t.size for t in tails])
-    violations = 0
-    examples = []
+    violating = np.zeros(pts.size, dtype=bool)
+    first_bad = {}  # violating sample -> index of its first bad tail point in flat
     if tails:
         flat = np.concatenate(tails)
         fv, fs = eval_array(f, flat)
         small = (fs == engine.OK) & (np.abs(fv) <= params.escape_radius)
         bad_pt = small | (fs == engine.POLE)
         for j, i in enumerate(idx):
-            seg = slice(offsets[j], offsets[j + 1])
-            if bad_pt[seg].any():
-                violations += 1
-                if len(examples) < MAX_VIOLATION_EXAMPLES:
-                    w_at = int(np.nonzero(bad_pt[seg])[0][0]) + offsets[j]
-                    examples.append(
-                        {
-                            "z": pair(pts[i]),
-                            "tail_point": pair(flat[w_at]),
-                            "f_status": engine.STATUS_NAMES[int(fs[w_at])],
-                            "f_magnitude": float(abs(fv[w_at]))
-                            if int(fs[w_at]) == int(engine.OK)
-                            else None,
-                        }
-                    )
+            hits = np.nonzero(bad_pt[offsets[j]:offsets[j + 1]])[0]
+            if hits.size:
+                violating[i] = True
+                first_bad[int(i)] = int(hits[0]) + offsets[j]
 
-    return RelationReport(
-        relation="escaping-orbits-forwarded",
-        f=format_expr(f),
-        g=format_expr(g),
-        params=_params_dict(params, sampler, None),
-        seed=sampler.seed,
-        samples_total=int(pts.size),
-        samples_confident=int(idx.size),
-        violations=violations,
-        violation_examples=examples,
-        runtime_ms=(time.perf_counter() - t0) * 1000,
-        detail={
-            "tail_window": params.tail_window,
-            "inconclusive": idx.size < MIN_USABLE,
-        },
+    def witness(i: int) -> dict:
+        w_at = first_bad[i]
+        return {
+            "z": pair(pts[i]),
+            "tail_point": pair(flat[w_at]),
+            "f_status": engine.STATUS_NAMES[int(fs[w_at])],
+            "f_magnitude": float(abs(fv[w_at])) if int(fs[w_at]) == int(engine.OK) else None,
+        }
+
+    return _finish_report(
+        t0, sampler, params, "escaping-orbits-forwarded", format_expr(f), format_expr(g),
+        confident=idx.size,
+        violating=violating,
+        witness=witness,
+        detail={"tail_window": params.tail_window},
     )
 
 
@@ -770,26 +720,14 @@ def verify_partition(
     pole = batch.verdict == int(Verdict.POLE)
     violating = pole if f.entire else np.zeros(pts.size, dtype=bool)
 
-    examples = [
-        {"z": pair(pts[i]), "verdict": _label(batch.verdict[i])}
-        for i in np.nonzero(violating)[0][:MAX_VIOLATION_EXAMPLES]
-    ]
-
-    return RelationReport(
-        relation="partition",
-        f=format_expr(f),
-        g=None,
-        params=_params_dict(params, sampler, None),
-        seed=sampler.seed,
-        samples_total=int(pts.size),
-        samples_confident=int(decisive.sum()),
-        violations=int(violating.sum()),
-        violation_examples=examples,
-        runtime_ms=(time.perf_counter() - t0) * 1000,
+    return _finish_report(
+        t0, sampler, params, "partition", format_expr(f), None,
+        confident=decisive.sum(),
+        violating=violating,
+        witness=lambda i: {"z": pair(pts[i]), "verdict": _label(batch.verdict[i])},
         detail={
             "counts": counts,
             "decisive_fraction": float(decisive.mean()),
             "entire": bool(f.entire),
-            "inconclusive": int(decisive.sum()) < MIN_USABLE,
         },
     )

@@ -65,6 +65,11 @@ class TestClassify:
         assert code == 2
         assert "w" in err
 
+    def test_out_of_range_literal_exits_2(self, capsys):
+        code, _, err = run(capsys, "classify", "--f", "1e309*z", "--z0", "0")
+        assert code == 2
+        assert err.startswith("error: bad expression") and "out of range" in err
+
     def test_bad_seed_exits_2(self, capsys):
         code, _, err = run(capsys, "classify", "--f", "z^2", "--z0", "nope")
         assert code == 2
@@ -241,6 +246,13 @@ class TestVerify:
         )
         assert code == 0
         assert json.loads(out)["detail"]["inconclusive"] is False
+
+    @pytest.mark.parametrize("constant", ["exp(1000)", "0^-1", "1e309"])
+    def test_bad_translate_constant_exits_2(self, capsys, constant):
+        code, out, err = run(capsys, "verify", "translate", "--f", "sin(z)", "--C", constant)
+        assert code == 2
+        assert out == ""
+        assert err.count("error:") == 1 and "Traceback" not in err
 
     def test_verify_without_relation_exits_2(self, capsys):
         code, _, err = run(capsys, "verify")

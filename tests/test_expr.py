@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bungee_lab.engine import evaluate
 from bungee_lab.expr import (
     Add,
     Const,
@@ -85,6 +86,16 @@ class TestParseStructure:
         with pytest.raises(ValueError):
             constant_value(parse("z+1"))
 
+    @pytest.mark.parametrize("text", ["2*pi*i", "exp(1)", "sin(pi/2)"])
+    def test_constant_value_agrees_with_evaluate(self, text):
+        e = parse(text)
+        assert constant_value(e) == evaluate(e, 0j).value
+
+    @pytest.mark.parametrize("text", ["exp(1000)", "0^-1", "1/(1-1)"])
+    def test_constant_value_rejects_non_finite(self, text):
+        with pytest.raises(ValueError, match="not finite"):
+            constant_value(parse(text))
+
 
 class TestParseErrors:
     def test_unknown_identifier_offset(self):
@@ -127,6 +138,12 @@ class TestParseErrors:
     def test_trailing_junk(self):
         with pytest.raises(ParseError):
             parse("z z")
+
+    def test_out_of_range_literal_offset(self):
+        with pytest.raises(ParseError) as ei:
+            parse("z+1e309*z")
+        assert ei.value.offset == 2
+        assert "out of range" in str(ei.value)
 
 
 class TestPrinter:
