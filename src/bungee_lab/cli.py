@@ -12,8 +12,10 @@ or --grid "cx,cy,w,h,nx,ny" (rendering, which needs pixel counts).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
+import math
 import sys
 
 from .expr import ParseError, constant_value, parse
@@ -39,15 +41,13 @@ class CliError(Exception):
 
 
 def _parse_complex(text: str) -> complex:
-    parts = text.split(",")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]))
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        parts = [float(p) for p in text.split(",")]
     except ValueError:
-        pass
-    raise CliError(f"expected a complex number as RE or RE,IM, got {text!r}")
+        parts = []
+    if len(parts) in (1, 2) and all(map(math.isfinite, parts)):
+        return complex(*parts)
+    raise CliError(f"expected a finite complex number as RE or RE,IM, got {text!r}")
 
 
 def _load_expr(text: str):
@@ -73,9 +73,12 @@ def _split_grid(text: str) -> list[float]:
             f"--grid wants cx,cy,w,h or cx,cy,w,h,nx,ny, got {text!r}"
         )
     try:
-        return [float(p) for p in parts]
+        nums = [float(p) for p in parts]
     except ValueError as exc:
         raise CliError(f"bad --grid value {text!r}: {exc}") from exc
+    if not all(map(math.isfinite, nums)):
+        raise CliError(f"--grid numbers must be finite, got {text!r}")
+    return nums
 
 
 def _grid_rect(text: str) -> Rect:
@@ -326,7 +329,9 @@ def _cmd_preset(args) -> int:
 # Parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parse_args keeps no state."""
     p = argparse.ArgumentParser(
         prog="bungee-lab",
         description=(

@@ -160,7 +160,11 @@ def count_oscillations(magnitudes, params: OrbitParams) -> int:
 
 
 def iterate_orbit(f: Expr, z0: complex, params: OrbitParams) -> OrbitTrace:
-    """Follow one orbit, recording points and log10 magnitudes."""
+    """Follow one orbit, recording points and log10 magnitudes.
+
+    The loop calls eval_array once per step and keeps only the points;
+    their log10 magnitudes are taken in one pass after the loop.
+    """
     z = np.array([z0], dtype=np.complex128)
     if not np.isfinite(z)[0]:
         return OrbitTrace(
@@ -171,36 +175,36 @@ def iterate_orbit(f: Expr, z0: complex, params: OrbitParams) -> OrbitTrace:
             points=(),
         )
     n_total = params.max_iter
-    with np.errstate(divide="ignore"):
-        mags = [float(np.log10(np.abs(z))[0])]
-    points = [complex(z[0])]
+    points = [z[0]]
     termination = Termination("completed", n_total)
     for n in range(n_total):
         vals, status = eval_array(f, z)
-        st = int(status[0])
-        if st == int(engine.POLE):
+        st = status[0]
+        if st == engine.POLE:
             termination = Termination("pole", n)
             break
-        if st == int(engine.OVERFLOW):
+        if st == engine.OVERFLOW:
             termination = Termination("overflow", n + 1)
-            mags.append(math.inf)
             break
-        with np.errstate(divide="ignore"):
-            m = float(np.log10(np.abs(vals))[0])
-        mags.append(m)
-        points.append(complex(vals[0]))
-        if vals[0] == z[0]:
-            # exact fixed point: the rest of the orbit repeats this value
-            mags.extend([m] * (n_total - n - 1))
-            break
+        points.append(vals[0])
+        if points[-1] == points[-2]:
+            break  # exact fixed point, padded below
         z = vals
-    osc = count_oscillations(mags, params)
+    orbit = np.array(points, dtype=np.complex128)
+    with np.errstate(all="ignore"):
+        mags = np.log10(np.abs(orbit)).tolist()
+    if termination.kind == "overflow":
+        mags.append(math.inf)
+    elif termination.kind == "completed":
+        # an exact fixed point ends the loop early; the rest of the orbit
+        # repeats its value
+        mags.extend([mags[-1]] * (n_total + 1 - len(mags)))
     return OrbitTrace(
         seed=complex(z0),
         magnitudes=tuple(mags),
         termination=termination,
-        oscillation_count=osc,
-        points=tuple(points),
+        oscillation_count=count_oscillations(mags, params),
+        points=tuple(orbit.tolist()),
     )
 
 

@@ -7,7 +7,8 @@ import json
 
 import pytest
 
-from bungee_lab.cli import main
+from bungee_lab import cli
+from bungee_lab.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -74,6 +75,13 @@ class TestClassify:
         code, _, err = run(capsys, "classify", "--f", "z^2", "--z0", "nope")
         assert code == 2
 
+    @pytest.mark.parametrize("z0", ["nan", "1e309", "0,-inf"])
+    def test_non_finite_seed_exits_2(self, capsys, z0):
+        code, out, err = run(capsys, "classify", "--f", "z^2", f"--z0={z0}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: expected a finite complex number")
+
 
 class TestRender:
     def test_writes_ppm_and_reports_hash(self, capsys, tmp_path):
@@ -106,6 +114,16 @@ class TestRender:
             "--out", str(tmp_path / "x.ppm"),
         )
         assert code == 2
+
+    def test_infinite_pixel_count_exits_2(self, capsys, tmp_path):
+        # int(inf) used to escape as an OverflowError traceback
+        code, _, err = run(
+            capsys, "render", "--f", "z^2", "--grid", "0,0,4,4,inf,512",
+            "--out", str(tmp_path / "x.ppm"),
+        )
+        assert code == 2
+        assert err.startswith("error: --grid numbers must be finite")
+        assert not (tmp_path / "x.ppm").exists()
 
     def test_deterministic_across_worker_counts(self, capsys, tmp_path):
         digests = []
@@ -254,6 +272,19 @@ class TestVerify:
         assert out == ""
         assert err.count("error:") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("commute", "--f", "z", "--g", "z", "--grid", "0,0,1e309,1"),
+            ("partition", "--f", "z^2", "--grid", "nan,0,1,1"),
+        ],
+    )
+    def test_non_finite_grid_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv, "--samples", "64")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --grid numbers must be finite")
+
     def test_verify_without_relation_exits_2(self, capsys):
         code, _, err = run(capsys, "verify")
         assert code == 2
@@ -323,3 +354,37 @@ class TestUsage:
 
     def test_unknown_command_exits_2(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
+
+
+class TestParser:
+    ARGVS = [
+        ["verify", "--preset", "sec4-power", "--samples", "64"],
+        ["verify", "containment", "--f", "z^2", "--g", "1/z^2", "--samples", "64", "--strict"],
+        ["classify", "--f", "z^2", "--z0", "0.5", "--max-iter", "50"],
+        ["classify", "--f", "z^2", "--z0", "0.5"],
+    ]
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_cached_parser_keeps_no_state_between_calls(self, capsys, monkeypatch):
+        seen = []
+        for name, handler in list(cli._HANDLERS.items()):
+            def record(args, handler=handler):
+                seen.append(args)
+                return handler(args)
+
+            monkeypatch.setitem(cli._HANDLERS, name, record)
+        for argv in self.ARGVS:
+            assert main(argv) in (0, 1)
+            assert seen[-1] == build_parser.__wrapped__().parse_args(argv)
+        assert seen[-1].max_iter == 1000
+
+    def test_help_and_usage_error_exit_codes(self, capsys):
+        for _ in range(2):
+            code, out, _ = run(capsys, "classify", "--help")
+            assert code == 0 and out.startswith("usage: bungee-lab classify")
+            code, _, err = run(capsys, "classify", "--f", "z^2")
+            assert code == 2 and "--z0" in err
+            code, out, _ = run(capsys, "classify", "--f", "z^2", "--z0", "0.5")
+            assert code == 0 and json.loads(out)["params"]["max_iter"] == 1000

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import math
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bungee_lab import orbit
 from bungee_lab.engine import evaluate
 from bungee_lab.expr import Z, derivative, parse
 from bungee_lab.orbit import (
@@ -21,8 +25,11 @@ from bungee_lab.orbit import (
     find_fixed_points,
     iterate_orbit,
 )
+from bungee_lab.presets import PRESET_FUNCTIONS
 
-from conftest import random_points
+import orbit_oracle
+from conftest import random_expr, random_points
+from orbit_oracle import oracle_iterate_orbit
 
 
 class TestParams:
@@ -109,6 +116,109 @@ class TestIterateOrbit:
         assert tr.termination.step == 50
         assert len(tr.magnitudes) == 51
         assert len(set(tr.magnitudes)) == 1
+
+
+# maps with poles (1/z at 0, 1/(z-1) at 1), overflow (z^64, 1e300*z) and
+# exact fixed points (z everywhere, z^3 at 0 and 1, constant maps)
+ORACLE_MAPS = PRESET_FUNCTIONS + (
+    "1/z", "1/(z-1)", "z", "z^3", "2", "0*z", "exp(z)", "z^64", "z^-64", "1e300*z",
+)
+ORACLE_SEEDS = (
+    0j, -0.0, 1.0, -1.0, 1j, 0.5, 2.0, 3.0, 5e-324, 1e-300, 1e300,
+    complex(1e308, 1e308), math.inf, complex(0, -math.inf), math.nan,
+)
+
+
+def _bits(values) -> bytes:
+    return np.array(values, dtype=np.complex128).tobytes()
+
+
+def assert_same_trace(got, want):
+    """Equal traces, magnitudes and points compared bit for bit."""
+    assert got.termination == want.termination
+    assert got.oscillation_count == want.oscillation_count
+    assert _bits(got.seed) == _bits(want.seed)
+    assert _bits(got.magnitudes) == _bits(want.magnitudes)
+    assert _bits(got.points) == _bits(want.points)
+    assert all(type(m) is float for m in got.magnitudes)
+    assert all(type(p) is complex for p in got.points)
+
+
+@st.composite
+def orbit_params(draw):
+    max_iter = draw(st.integers(1, 80))
+    escape, bound = draw(st.sampled_from([(1e8, 1e4), (100.0, 10.0), (3.0, 2.0)]))
+    return OrbitParams(
+        max_iter=max_iter,
+        escape_radius=escape,
+        bound_radius=bound,
+        min_oscillations=draw(st.integers(1, 4)),
+        tail_window=draw(st.integers(1, max_iter)),
+    )
+
+
+class TestOracleAgreement:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.one_of(
+            st.sampled_from(ORACLE_MAPS).map(parse),
+            st.integers(0, 2**32 - 1).map(lambda s: random_expr(random.Random(s), 3)),
+        ),
+        st.one_of(
+            st.sampled_from(ORACLE_SEEDS),
+            st.complex_numbers(max_magnitude=4.0),
+            st.complex_numbers(allow_nan=True, allow_infinity=True),
+        ),
+        orbit_params(),
+    )
+    def test_trace_matches_oracle(self, f, z0, params):
+        assert_same_trace(iterate_orbit(f, z0, params), oracle_iterate_orbit(f, z0, params))
+
+    @pytest.mark.parametrize("text", PRESET_FUNCTIONS)
+    def test_full_length_orbits_match_oracle(self, text):
+        f = parse(text)
+        rng = random.Random(text)
+        for _ in range(8):
+            z0 = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            assert_same_trace(
+                iterate_orbit(f, z0, OrbitParams()), oracle_iterate_orbit(f, z0, OrbitParams())
+            )
+
+
+class TestOneEvaluationPerStep:
+    @pytest.mark.parametrize(
+        "text, z0, max_iter, steps",
+        [
+            ("sin(z)", 1.0, 60, 60),  # completed
+            ("1/z^2", 0.0, 60, 1),  # pole at step 0
+            ("1/z^2", 2.0, 60, 10),  # pole at step 9
+            ("z^2", 2.0, 60, 10),  # overflow at step 10
+            ("z^2", 1.0, 60, 1),  # exact fixed point at once
+            ("z^2", 0.0, 60, 1),
+            ("0.5*z", 1.0, 2000, 1076),  # underflows to the fixed point 0
+            ("z^2", math.nan, 60, 0),  # non-finite seed: nothing to evaluate
+            ("z^2", 0.5, 1, 1),
+        ],
+    )
+    def test_eval_array_once_per_step(self, monkeypatch, text, z0, max_iter, steps):
+        # bench/tracer.py counts orbit steps as calls of orbit.eval_array
+        counts = {}
+
+        def counting(module):
+            real = module.eval_array
+
+            def eval_array(e, z):
+                counts[module] = counts.get(module, 0) + 1
+                return real(e, z)
+
+            monkeypatch.setattr(module, "eval_array", eval_array)
+
+        counting(orbit)
+        counting(orbit_oracle)
+        f, params = parse(text), OrbitParams(max_iter=max_iter, tail_window=1)
+        iterate_orbit(f, z0, params)
+        oracle_iterate_orbit(f, z0, params)
+        assert counts.get(orbit, 0) == counts.get(orbit_oracle, 0) == steps
 
 
 class TestClassifyPoint:

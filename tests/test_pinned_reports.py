@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 
 import pytest
 
 from bungee_lab.cli import main
 from bungee_lab.expr import parse
 from bungee_lab.orbit import Rect
-from bungee_lab.presets import run_preset
+from bungee_lab.presets import PRESET_FUNCTIONS, run_preset
 from bungee_lab.verify import SamplerSpec, verify_value_identity
 
 
@@ -106,4 +107,50 @@ def test_cli_fixed_points_report(capsys):
     assert main(["fixed-points", "--f", "z*exp(-z^2)"]) == 0
     assert _digest(json.loads(capsys.readouterr().out)) == (
         "fee09f1bf3aedf3af27ddda2c5313667150358f3b81445dd8eb742c50032afbf"
+    )
+
+
+def _classify_argvs() -> list[list[str]]:
+    """CLI classify runs over every preset map and the orbit's edge cases."""
+    rng = random.Random(20240905)
+    seeds = [
+        f"{rng.uniform(-3, 3)!r},{rng.uniform(-3, 3)!r}"
+        for _ in PRESET_FUNCTIONS
+        for _ in range(6)
+    ]
+    argvs = [
+        ["classify", f"--f={text}", f"--z0={seeds[6 * i + j]}"]
+        for i, text in enumerate(PRESET_FUNCTIONS)
+        for j in range(6)
+    ]
+    argvs += [argv + ["--max-iter", "37", "--tail-window", "5"] for argv in argvs]
+    argvs += [
+        ["classify", "--f", "1/z^2", "--z0", "0"],  # pole at step 0
+        ["classify", "--f", "z*exp(z^2)", "--z0", "3"],  # overflow
+        ["classify", "--f", "z^2", "--z0", "0"],  # exact fixed points
+        ["classify", "--f", "z^2", "--z0", "1"],
+        ["classify", "--f", "z", "--z0", "1"],
+        ["classify", "--f", "z^2", "--z0", "0.5", "--max-iter", "1", "--tail-window", "1"],
+        ["classify", "--f", "z^2", "--z0", "1", "--max-iter", "1", "--tail-window", "1"],
+        ["classify", "--f", "1/z^2", "--z0", "2", "--max-iter", "1", "--tail-window", "1"],
+        # the verdicts the random seeds miss: escaping by its tail,
+        # undecided, and bungee on a completed orbit
+        ["classify", "--f", "z+sin(z)+2*pi", "--z0", "0.5", "--escape-radius", "100",
+         "--bound-radius", "10"],
+        ["classify", "--f", "z+sin(z)+2*pi", "--z0", "0.5", "--max-iter", "2000"],
+        ["classify", "--f", "1/z", "--z0", "1e9"],
+    ]
+    return argvs
+
+
+def test_cli_classify_outputs(capsys):
+    # (exit code, stdout, stderr) of every run, recorded before the scalar
+    # orbit loop took its magnitudes in one pass after the loop
+    h = hashlib.sha256()
+    for argv in _classify_argvs():
+        code = main(argv)
+        captured = capsys.readouterr()
+        h.update(f"{code}\0{captured.out}\0{captured.err}\0".encode())
+    assert h.hexdigest() == (
+        "ba13b28a7d688f836193302e6f611621e312522cefd0bd8569247f835072f305"
     )
