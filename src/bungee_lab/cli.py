@@ -7,6 +7,11 @@ stdout as JSON; one-line summaries go to stderr.
 
 Regions are given as --grid "cx,cy,w,h" (sampling and root finding)
 or --grid "cx,cy,w,h,nx,ny" (rendering, which needs pixel counts).
+
+`verify RELATION` runs one sampling check; `verify` without a relation
+is a usage error.  `preset NAME` runs a canned suite (`all-paper` runs
+every one) and `preset` alone lists them.  `render --workers` defaults
+to the CPU count.
 """
 
 from __future__ import annotations
@@ -236,49 +241,9 @@ def _cmd_fixed_points(args) -> int:
     return 0
 
 
-def _run_preset_checks(name: str, samples: int, seed: int, out: str | None) -> int:
-    try:
-        results = run_preset(name, samples=samples, seed=seed)
-    except KeyError as exc:
-        raise CliError(str(exc.args[0])) from None
-    _emit([c.to_dict() for c in results], out)
-    ok = True
-    for c in results:
-        _note(f"{'PASS' if c.passed else 'FAIL'}  {c.name}  ({c.expectation})")
-        ok = ok and c.passed
-    return 0 if ok else 1
-
-
-def _list_presets() -> int:
-    listing = [
-        {"name": p.name, "description": p.description} for p in PRESETS.values()
-    ]
-    listing.append(
-        {"name": "all-paper", "description": "run every preset in sequence"}
-    )
-    _emit(listing, None)
-    return 0
-
-
 def _cmd_verify(args) -> int:
-    if args.list_presets:
-        return _list_presets()
-    if args.preset is not None:
-        if args.relation is not None:
-            raise CliError("give either --preset or a relation subcommand, not both")
-        samples = DEFAULT_SAMPLES if args.samples is None else args.samples
-        seed = 42 if args.seed is None else args.seed
-        return _run_preset_checks(args.preset, samples, seed, args.out)
-    if args.relation is None:
-        raise CliError(
-            "verify needs a relation subcommand "
-            "(containment, invariance, commute, translate, property-a, partition) "
-            "or --preset NAME"
-        )
-
     params = _orbit_params(args)
     sampler = _sampler(args)
-    strict = bool(getattr(args, "strict", False))
     f = _load_expr(args.f)
     g = _load_expr(args.g) if "g" in vars(args) else None
 
@@ -289,7 +254,7 @@ def _cmd_verify(args) -> int:
                 g,
                 sampler,
                 params,
-                strict=strict,
+                strict=args.strict,
                 bu_mode="all" if args.bu_mode == "intersection" else "any",
             )
         elif args.relation == "invariance":
@@ -297,7 +262,7 @@ def _cmd_verify(args) -> int:
                 ("escaping", "bounded") if args.kind == "both" else (args.kind,)
             )
             reports = [
-                verify_invariance(f, g, kind, sampler, params, strict=strict)
+                verify_invariance(f, g, kind, sampler, params, strict=args.strict)
                 for kind in kinds
             ]
         elif args.relation == "commute":
@@ -315,14 +280,30 @@ def _cmd_verify(args) -> int:
             raise CliError(f"unknown relation {args.relation!r}")
 
     payload = [r.to_dict() for r in reports]
-    _emit(payload[0] if len(payload) == 1 else payload, getattr(args, "out", None))
+    _emit(payload[0] if len(payload) == 1 else payload, args.out)
     return _reports_exit(reports)
 
 
 def _cmd_preset(args) -> int:
-    if args.list or args.name is None:
-        return _list_presets()
-    return _run_preset_checks(args.name, args.samples, args.seed, args.out)
+    if args.name is None:
+        listing = [
+            {"name": p.name, "description": p.description} for p in PRESETS.values()
+        ]
+        listing.append(
+            {"name": "all-paper", "description": "run every preset in sequence"}
+        )
+        _emit(listing, None)
+        return 0
+    if args.samples < 1:
+        raise CliError("sample count must be at least 1")
+    try:
+        results = run_preset(args.name, samples=args.samples, seed=args.seed)
+    except KeyError as exc:
+        raise CliError(str(exc.args[0])) from None
+    _emit([c.to_dict() for c in results], args.out)
+    for c in results:
+        _note(f"{'PASS' if c.passed else 'FAIL'}  {c.name}  ({c.expectation})")
+    return 0 if all(c.passed for c in results) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -362,13 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--out", default=None)
 
     pv = sub.add_parser("verify", help="sampling checks of set relations")
-    pv.add_argument("--preset", default=None, metavar="NAME")
-    pv.add_argument("--list-presets", action="store_true")
-    pv.add_argument("--samples", type=int, default=None)
-    pv.add_argument("--seed", type=int, default=None)
-    pv.add_argument("--out", default=None)
-    vsub = pv.add_subparsers(dest="relation")
-    pv.set_defaults(relation=None)
+    vsub = pv.add_subparsers(dest="relation", required=True)
 
     def common(sp, g_required=True, grid="0,0,4,4"):
         sp.add_argument("--f", required=True, metavar="EXPR")
@@ -376,15 +351,16 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--g", required=True, metavar="EXPR")
         _add_sampler_args(sp, grid)
         _add_orbit_args(sp)
-        sp.add_argument("--strict", action="store_true")
         sp.add_argument("--out", default=None)
 
     sp = vsub.add_parser("containment", help="composition containments for f, g")
     common(sp)
+    sp.add_argument("--strict", action="store_true")
     sp.add_argument("--bu-mode", choices=("union", "intersection"), default="union")
 
     sp = vsub.add_parser("invariance", help="forward invariance of S(f) under g")
     common(sp)
+    sp.add_argument("--strict", action="store_true")
     sp.add_argument(
         "--kind", choices=("escaping", "bounded", "bungee", "both"), default="both"
     )
@@ -408,8 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, g_required=False)
 
     pp = sub.add_parser("preset", help="run a canned verification suite")
-    pp.add_argument("name", nargs="?", default=None)
-    pp.add_argument("--list", action="store_true")
+    pp.add_argument("name", nargs="?", default=None, help="omit to list the presets")
     pp.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     pp.add_argument("--seed", type=int, default=42)
     pp.add_argument("--out", default=None)

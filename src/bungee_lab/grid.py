@@ -26,24 +26,13 @@ from .orbit import OrbitParams, Verdict, classify_batch
 MAX_GRID_PIXELS = 2**26
 CHUNK_PIXELS = 65536
 
-THREADS_ENV_VAR = "BUNGEE_LAB_THREADS"
-
 
 def resolve_workers(workers: int | None = None) -> int:
-    """Explicit argument, then the environment, then the CPU count."""
+    """Explicit argument, else the CPU count."""
     if workers is not None:
         if workers < 1:
             raise ValueError("workers must be at least 1")
         return workers
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is not None:
-        try:
-            value = int(raw)
-        except ValueError:
-            value = 0
-        if value < 1:
-            raise ValueError(f"{THREADS_ENV_VAR} must be a positive integer, got {raw!r}")
-        return value
     return os.cpu_count() or 1
 
 

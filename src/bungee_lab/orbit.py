@@ -71,12 +71,6 @@ class Rect:
         if not (self.width > 0 and self.height > 0):
             raise ValueError("rect width and height must be positive")
 
-    def contains(self, z: complex) -> bool:
-        return (
-            abs(z.real - self.center.real) <= self.width / 2
-            and abs(z.imag - self.center.imag) <= self.height / 2
-        )
-
 
 @dataclass(frozen=True)
 class OrbitParams:
@@ -333,7 +327,7 @@ def classify_batch(
     below = m <= log_bound
     n_osc = np.zeros(alive.size, dtype=np.int32)
     # from step first_tail on: every magnitude so far above log_esc and
-    # nondecreasing (as m - prev >= 0, which fails on inf - inf)
+    # nondecreasing, as in _tail_flags (m >= prev holds for inf >= inf)
     first_tail = n_total - w
     tail_ok = prev = None
     if want_tail_values:
@@ -375,7 +369,7 @@ def classify_batch(
         below &= m <= log_bound
         if n >= first_tail:
             above = m > log_esc
-            tail_ok = above if tail_ok is None else tail_ok & above & (m - prev >= 0)
+            tail_ok = above if tail_ok is None else tail_ok & above & (m >= prev)
             prev = m
         if want_tail_values:
             col = (n + 1) % w

@@ -57,14 +57,3 @@ def render_ppm(
 
     header = f"P6\n{nx} {ny}\n255\n".encode("ascii")
     return header + img[::-1].tobytes()
-
-
-def write_ppm(
-    path: str,
-    grid: ClassGrid,
-    palette: Palette = Palette(),
-    n_shade: int = DEFAULT_N_SHADE,
-) -> None:
-    data = render_ppm(grid, palette, n_shade)
-    with open(path, "wb") as fh:
-        fh.write(data)

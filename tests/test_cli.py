@@ -138,6 +138,14 @@ class TestRender:
             digests.append(json.loads(out)["sha256"])
         assert digests[0] == digests[1]
 
+    def test_threads_variable_is_ignored(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("BUNGEE_LAB_THREADS", "junk")
+        code, _, _ = run(
+            capsys, "render", "--f", "z^2", "--grid", "0,0,4,4,8,8",
+            "--out", str(tmp_path / "x.ppm"),
+        )
+        assert code == 0
+
     @pytest.mark.parametrize(
         "flag, value",
         [("--workers", "0"), ("--n-shade", "0"), ("--out", "no-such-dir/x.ppm")],
@@ -289,6 +297,22 @@ class TestVerify:
         code, _, err = run(capsys, "verify")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--samples", "64", "commute", "--f", "z", "--g", "z"],
+            ["--seed", "3", "partition", "--f", "z^2"],
+            ["--out", "top.json", "partition", "--f", "z^2"],
+            ["commute", "--strict", "--f", "z", "--g", "z"],
+            ["--preset", "sec4-power"],
+        ],
+    )
+    def test_removed_flags_exit_2(self, capsys, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert not (tmp_path / "top.json").exists()
+
     def test_out_file(self, capsys, tmp_path):
         out_file = tmp_path / "report.json"
         code, _, _ = run(
@@ -302,8 +326,7 @@ class TestVerify:
 
 class TestPresets:
     def test_sec4_power_passes(self, capsys):
-        code, out, err = run(capsys, "verify", "--preset", "sec4-power",
-                             "--samples", "500")
+        code, out, err = run(capsys, "preset", "sec4-power", "--samples", "500")
         assert code == 0
         checks = json.loads(out)
         assert isinstance(checks, list) and checks
@@ -313,8 +336,7 @@ class TestPresets:
 
     def test_scaled_family_expects_failure_and_passes(self, capsys):
         # the preset asserts non-commutation, so the run passes overall
-        code, out, _ = run(capsys, "verify", "--preset", "scaled-family",
-                           "--samples", "400")
+        code, out, _ = run(capsys, "preset", "scaled-family", "--samples", "400")
         assert code == 0
         checks = json.loads(out)
         assert all(c["passed"] for c in checks)
@@ -322,17 +344,17 @@ class TestPresets:
         assert commute and commute[0]["report"]["violations"] > 0
 
     def test_unknown_preset_exits_2(self, capsys):
-        code, _, err = run(capsys, "verify", "--preset", "no-such-thing")
+        code, _, err = run(capsys, "preset", "no-such-thing")
         assert code == 2
         assert "no-such-thing" in err
 
     def test_preset_with_relation_is_usage_error(self, capsys):
-        code, _, _ = run(capsys, "verify", "--preset", "sec4-power", "commute",
+        code, _, _ = run(capsys, "preset", "sec4-power", "commute",
                          "--f", "z^2", "--g", "z^2")
         assert code == 2
 
     def test_list_presets(self, capsys):
-        code, out, _ = run(capsys, "verify", "--list-presets")
+        code, out, _ = run(capsys, "preset")
         assert code == 0
         names = {d["name"] for d in json.loads(out)}
         assert {"sec4-power", "sec4-expfamily", "all-paper"} <= names
@@ -342,10 +364,15 @@ class TestPresets:
         assert code == 0
         assert all(c["passed"] for c in json.loads(out))
 
-    def test_top_level_preset_list(self, capsys):
+    def test_list_flag_is_gone(self, capsys):
         code, out, _ = run(capsys, "preset", "--list")
-        assert code == 0
-        assert any(d["name"] == "all-paper" for d in json.loads(out))
+        assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_non_positive_samples_exit_2(self, capsys, samples):
+        code, out, err = run(capsys, "preset", "sec4-power", "--samples", samples)
+        assert code == 2 and out == ""
+        assert err == "error: sample count must be at least 1\n"
 
 
 class TestUsage:
@@ -358,7 +385,7 @@ class TestUsage:
 
 class TestParser:
     ARGVS = [
-        ["verify", "--preset", "sec4-power", "--samples", "64"],
+        ["preset", "sec4-power", "--samples", "64"],
         ["verify", "containment", "--f", "z^2", "--g", "1/z^2", "--samples", "64", "--strict"],
         ["classify", "--f", "z^2", "--z0", "0.5", "--max-iter", "50"],
         ["classify", "--f", "z^2", "--z0", "0.5"],

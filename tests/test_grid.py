@@ -119,25 +119,13 @@ class TestClassifyGrid:
 
 
 class TestWorkerResolution:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("BUNGEE_LAB_THREADS", "2")
+    def test_explicit_wins(self):
         assert resolve_workers(5) == 5
 
-    def test_env_used_when_unset(self, monkeypatch):
-        monkeypatch.setenv("BUNGEE_LAB_THREADS", "3")
-        assert resolve_workers(None) == 3
-
-    def test_fallback_is_cpu_count(self, monkeypatch):
+    def test_fallback_is_cpu_count(self):
         import os
 
-        monkeypatch.delenv("BUNGEE_LAB_THREADS", raising=False)
         assert resolve_workers(None) == (os.cpu_count() or 1)
-
-    @pytest.mark.parametrize("raw", ["junk", "0", "-2", "1.5"])
-    def test_env_must_be_positive_integer(self, monkeypatch, raw):
-        monkeypatch.setenv("BUNGEE_LAB_THREADS", raw)
-        with pytest.raises(ValueError, match="BUNGEE_LAB_THREADS"):
-            resolve_workers(None)
 
     def test_explicit_must_be_positive(self):
         with pytest.raises(ValueError):

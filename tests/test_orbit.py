@@ -292,6 +292,16 @@ class TestBatchAgreement:
         assert Verdict.ESCAPING in verdicts
         assert verdicts - {Verdict.ESCAPING}
 
+    def test_abs_overflow_seed_matches_scalar(self):
+        # |z| overflows to inf although z is finite, so every tail magnitude
+        # is inf; inf >= inf keeps the tail nondecreasing in both paths
+        f, z, p = parse("-z"), 1.5e308 + 1.5e308j, OrbitParams()
+        batch = classify_batch(f, np.array([z]), p)
+        c, _ = classify_point(f, z, p)
+        assert c.verdict == Verdict.ESCAPING and c.confidence == CONFIDENT
+        assert int(batch.verdict[0]) == int(c.verdict)
+        assert bool(batch.confident[0])
+
     def test_tail_values_window(self):
         b = classify_batch(parse("z^2"), np.array([0.5 + 0j]), OrbitParams(max_iter=20),
                            want_tail_values=True)

@@ -11,7 +11,7 @@ from bungee_lab.expr import parse
 from bungee_lab.grid import ClassGrid, GridSpec, classify_grid
 from bungee_lab.orbit import OrbitParams
 from bungee_lab.presets import FATOU_PARAMS
-from bungee_lab.render import DEFAULT_N_SHADE, Palette, render_ppm, write_ppm
+from bungee_lab.render import DEFAULT_N_SHADE, Palette, render_ppm
 
 
 def _manual_grid(verdicts, nx, ny, term_step=None):
@@ -99,13 +99,6 @@ class TestDeterminism:
         a = render_ppm(classify_grid(parse("z^2"), spec, p, workers=1))
         b = render_ppm(classify_grid(parse("z^2"), spec, p, workers=4))
         assert a == b
-
-    def test_write_ppm_round_trip(self, tmp_path):
-        cg = classify_grid(parse("z^2"), GridSpec(0j, 4.0, 4.0, 8, 8),
-                           OrbitParams(max_iter=60))
-        out = tmp_path / "img.ppm"
-        write_ppm(str(out), cg)
-        assert out.read_bytes() == render_ppm(cg)
 
 
 class TestValidation:
