@@ -24,12 +24,13 @@ import math
 import sys
 
 from .expr import ParseError, constant_value, parse
-from .grid import GridSpec, classify_grid, mask_stats, resolve_workers
+from .grid import MAX_GRID_PIXELS, GridSpec, classify_grid, mask_stats, resolve_workers
 from .orbit import OrbitParams, Rect, classify_point, find_fixed_points
 from .presets import DEFAULT_SAMPLES, PRESETS, run_preset
 from .render import DEFAULT_N_SHADE, render_ppm
 from .verify import (
     SamplerSpec,
+    check_sampling,
     pair,
     shared_classifications,
     verify_commute,
@@ -234,11 +235,25 @@ def _cmd_render(args) -> int:
 def _cmd_fixed_points(args) -> int:
     f = _load_expr(args.f)
     region = _grid_rect(args.grid)
+    # starts**2 Newton seeds: the same limit as a grid's pixel count
+    if args.starts < 1 or args.starts**2 > MAX_GRID_PIXELS:
+        raise CliError(
+            f"--starts must be between 1 and {math.isqrt(MAX_GRID_PIXELS)}, "
+            f"got {args.starts}"
+        )
     reports = find_fixed_points(f, region, starts=args.starts)
     payload = [r.to_dict() for r in reports]
     _emit({"function": str(f), "fixed_points": payload}, getattr(args, "out", None))
     _note(f"{len(reports)} fixed point(s) in region")
     return 0
+
+
+def _checked(check, *args, **kwargs):
+    """Run a check that validates its options first; a ValueError exits 2."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
 
 
 def _cmd_verify(args) -> int:
@@ -266,11 +281,13 @@ def _cmd_verify(args) -> int:
                 for kind in kinds
             ]
         elif args.relation == "commute":
-            reports = [verify_commute(f, g, sampler, params, tol=args.tol)]
+            reports = [_checked(verify_commute, f, g, sampler, params, tol=args.tol)]
         elif args.relation == "translate":
             c = _load_constant(args.C)
             reports = [
-                verify_translate(f, c, sampler, params, n_max=args.n_max, tol=args.tol)
+                _checked(
+                    verify_translate, f, c, sampler, params, n_max=args.n_max, tol=args.tol
+                )
             ]
         elif args.relation == "property-a":
             reports = [verify_property_a(f, g, sampler, params)]
@@ -294,8 +311,10 @@ def _cmd_preset(args) -> int:
         )
         _emit(listing, None)
         return 0
-    if args.samples < 1:
-        raise CliError("sample count must be at least 1")
+    try:
+        check_sampling(args.samples, args.seed)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     try:
         results = run_preset(args.name, samples=args.samples, seed=args.seed)
     except KeyError as exc:

@@ -23,8 +23,18 @@ cached on the node the way node_count is.  The plan calls the same
 ufuncs in the same order as a node-by-node evaluation (Pow is
 square-and-multiply with *, constants are full arrays), so values are
 bit-identical to it; intermediates are overwritten in place when no
-other node reads them.  Buffers belong to one call, so threads can
-share a plan.
+other node reads them and the array has more than one element.  On one
+element numpy's overlap check on an aliased out= costs more than a
+fresh array, so a scalar orbit step allocates instead.  Buffers belong
+to one call, so threads can share a plan.
+
+Floating-point errors.  eval_array runs each plan under
+np.errstate(all="ignore"), since statuses, not warnings, report
+overflow and poles.  Entering and leaving an errstate costs more than
+a one-element evaluation, so a caller that evaluates in a loop opens
+one ignoring_fp_errors() block around it, and eval_array inside the
+block skips its own errstate.  The block lives in a context variable,
+as np.errstate does, so other threads do not see it.
 
 Status is tracked only where it can change.  Without division, a
 non-finite value stays non-finite in every ancestor up to the nearest
@@ -45,6 +55,8 @@ mask; a status array is built only at a division and at the root.
 
 from __future__ import annotations
 
+import contextvars
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
@@ -108,10 +120,11 @@ class _Compiler:
             i = args[0].reg
 
             def step(r):
-                if in_place:
-                    fn(r[i], out=r[out])
+                x = r[i]
+                if in_place and x.size > 1:
+                    fn(x, out=r[out])
                 else:
-                    r[out] = fn(r[i])
+                    r[out] = fn(x)
 
         else:
             i, j = args[0].reg, args[1].reg
@@ -129,11 +142,16 @@ class _Compiler:
         self.steps.append(step)
         return out
 
-    def fill(self, make) -> int:
+    def fill(self, value, dtype=np.complex128) -> int:
+        """Emit a register holding value at every point."""
         dst = self.new_reg()
 
         def step(r):
-            r[dst] = make(r[0].shape)
+            # np.empty + fill: np.full costs about six times as much on
+            # one element
+            a = np.empty(r[0].shape, dtype=dtype)
+            a.fill(value)
+            r[dst] = a
 
         self.steps.append(step)
         return dst
@@ -148,7 +166,7 @@ class _Compiler:
         v = x.reg
         if x.terms and x.terms[-1][0] == "ok":
             m = x.terms[-1][1]
-            self.steps.append(lambda r: np.logical_and(r[m], np.isfinite(r[v]), out=r[m]))
+            self.steps.append(lambda r: _and_into(r, m, np.isfinite(r[v])))
             return
         m = self.new_reg()
 
@@ -165,7 +183,7 @@ class _Compiler:
         for kind, reg in x.terms:
             if kind == "ok" and groups and groups[-1][0] == "ok":
                 m = groups[-1][1]
-                self.steps.append(lambda r, m=m, reg=reg: np.logical_and(r[m], r[reg], out=r[m]))
+                self.steps.append(lambda r, m=m, reg=reg: _and_into(r, m, r[reg]))
             else:
                 groups.append((kind, reg))
         if not groups:
@@ -184,9 +202,7 @@ class _Compiler:
         if isinstance(e, Var):
             return _Operand(0, owned=False, pending=True, terms=[])
         if isinstance(e, Const):
-            value = e.value
-            reg = self.fill(lambda shape: np.full(shape, value, dtype=np.complex128))
-            return _Operand(reg, owned=True, pending=False, terms=[])
+            return _Operand(self.fill(e.value), owned=True, pending=False, terms=[])
         if isinstance(e, (Add, Sub, Mul)):
             fn = np.add if isinstance(e, Add) else np.subtract if isinstance(e, Sub) else np.multiply
             a = self.compile(e.a)
@@ -206,8 +222,8 @@ class _Compiler:
             p = self.power(self.compile(e.base), abs(e.exponent))
             if e.exponent > 0:
                 return p
-            ones = self.fill(lambda shape: np.ones(shape, dtype=np.complex128))
-            return self.divide(_Operand(ones, True, False, []), None, p)
+            ones = _Operand(self.fill(1), True, False, [])
+            return self.divide(ones, None, p)
         if isinstance(e, Exp):
             a = self.compile(e.a)
             self.check(a)
@@ -247,9 +263,22 @@ class _Compiler:
         return _Operand(q, True, False, [("st", s)])
 
 
+def _and_into(r: list, m: int, other: np.ndarray) -> None:
+    """AND the mask other into the mask in r[m]."""
+    x = r[m]
+    if x.size > 1:
+        np.logical_and(x, other, out=x)
+    else:
+        r[m] = x & other
+
+
 def _mask_to_status(r: list, m: int) -> None:
-    np.logical_not(r[m], out=r[m])
-    r[m] = r[m].view(np.uint8)
+    x = r[m]
+    if x.size > 1:
+        np.logical_not(x, out=x)
+    else:
+        x = ~x
+    r[m] = x.view(np.uint8)
 
 
 def _first_failure(r: list, acc: int, s: int) -> None:
@@ -284,8 +313,37 @@ def _compile(e: Expr) -> _Plan:
     root = c.compile(e)
     status = c.status(root)
     if status is None:
-        status = c.fill(lambda shape: np.zeros(shape, dtype=np.uint8))
+        status = c.fill(OK, np.uint8)
     return _Plan(tuple(c.steps), c.n_regs, root.reg, status)
+
+
+# True inside ignoring_fp_errors(), where eval_array skips its own errstate
+_FP_ERRORS_IGNORED: contextvars.ContextVar[bool] = contextvars.ContextVar(
+    "bungee_lab_fp_errors_ignored", default=False
+)
+
+
+@contextmanager
+def ignoring_fp_errors():
+    """Run the block under one np.errstate(all="ignore").
+
+    eval_array called inside the block skips entering and leaving an
+    errstate of its own, which costs more than a whole one-element
+    evaluation.  Reentrant; like np.errstate, it is not seen by other
+    threads.
+    """
+    if _FP_ERRORS_IGNORED.get():
+        yield
+        return
+    token = _FP_ERRORS_IGNORED.set(True)
+    try:
+        with np.errstate(all="ignore"):
+            yield
+    finally:
+        _FP_ERRORS_IGNORED.reset(token)
+
+
+_COMPLEX128 = np.dtype(np.complex128)
 
 
 def eval_array(e: Expr, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -299,10 +357,19 @@ def eval_array(e: Expr, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if plan is None:
         plan = _compile(e)
         object.__setattr__(e, "_plan", plan)
-    z = np.asarray(z, dtype=np.complex128)
-    with np.errstate(all="ignore"):
-        vals, status = plan.run(z.reshape(-1))
-    return vals.reshape(z.shape), status.reshape(z.shape)
+    flat = type(z) is np.ndarray and z.ndim == 1 and z.dtype is _COMPLEX128
+    if not flat:
+        z = np.asarray(z, dtype=np.complex128)
+        shape = z.shape
+        z = z.reshape(-1)
+    if _FP_ERRORS_IGNORED.get():
+        vals, status = plan.run(z)
+    else:
+        with np.errstate(all="ignore"):
+            vals, status = plan.run(z)
+    if flat:
+        return vals, status
+    return vals.reshape(shape), status.reshape(shape)
 
 
 @dataclass(frozen=True)

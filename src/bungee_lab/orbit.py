@@ -157,7 +157,9 @@ def iterate_orbit(f: Expr, z0: complex, params: OrbitParams) -> OrbitTrace:
     """Follow one orbit, recording points and log10 magnitudes.
 
     The loop calls eval_array once per step and keeps only the points;
-    their log10 magnitudes are taken in one pass after the loop.
+    their log10 magnitudes are taken in one pass after the loop.  The
+    whole loop runs under one engine.ignoring_fp_errors() block, so no
+    step enters and leaves an errstate of its own.
     """
     z = np.array([z0], dtype=np.complex128)
     if not np.isfinite(z)[0]:
@@ -171,19 +173,20 @@ def iterate_orbit(f: Expr, z0: complex, params: OrbitParams) -> OrbitTrace:
     n_total = params.max_iter
     points = [z[0]]
     termination = Termination("completed", n_total)
-    for n in range(n_total):
-        vals, status = eval_array(f, z)
-        st = status[0]
-        if st == engine.POLE:
-            termination = Termination("pole", n)
-            break
-        if st == engine.OVERFLOW:
-            termination = Termination("overflow", n + 1)
-            break
-        points.append(vals[0])
-        if points[-1] == points[-2]:
-            break  # exact fixed point, padded below
-        z = vals
+    with engine.ignoring_fp_errors():
+        for n in range(n_total):
+            vals, status = eval_array(f, z)
+            st = status[0]
+            if st == engine.POLE:
+                termination = Termination("pole", n)
+                break
+            if st == engine.OVERFLOW:
+                termination = Termination("overflow", n + 1)
+                break
+            points.append(vals[0])
+            if points[-1] == points[-2]:
+                break  # exact fixed point, padded below
+            z = vals
     orbit = np.array(points, dtype=np.complex128)
     with np.errstate(all="ignore"):
         mags = np.log10(np.abs(orbit)).tolist()
@@ -465,8 +468,11 @@ def find_fixed_points(
     than to a fixed step threshold, so multiple roots are polished as
     far as double precision allows.  Candidates keep only residuals at
     or below newton_tol inside the region, deduplicated to dedup_tol
-    with the smallest-residual representative winning.
+    with the smallest-residual representative winning.  starts must be
+    at least 1.
     """
+    if starts < 1:
+        raise ValueError(f"starts must be at least 1, got {starts}")
     fprime = derivative(f)
     offs = (np.arange(starts) + 0.5) / starts - 0.5
     xs = region.center.real + offs * region.width

@@ -29,6 +29,7 @@ from __future__ import annotations
 import contextvars
 import dataclasses
 import hashlib
+import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -63,6 +64,14 @@ def pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
+def check_sampling(count: int, seed: int) -> None:
+    """Raise ValueError unless count and seed make a valid SamplerSpec."""
+    if count < 1:
+        raise ValueError("sample count must be at least 1")
+    if seed < 0:
+        raise ValueError("sample seed must be non-negative")
+
+
 @dataclass(frozen=True)
 class SamplerSpec:
     rect: Rect
@@ -70,8 +79,7 @@ class SamplerSpec:
     seed: int = 42
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("sample count must be at least 1")
+        check_sampling(self.count, self.seed)
 
     def points(self) -> np.ndarray:
         rng = np.random.Generator(np.random.PCG64(self.seed))
@@ -413,6 +421,13 @@ def verify_invariance(
 # Pointwise comparison: commutation and value identities
 
 
+def _check_tol(tol: float) -> None:
+    # a nan tolerance flags nothing and an infinite one passes everything,
+    # so either would make a check pass without testing anything
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
+
+
 def _pointwise(pts, lhs, rhs, tol, names):
     """Compare two chains of maps, each applied in turn to every sample.
 
@@ -460,7 +475,9 @@ def verify_commute(
     The error is |fg - gf| / max(1, |fg|, |gf|).  Samples where any of
     the four evaluations leaves the finite range are unusable; fewer
     than MIN_USABLE usable samples marks the whole check inconclusive.
+    tol must be finite and non-negative.
     """
+    _check_tol(tol)
     t0 = time.perf_counter()
     params = params or OrbitParams()
     pts = sampler.points()
@@ -510,8 +527,12 @@ def verify_translate(
     alternative drift law g^n(z) = f^n(z) + n*c is tracked with a
     relative tolerance (the drift offset itself grows with n); a
     strict period satisfies the plain identity and a pseudo-period
-    only the drift law.
+    only the drift law.  tol must be finite and non-negative and n_max
+    non-negative; n_max = 0 compares nothing and is inconclusive.
     """
+    _check_tol(tol)
+    if n_max < 0:
+        raise ValueError(f"n_max must be non-negative, got {n_max}")
     t0 = time.perf_counter()
     c = complex(c)
     g = translate(f, c)
@@ -617,6 +638,7 @@ def verify_value_identity(
     g_text: str | None = None,
 ) -> RelationReport:
     """Compare two expressions pointwise with relative tolerance."""
+    _check_tol(tol)
     t0 = time.perf_counter()
     params = params or OrbitParams()
     pts = sampler.points()

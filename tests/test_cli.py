@@ -174,6 +174,18 @@ class TestFixedPoints:
         kinds = {r["kind"] for r in doc["fixed_points"]}
         assert kinds == {"attracting", "repelling"}
 
+    @pytest.mark.parametrize("starts", ["0", "-3", "8193"])
+    def test_bad_starts_exit_2_before_searching(self, capsys, monkeypatch, starts):
+        # 8193**2 Newton seeds exceed the grid pixel limit; the search must
+        # not start, so it cannot allocate them
+        def no_search(*args, **kwargs):
+            raise AssertionError("find_fixed_points ran")
+
+        monkeypatch.setattr("bungee_lab.cli.find_fixed_points", no_search)
+        code, out, err = run(capsys, "fixed-points", "--f", "z^2", "--starts", starts)
+        assert code == 2 and out == ""
+        assert err == f"error: --starts must be between 1 and 8192, got {starts}\n"
+
     def test_indifferent_report(self, capsys):
         code, out, _ = run(capsys, "fixed-points", "--f", "z*exp(-z^2)",
                            "--grid", "0,0,2,2")
@@ -253,6 +265,23 @@ class TestVerify:
         assert all(d["samples_confident"] == 0 for d in docs)
         assert all(d["detail"]["inconclusive"] is True for d in docs)
         assert "inconclusive" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("commute", "--f", "z^2", "--g", "z+1", "--tol", "nan"), "tolerance"),
+            (("commute", "--f", "z^2", "--g", "z+1", "--tol", "inf"), "tolerance"),
+            (("commute", "--f", "z^2", "--g", "z+1", "--tol", "-1"), "tolerance"),
+            (("translate", "--f", "sin(z)", "--C", "2*pi", "--tol", "nan"), "tolerance"),
+            (("translate", "--f", "sin(z)", "--C", "2*pi", "--n-max", "-5"), "n_max"),
+            (("partition", "--f", "z^2", "--seed", "-1"), "seed"),
+        ],
+    )
+    def test_bad_check_options_exit_2(self, capsys, argv, message):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
 
     def test_partition_without_decisive_samples_is_inconclusive(self, capsys):
         # every sample of this tiny square sits on the pole at 0
@@ -373,6 +402,11 @@ class TestPresets:
         code, out, err = run(capsys, "preset", "sec4-power", "--samples", samples)
         assert code == 2 and out == ""
         assert err == "error: sample count must be at least 1\n"
+
+    def test_negative_seed_exits_2(self, capsys):
+        code, out, err = run(capsys, "preset", "sec4-power", "--seed", "-1")
+        assert code == 2 and out == ""
+        assert err == "error: sample seed must be non-negative\n"
 
 
 class TestUsage:

@@ -123,6 +123,12 @@ class TestOracleAgreement:
             assert np.array_equal(stats, want_stats), text
             ok = stats == engine.OK
             assert np.array_equal(vals[ok].view(np.uint64), want_vals[ok].view(np.uint64)), text
+            # one-element arrays, as a scalar orbit step evaluates them
+            for k in range(ADVERSARIAL.size + 64):
+                v1, s1 = eval_array(e, pts[k : k + 1])
+                assert s1[0] == want_stats[k], (text, pts[k])
+                if s1[0] == engine.OK:
+                    assert v1.tobytes() == want_vals[k : k + 1].tobytes(), (text, pts[k])
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2**63 - 1))

@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import math
 import random
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bungee_lab import orbit
-from bungee_lab.engine import evaluate
+from bungee_lab import engine, orbit
+from bungee_lab.engine import eval_array, evaluate
 from bungee_lab.expr import Z, derivative, parse
 from bungee_lab.orbit import (
     CONFIDENT,
@@ -221,6 +223,54 @@ class TestOneEvaluationPerStep:
         assert counts.get(orbit, 0) == counts.get(orbit_oracle, 0) == steps
 
 
+class TestOneErrstatePerOrbit:
+    # iterate_orbit runs its loop under one engine.ignoring_fp_errors() block
+
+    @pytest.mark.parametrize(
+        "text, z0, kind",
+        [("sin(z)", 1.0, "completed"), ("z^2", 2.0, "overflow"), ("1/z^2", 2.0, "pole")],
+    )
+    def test_restores_errstate(self, text, z0, kind):
+        with np.errstate(over="raise", divide="warn", invalid="print", under="ignore"):
+            before = np.geterr()
+            tr = iterate_orbit(parse(text), z0, OrbitParams(max_iter=60))
+            assert tr.termination.kind == kind
+            assert np.geterr() == before
+
+    def test_restores_errstate_when_a_step_raises(self, monkeypatch):
+        seen = []
+
+        def failing(e, z):
+            seen.append(np.geterr())
+            raise RuntimeError("step failed")
+
+        monkeypatch.setattr(orbit, "eval_array", failing)
+        with np.errstate(over="raise", divide="warn", invalid="print", under="ignore"):
+            before = np.geterr()
+            with pytest.raises(RuntimeError, match="step failed"):
+                iterate_orbit(parse("z^2"), 0.5, OrbitParams())
+            assert np.geterr() == before
+        assert seen == [{"divide": "ignore", "over": "ignore", "under": "ignore", "invalid": "ignore"}]
+        # the block is closed: a bare eval_array opens its own errstate again
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _, status = eval_array(parse("z^2"), np.array([1e300], dtype=np.complex128))
+        assert status[0] == engine.OVERFLOW
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_block_is_not_seen_by_other_threads(self, n):
+        f = parse("z^2")
+        z = np.array([1e300, 1e-200, 2.0][:n], dtype=np.complex128)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with engine.ignoring_fp_errors():
+                with ThreadPoolExecutor(1) as pool:
+                    _, in_worker = pool.submit(eval_array, f, z).result(timeout=60)
+            _, bare = eval_array(f, z)
+        want = [engine.OVERFLOW, engine.OK, engine.OK][:n]
+        assert list(in_worker) == list(bare) == want
+
+
 class TestClassifyPoint:
     def test_reciprocal_square_is_bungee(self):
         c, tr = classify_point(parse("1/z^2"), 2.0, OrbitParams())
@@ -362,6 +412,11 @@ class TestFixedPoints:
             assert abs(r.multiplier - want.value) <= 1e-9
             got = evaluate(f, r.location)
             assert abs(got.value - r.location) == r.residual
+
+    @pytest.mark.parametrize("starts", [0, -3])
+    def test_rejects_empty_lattice(self, starts):
+        with pytest.raises(ValueError, match="starts"):
+            find_fixed_points(parse("z^2"), Rect(0, 2.0, 2.0), starts=starts)
 
     def test_residual_small(self):
         for r in find_fixed_points(parse("z^2+0.1"), Rect(0, 2.0, 2.0)):

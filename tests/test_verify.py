@@ -49,6 +49,10 @@ class TestSampler:
         with pytest.raises(ValueError):
             SamplerSpec(BIDISC, 0)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed"):
+            SamplerSpec(BIDISC, 10, -1)
+
 
 class TestReportShape:
     def test_key_order(self):
@@ -169,6 +173,12 @@ class TestCommute:
         near = verify_commute(parse("z^2"), parse("1/z^2"), sampler(rect=BIDISC), tol=1e-20)
         assert near.violations > 0  # rounding noise exceeds an absurd tolerance
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_rejects_vacuous_tolerance(self, tol):
+        # nan flags nothing, inf passes everything, a negative tol flags all
+        with pytest.raises(ValueError, match="tolerance"):
+            verify_commute(parse("z^2"), parse("z+1"), sampler(rect=BIDISC), tol=tol)
+
 
 class TestValueIdentity:
     def test_composition_square_equals_fourth_iterate(self):
@@ -184,6 +194,10 @@ class TestValueIdentity:
     def test_detects_mismatch(self):
         r = verify_value_identity(parse("z^2"), parse("z^3"), sampler(100, rect=BIDISC))
         assert r.violations > 0
+
+    def test_rejects_vacuous_tolerance(self):
+        with pytest.raises(ValueError, match="tolerance"):
+            verify_value_identity(parse("z^2"), parse("z^3"), sampler(100), tol=math.inf)
 
 
 class TestTranslate:
@@ -216,6 +230,13 @@ class TestTranslate:
                              sampler(100, rect=BIDISC), OrbitParams())
         assert r.detail["drift_identity_holds"] is True
         assert r.detail["max_drift_relative_error"] < 1e-9
+
+    @pytest.mark.parametrize("kwargs", [{"tol": math.nan}, {"tol": math.inf},
+                                        {"tol": -1.0}, {"n_max": -5}])
+    def test_rejects_bad_options(self, kwargs):
+        with pytest.raises(ValueError):
+            verify_translate(parse("sin(z)"), 2 * math.pi,
+                             sampler(100, rect=BIDISC), OrbitParams(), **kwargs)
 
     def test_exact_law_excludes_drift_map(self):
         r = verify_translate(parse("z+sin(z)"), 2 * math.pi,
