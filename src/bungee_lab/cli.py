@@ -10,8 +10,9 @@ or --grid "cx,cy,w,h,nx,ny" (rendering, which needs pixel counts).
 
 `verify RELATION` runs one sampling check; `verify` without a relation
 is a usage error.  `preset NAME` runs a canned suite (`all-paper` runs
-every one) and `preset` alone lists them.  `render --workers` defaults
-to the CPU count.
+every one, in forked worker processes when there are two or more CPUs)
+and `preset` alone lists them.  `render --workers` defaults to the CPU
+count.
 """
 
 from __future__ import annotations
@@ -307,7 +308,7 @@ def _cmd_preset(args) -> int:
             {"name": p.name, "description": p.description} for p in PRESETS.values()
         ]
         listing.append(
-            {"name": "all-paper", "description": "run every preset in sequence"}
+            {"name": "all-paper", "description": "run every preset, in forked workers on 2+ CPUs"}
         )
         _emit(listing, None)
         return 0

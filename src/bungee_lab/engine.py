@@ -289,20 +289,39 @@ def _divide_status(r: list, q: int, sa: int | None, sb: int | None, s: int) -> N
     """Status of the quotient in r[q]; rescued quotients become 0.
 
     sa and sb are the operand status registers, None where an operand
-    is OK everywhere.
+    is OK everywhere.  Where every operand is OK and every quotient
+    finite, the status is all OK; an OK divisor leaves nothing to
+    rescue.
     """
     vq = r[q]
-    status = np.zeros(vq.shape, dtype=np.uint8) if sb is None else r[sb]
-    rescue = status == OVERFLOW
-    pole = (status == OK) & ~np.isfinite(vq)
-    if sa is not None:
-        a_ok = r[sa] == OK
-        rescue &= a_ok
-        pole &= a_ok
-        status = np.where(a_ok, status, r[sa])
-    if rescue.any():
-        status = np.where(rescue, OK, status)
-        vq[rescue] = 0
+    finite = np.isfinite(vq)
+    a = None if sa is None else r[sa]
+    b = None if sb is None else r[sb]
+    # count_nonzero costs a third of ndarray.all/any on one element
+    if (
+        np.count_nonzero(finite) == finite.size
+        and (a is None or not np.count_nonzero(a))
+        and (b is None or not np.count_nonzero(b))
+    ):
+        r[s] = b if b is not None else a if a is not None else np.zeros(vq.shape, np.uint8)
+        return
+    if b is None:
+        status = np.zeros(vq.shape, np.uint8) if a is None else a
+        pole = ~finite
+        if a is not None:
+            pole &= a == OK
+    else:
+        status = b
+        rescue = b == OVERFLOW
+        pole = (b == OK) & ~finite
+        if a is not None:
+            a_ok = a == OK
+            rescue &= a_ok
+            pole &= a_ok
+            status = np.where(a_ok, b, a)
+        if rescue.any():
+            status = np.where(rescue, OK, status)
+            vq[rescue] = 0
     if pole.any():
         status = np.where(pole, POLE, status)
     r[s] = status

@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import threading
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 from typing import Callable
 
 from .expr import compose, iterate_expr, parse
+from .grid import resolve_workers
 from .orbit import OrbitParams, Rect, find_fixed_points
 from .verify import (
     RelationReport,
@@ -344,24 +347,58 @@ PRESETS: dict[str, Preset] = {
 }
 
 
+def _run_prefixed(name: str, samples: int, seed: int) -> list[CheckResult]:
+    """One preset's checks, renamed "<preset>:<check>" as all-paper lists them."""
+    return [
+        CheckResult(f"{name}:{check.name}", check.passed, check.expectation, check.report)
+        for check in PRESETS[name].run(samples, seed)
+    ]
+
+
+def _run_in_worker(name: str, samples: int, seed: int) -> list[CheckResult]:
+    with shared_classifications():
+        return _run_prefixed(name, samples, seed)
+
+
+def _run_all_paper(samples: int, seed: int) -> list[CheckResult]:
+    """Every preset, each in a forked worker process where that is safe.
+
+    Workers share no memo, so an input that two presets classify is
+    classified in each.  The run stays in this process with one memo
+    when there is one CPU, no fork start method, or another live
+    thread: a fork can copy a lock that thread holds and deadlock the
+    child.  The pool modules are imported here, not at module level,
+    to keep them out of every import of the package.
+    """
+    workers = min(resolve_workers(None), len(PRESETS))
+    if workers > 1 and threading.active_count() == 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            context = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                runs = pool.map(_run_in_worker, PRESETS, repeat(samples), repeat(seed))
+                return [check for run in runs for check in run]
+    with shared_classifications():
+        return [check for name in PRESETS for check in _run_prefixed(name, samples, seed)]
+
+
 def run_preset(name: str, samples: int = DEFAULT_SAMPLES, seed: int = 42) -> list[CheckResult]:
-    """Run one preset, or every preset for "all-paper", classifying each
-    (map, samples, params) once across the whole run."""
-    if name != "all-paper" and name not in PRESETS:
+    """Run one preset, or every preset for "all-paper".
+
+    A single preset runs in this process and classifies each (map,
+    samples, params) once.  "all-paper" runs each preset in a forked
+    worker process, with a memo per preset, when there are two or more
+    CPUs, and otherwise in this process with one memo for the run.
+    Either way it returns the same checks in PRESETS order, named
+    "<preset>:<check>".
+    """
+    if name == "all-paper":
+        return _run_all_paper(samples, seed)
+    if name not in PRESETS:
         known = ", ".join([*PRESETS, "all-paper"])
         raise KeyError(f"unknown preset {name!r}; known presets: {known}")
     with shared_classifications():
-        if name != "all-paper":
-            return PRESETS[name].run(samples, seed)
-        results = []
-        for preset in PRESETS.values():
-            for check in preset.run(samples, seed):
-                results.append(
-                    CheckResult(
-                        f"{preset.name}:{check.name}",
-                        check.passed,
-                        check.expectation,
-                        check.report,
-                    )
-                )
-        return results
+        return PRESETS[name].run(samples, seed)

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -415,6 +419,22 @@ class TestUsage:
 
     def test_unknown_command_exits_2(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
+
+
+class TestSetUp:
+    def test_import_leaves_process_pool_unloaded(self):
+        # all-paper imports its process pool only when it forks workers
+        code = (
+            "import sys, bungee_lab, bungee_lab.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out == "[]\n"
 
 
 class TestParser:

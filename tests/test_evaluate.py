@@ -130,6 +130,39 @@ class TestOracleAgreement:
                 if s1[0] == engine.OK:
                     assert v1.tobytes() == want_vals[k : k + 1].tobytes(), (text, pts[k])
 
+    @pytest.mark.parametrize(
+        "text, z0, kind",
+        [
+            ("z/2", 1 + 1j, "finite"),  # every operand OK, every quotient finite
+            ("1/exp(z)", 1000, "finite"),  # rescued: the divisor overflows
+            ("(z+1)/exp(-z)", -1000, "finite"),  # rescued under a numerator status
+            ("1/z", 0, "pole"),
+            ("z/(z-1000)", 1000, "pole"),
+            ("1/(1/z)", 0, "pole"),  # a POLE divisor is not rescued
+            ("exp(z)/z", 1000, "overflow"),  # failing numerator
+            ("exp(z)/2", 1000, "overflow"),  # failing numerator, OK divisor
+            ("(1/z)/z", 0, "pole"),  # failing numerator: a pole
+            ("z/2", complex("inf"), "overflow"),
+        ],
+    )
+    def test_division_statuses_match_oracle(self, text, z0, kind):
+        e = parse(text)
+        assert evaluate(e, z0).kind == kind
+        pts = np.concatenate(
+            [ADVERSARIAL, np.array([z0], dtype=np.complex128),
+             random_points(np.random.default_rng(5), 32, 4.0)]
+        )
+        vals, stats = eval_array(e, pts)
+        want_vals, want_stats = oracle_eval(e, pts)
+        assert np.array_equal(stats, want_stats)
+        ok = stats == engine.OK
+        assert np.array_equal(vals[ok].view(np.uint64), want_vals[ok].view(np.uint64))
+        for k in range(pts.size):
+            v1, s1 = eval_array(e, pts[k : k + 1])
+            assert s1[0] == want_stats[k], pts[k]
+            if s1[0] == engine.OK:
+                assert v1.tobytes() == want_vals[k : k + 1].tobytes(), pts[k]
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2**63 - 1))
     def test_division_free_overflow_iff_some_node_nonfinite(self, seed):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 
 import pytest
@@ -33,7 +34,10 @@ def _digest(doc) -> str:
     return hashlib.sha256(json.dumps(_strip_runtime(doc)).encode()).hexdigest()
 
 
-def test_all_paper_reports():
+@pytest.mark.parametrize("cpus", [2, 1], ids=["workers", "serial"])
+def test_all_paper_reports(monkeypatch, cpus):
+    # two CPUs run the presets in forked workers, one runs them in process
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     results = run_preset("all-paper", samples=256, seed=42)
     assert len(results) == 26
     assert _digest([c.to_dict() for c in results]) == (

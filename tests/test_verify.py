@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -329,10 +332,66 @@ class TestSharedClassifications:
         verify._classify(self.F, pts, self.P)
         assert len(counted_batches) == 2
 
-    def test_all_paper_classifies_each_input_once_per_run(self, counted_batches):
+    def test_all_paper_classifies_each_input_once_per_run(self, monkeypatch, counted_batches):
         # the 38 classifications of an all-paper run cover 15 distinct
-        # (map, samples, params) inputs whatever the sample count
+        # (map, samples, params) inputs whatever the sample count; one
+        # CPU keeps the run in this process with one memo
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
         presets.run_preset("all-paper", samples=512)
         assert len(counted_batches) == 15
         presets.run_preset("all-paper", samples=512)
         assert len(counted_batches) == 30
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method"
+)
+
+
+class TestAllPaperWorkers:
+    """all-paper runs its presets in forked workers, else in this process."""
+
+    def test_live_thread_runs_in_process(self, monkeypatch, counted_batches):
+        # forking while another thread may hold a lock can deadlock the child
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            presets.run_preset("all-paper", samples=512)
+        finally:
+            release.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        assert len(counted_batches) == 15
+
+    @needs_fork
+    def test_workers_classify_each_input_once_per_preset(self, monkeypatch):
+        # each worker has its own memo, so the three inputs sec4-power
+        # shares with composition-question are classified twice
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        calls = multiprocessing.Value("i", 0)
+
+        def counting(f, seeds, params, want_tail_values=False):
+            with calls.get_lock():
+                calls.value += 1
+            return orbit.classify_batch(f, seeds, params, want_tail_values)
+
+        monkeypatch.setattr(verify, "classify_batch", counting)
+        results = presets.run_preset("all-paper", samples=512)
+        assert len(results) == 26
+        assert calls.value == 18
+
+    @needs_fork
+    def test_worker_error_reaches_caller(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+        def broken(samples, seed):
+            raise ValueError(f"preset failed in process {os.getpid()}")
+
+        monkeypatch.setitem(
+            presets.PRESETS, "scaled-family", presets.Preset("scaled-family", "", broken)
+        )
+        with pytest.raises(ValueError, match=r"^preset failed in process \d+$") as err:
+            presets.run_preset("all-paper", samples=64)
+        assert str(err.value) != f"preset failed in process {os.getpid()}"
