@@ -25,8 +25,9 @@ square-and-multiply with *, constants are full arrays), so values are
 bit-identical to it; intermediates are overwritten in place when no
 other node reads them and the array has more than one element.  On one
 element numpy's overlap check on an aliased out= costs more than a
-fresh array, so a scalar orbit step allocates instead.  Buffers belong
-to one call, so threads can share a plan.
+fresh array, so a scalar orbit step allocates instead, and each
+constant is one read-only one-element array made at compile time.
+Buffers belong to one call, so threads can share a plan.
 
 Floating-point errors.  eval_array runs each plan under
 np.errstate(all="ignore"), since statuses, not warnings, report
@@ -51,10 +52,17 @@ finiteness at
 
 Finiteness checks between two division statuses are ANDed into one
 mask; a status array is built only at a division and at the root.
+
+On one element a numpy call costs more than the arithmetic, so there
+masks are Python bools (cmath.isfinite) and statuses Python ints, under
+the same rules; each status helper takes that branch when its register
+holds a scalar.  The root status is then one of three shared read-only
+one-element uint8 arrays, so statuses stay shaped like z.
 """
 
 from __future__ import annotations
 
+import cmath
 import contextvars
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -79,14 +87,17 @@ class _Plan:
     steps: tuple[Step, ...]
     n_regs: int
     value: int  # register of the result value
-    status: int  # register of the result status (uint8)
+    status: int | None  # register of the result status; None: OK everywhere
 
     def run(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         regs = [None] * self.n_regs
         regs[0] = z
         for step in self.steps:
             step(regs)
-        return regs[self.value], regs[self.status]
+        status = 0 if self.status is None else regs[self.status]
+        if type(status) is int:
+            status = _STATUS_ARRAYS[status] if z.size == 1 else np.zeros(z.shape, np.uint8)
+        return regs[self.value], status
 
 
 @dataclass
@@ -142,16 +153,21 @@ class _Compiler:
         self.steps.append(step)
         return out
 
-    def fill(self, value, dtype=np.complex128) -> int:
+    def fill(self, value) -> int:
         """Emit a register holding value at every point."""
         dst = self.new_reg()
+        one = _read_only(np.full(1, value, np.complex128))
 
         def step(r):
-            # np.empty + fill: np.full costs about six times as much on
-            # one element
-            a = np.empty(r[0].shape, dtype=dtype)
-            a.fill(value)
-            r[dst] = a
+            z = r[0]
+            if z.size == 1:
+                r[dst] = one
+            else:
+                # np.empty + fill: np.full costs about twice as much on
+                # the few-element arrays of a thinning batch
+                a = np.empty(z.shape, dtype=np.complex128)
+                a.fill(value)
+                r[dst] = a
 
         self.steps.append(step)
         return dst
@@ -166,12 +182,12 @@ class _Compiler:
         v = x.reg
         if x.terms and x.terms[-1][0] == "ok":
             m = x.terms[-1][1]
-            self.steps.append(lambda r: _and_into(r, m, np.isfinite(r[v])))
+            self.steps.append(lambda r: _and_into(r, m, _isfinite(r[v])))
             return
         m = self.new_reg()
 
         def step(r):
-            r[m] = np.isfinite(r[v])
+            r[m] = _isfinite(r[v])
 
         self.steps.append(step)
         x.terms.append(("ok", m))
@@ -263,26 +279,44 @@ class _Compiler:
         return _Operand(q, True, False, [("st", s)])
 
 
-def _and_into(r: list, m: int, other: np.ndarray) -> None:
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+# the root status of a one-element call, indexed by status
+_STATUS_ARRAYS = tuple(_read_only(np.full(1, s, np.uint8)) for s in (OK, OVERFLOW, POLE))
+
+
+def _isfinite(x: np.ndarray) -> bool | np.ndarray:
+    """Where x is finite: a bool mask, or a Python bool on one element."""
+    return cmath.isfinite(x.item()) if x.size == 1 else np.isfinite(x)
+
+
+def _and_into(r: list, m: int, other) -> None:
     """AND the mask other into the mask in r[m]."""
     x = r[m]
-    if x.size > 1:
-        np.logical_and(x, other, out=x)
+    if type(x) is bool:
+        r[m] = x and other
     else:
-        r[m] = x & other
+        np.logical_and(x, other, out=x)
 
 
 def _mask_to_status(r: list, m: int) -> None:
     x = r[m]
-    if x.size > 1:
-        np.logical_not(x, out=x)
+    if type(x) is bool:
+        r[m] = int(not x)  # OVERFLOW == True, as in the view below
     else:
-        x = ~x
-    r[m] = x.view(np.uint8)
+        np.logical_not(x, out=x)
+        r[m] = x.view(np.uint8)
 
 
 def _first_failure(r: list, acc: int, s: int) -> None:
-    r[acc] = np.where(r[acc] != OK, r[acc], r[s])
+    a = r[acc]
+    if type(a) is int:
+        r[acc] = a or r[s]
+    else:
+        r[acc] = np.where(a != OK, a, r[s])
 
 
 def _divide_status(r: list, q: int, sa: int | None, sb: int | None, s: int) -> None:
@@ -294,15 +328,20 @@ def _divide_status(r: list, q: int, sa: int | None, sb: int | None, s: int) -> N
     rescue.
     """
     vq = r[q]
-    finite = np.isfinite(vq)
     a = None if sa is None else r[sa]
     b = None if sb is None else r[sb]
-    # count_nonzero costs a third of ndarray.all/any on one element
-    if (
-        np.count_nonzero(finite) == finite.size
-        and (a is None or not np.count_nonzero(a))
-        and (b is None or not np.count_nonzero(b))
-    ):
+    if vq.size == 1:
+        # the rules below on int statuses, OK (0) where None
+        if a:
+            r[s] = a
+        elif b == OVERFLOW:
+            vq[0] = 0
+            r[s] = 0
+        else:
+            r[s] = b or (0 if cmath.isfinite(vq.item()) else int(POLE))
+        return
+    finite = np.isfinite(vq)
+    if finite.all() and (a is None or not a.any()) and (b is None or not b.any()):
         r[s] = b if b is not None else a if a is not None else np.zeros(vq.shape, np.uint8)
         return
     if b is None:
@@ -331,8 +370,6 @@ def _compile(e: Expr) -> _Plan:
     c = _Compiler()
     root = c.compile(e)
     status = c.status(root)
-    if status is None:
-        status = c.fill(OK, np.uint8)
     return _Plan(tuple(c.steps), c.n_regs, root.reg, status)
 
 
@@ -370,7 +407,9 @@ def eval_array(e: Expr, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (values, status), both shaped like z.  values entries are
     meaningful only where status == OK; elsewhere they are whatever the
-    hardware produced.
+    hardware produced.  For one-element input the returned arrays may be
+    shared between calls and read-only: the status always, the values
+    when e is a constant.
     """
     plan = e.__dict__.get("_plan")
     if plan is None:

@@ -86,6 +86,9 @@ class OrbitParams:
         if self.max_iter > np.iinfo(np.int32).max:
             # termination steps are stored as int32
             raise ValueError(f"max_iter must be at most {np.iinfo(np.int32).max}")
+        if not (math.isfinite(self.escape_radius) and math.isfinite(self.bound_radius)):
+            # an infinite escape radius makes escape and oscillation unreachable
+            raise ValueError("escape_radius and bound_radius must be finite")
         if not (self.escape_radius > self.bound_radius > 0):
             raise ValueError("need escape_radius > bound_radius > 0")
         if self.min_oscillations < 1:
@@ -171,19 +174,19 @@ def iterate_orbit(f: Expr, z0: complex, params: OrbitParams) -> OrbitTrace:
             points=(),
         )
     n_total = params.max_iter
-    points = [z[0]]
+    points = [z.item()]  # Python complex: cheaper to compare than numpy scalars
     termination = Termination("completed", n_total)
     with engine.ignoring_fp_errors():
         for n in range(n_total):
             vals, status = eval_array(f, z)
-            st = status[0]
+            st = status.item()
             if st == engine.POLE:
                 termination = Termination("pole", n)
                 break
             if st == engine.OVERFLOW:
                 termination = Termination("overflow", n + 1)
                 break
-            points.append(vals[0])
+            points.append(vals.item())
             if points[-1] == points[-2]:
                 break  # exact fixed point, padded below
             z = vals

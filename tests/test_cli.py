@@ -60,6 +60,15 @@ class TestClassify:
         assert code == 2
         assert "max_iter" in err
 
+    @pytest.mark.parametrize("flag, value", [("--escape-radius", "inf"),
+                                             ("--escape-radius", "1e400"),
+                                             ("--bound-radius", "nan")])
+    def test_non_finite_radius_exits_2(self, capsys, flag, value):
+        code, out, err = run(capsys, "classify", "--f", "z^2", "--z0", "0.5", f"{flag}={value}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: escape_radius and bound_radius must be finite")
+
     def test_parse_error_exits_2(self, capsys):
         code, _, err = run(capsys, "classify", "--f", "z+", "--z0", "0")
         assert code == 2

@@ -107,8 +107,9 @@ class TestOracleAgreement:
         ok = stats == engine.OK
         assert np.array_equal(vals[ok], want_vals[ok]), str(e)
         assert np.array_equal(vals[ok].view(np.uint64), want_vals[ok].view(np.uint64))
-        # one-element arrays take other numpy loops than long ones
-        for k in range(0, pts.size, 3):
+        # one-element arrays take other numpy loops than long ones, and
+        # keep their statuses as Python scalars
+        for k in range(pts.size):
             v1, s1 = eval_array(e, pts[k : k + 1])
             assert s1[0] == stats[k]
             if s1[0] == engine.OK:
@@ -185,6 +186,55 @@ class TestOracleAgreement:
         _, stats = eval_array(e, pts)
         assert np.array_equal(stats == engine.OVERFLOW, some_nonfinite), str(e)
         assert not (stats == engine.POLE).any()
+
+
+# constant-rooted and constant-heavy trees: one-element calls return
+# constants made once at compile time
+CONSTANT_TREES = ["2", "exp(1000)", "1/0", "0*exp(z)", "1+z+exp(-z)+2*pi*i", "z^-3"]
+
+
+class TestOneElement:
+    """One-element calls against whole arrays and the oracle."""
+
+    @pytest.mark.parametrize("text", CONSTANT_TREES)
+    def test_matches_array_and_oracle(self, text):
+        e = parse(text)
+        pts = np.concatenate([ADVERSARIAL, random_points(np.random.default_rng(13), 16, 4.0)])
+        vals, stats = eval_array(e, pts)
+        want_vals, want_stats = oracle_eval(e, pts)
+        assert np.array_equal(stats, want_stats), text
+        for k in range(pts.size):
+            v1, s1 = eval_array(e, pts[k : k + 1])
+            assert s1[0] == stats[k], (text, pts[k])
+            if s1[0] == engine.OK:
+                assert v1.tobytes() == vals[k : k + 1].tobytes() == want_vals[k : k + 1].tobytes()
+
+    @pytest.mark.parametrize("text", CONSTANT_TREES + ["z", "z^2", "1/z", "1/exp(z)"])
+    def test_status_is_uint8_shaped_like_z(self, text):
+        for z0 in (0, 0.5, 1000, complex("inf")):
+            vals, status = eval_array(parse(text), np.array([z0], dtype=np.complex128))
+            assert status.dtype == np.uint8 and status.shape == (1,)
+            assert vals.dtype == np.complex128 and vals.shape == (1,)
+
+    @pytest.mark.parametrize("text", CONSTANT_TREES + ["z^2", "1/exp(z)"])
+    def test_writes_into_results_cannot_reach_a_later_call(self, text):
+        e = parse(text)
+        for z0 in (0, 0.5, 1000):
+            z = np.array([z0], dtype=np.complex128)
+            want_vals, want_status = (a.copy() for a in eval_array(e, z))
+            vals, status = eval_array(e, z)
+            # shared results (every status, constant values) are
+            # read-only; the rest belong to the caller
+            with pytest.raises(ValueError):
+                status[0] = engine.POLE
+            if text == "2":
+                with pytest.raises(ValueError):
+                    vals[0] = 7
+            elif vals.flags.writeable:
+                vals[0] = 7
+            again_vals, again_status = eval_array(e, z)
+            assert again_status.tobytes() == want_status.tobytes(), (text, z0)
+            assert again_vals.tobytes() == want_vals.tobytes(), (text, z0)
 
 
 class TestSharedPlan:

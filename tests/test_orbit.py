@@ -56,6 +56,10 @@ class TestParams:
             {"tail_window": 0},
             {"max_iter": 5, "tail_window": 6},
             {"max_iter": 2**31},
+            {"escape_radius": float("inf")},
+            {"escape_radius": float("nan")},
+            {"escape_radius": float("inf"), "bound_radius": float("inf")},
+            {"bound_radius": float("nan")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
