@@ -18,6 +18,7 @@ count.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -27,10 +28,11 @@ import sys
 from .expr import ParseError, constant_value, parse
 from .grid import MAX_GRID_PIXELS, GridSpec, classify_grid, mask_stats, resolve_workers
 from .orbit import OrbitParams, Rect, classify_point, find_fixed_points
-from .presets import DEFAULT_SAMPLES, PRESETS, run_preset
+from .presets import DEFAULT_SAMPLES, PRESETS, check_preset, run_preset
 from .render import DEFAULT_N_SHADE, render_ppm
 from .verify import (
     SamplerSpec,
+    check_pointwise,
     check_sampling,
     pair,
     shared_classifications,
@@ -143,12 +145,26 @@ def _sampler(args) -> SamplerSpec:
         raise CliError(str(exc)) from exc
 
 
-def _emit(payload, out_path: str | None) -> None:
+def _open_out(path: str | None):
+    """Open --out for writing, or nothing when it is not given.
+
+    Commands call this after validating their arguments and before the
+    work, so an unwritable path exits 2 before anything runs.
+    """
+    if path is None:
+        return contextlib.nullcontext()
+    try:
+        return open(path, "wb")
+    except OSError as exc:
+        raise CliError(f"cannot write --out {path!r}: {exc.strerror}") from exc
+
+
+def _emit(payload, out) -> None:
+    """Print payload as JSON, and write it to the open --out file if any."""
     text = json.dumps(payload, indent=2)
     print(text)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    if out is not None:
+        out.write(text.encode() + b"\n")
 
 
 def _note(line: str) -> None:
@@ -175,23 +191,24 @@ def _cmd_classify(args) -> int:
     f = _load_expr(args.f)
     z0 = _parse_complex(args.z0)
     params = _orbit_params(args)
-    result, trace = classify_point(f, z0, params)
-    mags = list(trace.magnitudes)
-    payload = {
-        "function": str(f),
-        "z0": pair(z0),
-        "verdict": result.verdict.label,
-        "confidence": result.confidence,
-        "termination": {
-            "kind": result.termination.kind,
-            "step": result.termination.step,
-        },
-        "oscillations": result.oscillation_count,
-        "params": params.to_dict(),
-        "log10_magnitudes_head": mags[:10],
-        "log10_magnitudes_tail": mags[-10:],
-    }
-    _emit(payload, getattr(args, "out", None))
+    with _open_out(args.out) as out:
+        result, trace = classify_point(f, z0, params)
+        mags = list(trace.magnitudes)
+        payload = {
+            "function": str(f),
+            "z0": pair(z0),
+            "verdict": result.verdict.label,
+            "confidence": result.confidence,
+            "termination": {
+                "kind": result.termination.kind,
+                "step": result.termination.step,
+            },
+            "oscillations": result.oscillation_count,
+            "params": params.to_dict(),
+            "log10_magnitudes_head": mags[:10],
+            "log10_magnitudes_tail": mags[-10:],
+        }
+        _emit(payload, out)
     _note(
         f"{result.verdict.label} ({result.confidence}), "
         f"terminated {result.termination.kind} at step {result.termination.step}, "
@@ -210,12 +227,7 @@ def _cmd_render(args) -> int:
         raise CliError(str(exc)) from exc
     if args.n_shade < 1:
         raise CliError("--n-shade must be at least 1")
-    # open the output first so an unwritable path fails before the render
-    try:
-        fh = open(args.out, "wb")
-    except OSError as exc:
-        raise CliError(f"cannot write --out {args.out!r}: {exc.strerror}") from exc
-    with fh:
+    with _open_out(args.out) as fh:
         grid = classify_grid(f, spec, params, workers=workers)
         data = render_ppm(grid, n_shade=args.n_shade)
         fh.write(data)
@@ -242,17 +254,18 @@ def _cmd_fixed_points(args) -> int:
             f"--starts must be between 1 and {math.isqrt(MAX_GRID_PIXELS)}, "
             f"got {args.starts}"
         )
-    reports = find_fixed_points(f, region, starts=args.starts)
-    payload = [r.to_dict() for r in reports]
-    _emit({"function": str(f), "fixed_points": payload}, getattr(args, "out", None))
+    with _open_out(args.out) as out:
+        reports = find_fixed_points(f, region, starts=args.starts)
+        payload = [r.to_dict() for r in reports]
+        _emit({"function": str(f), "fixed_points": payload}, out)
     _note(f"{len(reports)} fixed point(s) in region")
     return 0
 
 
-def _checked(check, *args, **kwargs):
-    """Run a check that validates its options first; a ValueError exits 2."""
+def _checked(check, *args) -> None:
+    """Run an option validator; a ValueError exits 2."""
     try:
-        return check(*args, **kwargs)
+        check(*args)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
@@ -262,8 +275,13 @@ def _cmd_verify(args) -> int:
     sampler = _sampler(args)
     f = _load_expr(args.f)
     g = _load_expr(args.g) if "g" in vars(args) else None
+    if args.relation == "commute":
+        _checked(check_pointwise, args.tol)
+    elif args.relation == "translate":
+        c = _load_constant(args.C)
+        _checked(check_pointwise, args.tol, args.n_max)
 
-    with shared_classifications():
+    with _open_out(args.out) as out, shared_classifications():
         if args.relation == "containment":
             reports = verify_composition_containments(
                 f,
@@ -282,13 +300,10 @@ def _cmd_verify(args) -> int:
                 for kind in kinds
             ]
         elif args.relation == "commute":
-            reports = [_checked(verify_commute, f, g, sampler, params, tol=args.tol)]
+            reports = [verify_commute(f, g, sampler, params, tol=args.tol)]
         elif args.relation == "translate":
-            c = _load_constant(args.C)
             reports = [
-                _checked(
-                    verify_translate, f, c, sampler, params, n_max=args.n_max, tol=args.tol
-                )
+                verify_translate(f, c, sampler, params, n_max=args.n_max, tol=args.tol)
             ]
         elif args.relation == "property-a":
             reports = [verify_property_a(f, g, sampler, params)]
@@ -297,8 +312,8 @@ def _cmd_verify(args) -> int:
         else:  # pragma: no cover - argparse restricts choices
             raise CliError(f"unknown relation {args.relation!r}")
 
-    payload = [r.to_dict() for r in reports]
-    _emit(payload[0] if len(payload) == 1 else payload, args.out)
+        payload = [r.to_dict() for r in reports]
+        _emit(payload[0] if len(payload) == 1 else payload, out)
     return _reports_exit(reports)
 
 
@@ -312,15 +327,14 @@ def _cmd_preset(args) -> int:
         )
         _emit(listing, None)
         return 0
+    _checked(check_sampling, args.samples, args.seed)
     try:
-        check_sampling(args.samples, args.seed)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    try:
-        results = run_preset(args.name, samples=args.samples, seed=args.seed)
+        check_preset(args.name)
     except KeyError as exc:
         raise CliError(str(exc.args[0])) from None
-    _emit([c.to_dict() for c in results], args.out)
+    with _open_out(args.out) as out:
+        results = run_preset(args.name, samples=args.samples, seed=args.seed)
+        _emit([c.to_dict() for c in results], out)
     for c in results:
         _note(f"{'PASS' if c.passed else 'FAIL'}  {c.name}  ({c.expectation})")
     return 0 if all(c.passed for c in results) else 1

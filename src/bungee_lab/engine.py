@@ -18,16 +18,24 @@ evaluates to 0 with OK status (the limiting value), rather than
 propagating the divisor's failure.  Negative Pow exponents share the
 division rules.
 
-Plans.  An Expr is compiled once into a flat plan of numpy ufunc calls,
-cached on the node the way node_count is.  The plan calls the same
-ufuncs in the same order as a node-by-node evaluation (Pow is
+Plans.  An Expr is compiled once into a plan, cached on the node the
+way node_count is.  The compiler emits Python source for two
+straight-line functions, one for one-element input and one for every
+other size, and eval_array picks one per call.  Each calls the same
+numpy ufuncs in the same order as a node-by-node evaluation (Pow is
 square-and-multiply with *, constants are full arrays), so values are
-bit-identical to it; intermediates are overwritten in place when no
-other node reads them and the array has more than one element.  On one
-element numpy's overlap check on an aliased out= costs more than a
-fresh array, so a scalar orbit step allocates instead, and each
-constant is one read-only one-element array made at compile time.
-Buffers belong to one call, so threads can share a plan.
+bit-identical to it.  The source holds only register numbers and names
+from a fixed table: ufuncs and constants are bound through the
+functions' globals, so no value is written as a literal (-0.0,
+subnormals and 2*pi*i stay exact) and no input text reaches compile().
+Trees of one shape, such as z+1 and z+2, therefore give the same
+source, and the compiled code is cached on that text; each plan binds
+its own constants to it.  The array function overwrites intermediates
+in place when no other node reads them.  On one element numpy's
+overlap check on an aliased out= costs more than a fresh array, so the
+one-element function allocates instead, and each constant is one
+read-only one-element array made at compile time.  Registers are
+locals of one call, so threads can share a plan.
 
 Floating-point errors.  eval_array runs each plan under
 np.errstate(all="ignore"), since statuses, not warnings, report
@@ -55,17 +63,19 @@ mask; a status array is built only at a division and at the root.
 
 On one element a numpy call costs more than the arithmetic, so there
 masks are Python bools (cmath.isfinite) and statuses Python ints, under
-the same rules; each status helper takes that branch when its register
-holds a scalar.  The root status is then one of three shared read-only
-one-element uint8 arrays, so statuses stay shaped like z.
+the same rules, and the division rules run inline.  The root status is
+then one of three shared read-only one-element uint8 arrays, so
+statuses stay shaped like z.
 """
 
 from __future__ import annotations
 
 import cmath
 import contextvars
+import functools
 from contextlib import contextmanager
 from dataclasses import dataclass
+from types import CodeType, FunctionType
 from typing import Callable
 
 import numpy as np
@@ -78,26 +88,11 @@ POLE = np.uint8(2)
 
 STATUS_NAMES = ("finite", "overflow", "pole")
 
-# a plan step reads and writes the call's register list; register 0 is z
-Step = Callable[[list], None]
-
 
 @dataclass(frozen=True)
 class _Plan:
-    steps: tuple[Step, ...]
-    n_regs: int
-    value: int  # register of the result value
-    status: int | None  # register of the result status; None: OK everywhere
-
-    def run(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        regs = [None] * self.n_regs
-        regs[0] = z
-        for step in self.steps:
-            step(regs)
-        status = 0 if self.status is None else regs[self.status]
-        if type(status) is int:
-            status = _STATUS_ARRAYS[status] if z.size == 1 else np.zeros(z.shape, np.uint8)
-        return regs[self.value], status
+    one: Callable  # for one-element input
+    many: Callable  # for every other size
 
 
 @dataclass
@@ -111,65 +106,47 @@ class _Operand:
 
 
 class _Compiler:
+    """Emits the lines of both plan functions; register k is local rk."""
+
     def __init__(self):
-        self.steps: list[Step] = []
+        self.one: list[str] = []  # body of the one-element function
+        self.many: list[str] = []  # body of the function for every other size
+        self.consts: dict[str, object] = {}  # globals named after registers
         self.n_regs = 1
 
     def new_reg(self) -> int:
         self.n_regs += 1
         return self.n_regs - 1
 
+    def emit(self, one: str, many: str | None = None) -> None:
+        """Append a line to each body; many defaults to the one-element line."""
+        self.one.append(one)
+        self.many.append(one if many is None else many)
+
     # -- values ----------------------------------------------------------
 
-    def ufunc(self, fn, *args: _Operand) -> int:
+    def ufunc(self, fn: str, *args: _Operand) -> int:
         """Emit fn(*args) into the first owned operand's register, else a new one."""
         out = next((a.reg for a in args if a.owned), None)
-        in_place = out is not None
-        if not in_place:
+        call = f"{fn}({', '.join(f'r{a.reg}' for a in args)}"
+        if out is None:
             out = self.new_reg()
-        if len(args) == 1:
-            i = args[0].reg
-
-            def step(r):
-                x = r[i]
-                if in_place and x.size > 1:
-                    fn(x, out=r[out])
-                else:
-                    r[out] = fn(x)
-
+            self.emit(f"r{out} = {call})")
         else:
-            i, j = args[0].reg, args[1].reg
-
-            def step(r):
-                x, y = r[i], r[j]
-                if in_place and x.size > 1:
-                    fn(x, y, out=r[out])
-                else:
-                    # numpy runs a one-element binary op whose output
-                    # overlaps an input through another loop, which can
-                    # round differently
-                    r[out] = fn(x, y)
-
-        self.steps.append(step)
+            # one element allocates: numpy runs a one-element binary op
+            # whose output overlaps an input through another loop, which
+            # can round differently
+            self.emit(f"r{out} = {call})", f"{call}, out=r{out})")
         return out
 
     def fill(self, value) -> int:
         """Emit a register holding value at every point."""
         dst = self.new_reg()
-        one = _read_only(np.full(1, value, np.complex128))
-
-        def step(r):
-            z = r[0]
-            if z.size == 1:
-                r[dst] = one
-            else:
-                # np.empty + fill: np.full costs about twice as much on
-                # the few-element arrays of a thinning batch
-                a = np.empty(z.shape, dtype=np.complex128)
-                a.fill(value)
-                r[dst] = a
-
-        self.steps.append(step)
+        self.consts[f"c{dst}"] = _read_only(np.full(1, value, np.complex128))
+        self.consts[f"v{dst}"] = value
+        # np.empty + fill: np.full costs about twice as much on the
+        # few-element arrays of a thinning batch
+        self.emit(f"r{dst} = c{dst}", f"r{dst} = empty(r0.shape, complex128)\nr{dst}.fill(v{dst})")
         return dst
 
     # -- statuses --------------------------------------------------------
@@ -182,34 +159,34 @@ class _Compiler:
         v = x.reg
         if x.terms and x.terms[-1][0] == "ok":
             m = x.terms[-1][1]
-            self.steps.append(lambda r: _and_into(r, m, _isfinite(r[v])))
+            self.emit(
+                f"r{m} = r{m} and scalar_isfinite(r{v}.item())",
+                f"logical_and(r{m}, isfinite(r{v}), out=r{m})",
+            )
             return
         m = self.new_reg()
-
-        def step(r):
-            r[m] = _isfinite(r[v])
-
-        self.steps.append(step)
+        self.emit(f"r{m} = scalar_isfinite(r{v}.item())", f"r{m} = isfinite(r{v})")
         x.terms.append(("ok", m))
 
     def status(self, x: _Operand) -> int | None:
-        """Emit x's full status array; return its register (None: all OK)."""
+        """Emit x's full status; return its register (None: all OK)."""
         self.check(x)
         groups = []  # the terms with each run of masks ANDed into its first
         for kind, reg in x.terms:
             if kind == "ok" and groups and groups[-1][0] == "ok":
                 m = groups[-1][1]
-                self.steps.append(lambda r, m=m, reg=reg: _and_into(r, m, r[reg]))
+                self.emit(f"r{m} = r{m} and r{reg}", f"logical_and(r{m}, r{reg}, out=r{m})")
             else:
                 groups.append((kind, reg))
         if not groups:
             return None
-        for kind, reg in groups:
+        for kind, m in groups:
             if kind == "ok":
-                self.steps.append(lambda r, m=reg: _mask_to_status(r, m))
+                # a failed mask is OVERFLOW, 1 == True in the uint8 view
+                self.emit(f"r{m} = 0 if r{m} else 1", f"r{m} = logical_not(r{m}, out=r{m}).view(uint8)")
         acc = groups[0][1]
-        for _, reg in groups[1:]:
-            self.steps.append(lambda r, s=reg: _first_failure(r, acc, s))
+        for _, s in groups[1:]:
+            self.emit(f"r{acc} = r{acc} or r{s}", f"r{acc} = where(r{acc} != OK, r{acc}, r{s})")
         return acc
 
     # -- nodes -----------------------------------------------------------
@@ -220,7 +197,7 @@ class _Compiler:
         if isinstance(e, Const):
             return _Operand(self.fill(e.value), owned=True, pending=False, terms=[])
         if isinstance(e, (Add, Sub, Mul)):
-            fn = np.add if isinstance(e, Add) else np.subtract if isinstance(e, Sub) else np.multiply
+            fn = "add" if isinstance(e, Add) else "subtract" if isinstance(e, Sub) else "multiply"
             a = self.compile(e.a)
             if not e.b.entire:
                 self.check(a)
@@ -233,7 +210,7 @@ class _Compiler:
             return self.divide(a, sa, b)
         if isinstance(e, Neg):
             a = self.compile(e.a)
-            return _Operand(self.ufunc(np.negative, a), True, a.pending, a.terms)
+            return _Operand(self.ufunc("negative", a), True, a.pending, a.terms)
         if isinstance(e, Pow):
             p = self.power(self.compile(e.base), abs(e.exponent))
             if e.exponent > 0:
@@ -243,10 +220,10 @@ class _Compiler:
         if isinstance(e, Exp):
             a = self.compile(e.a)
             self.check(a)
-            return _Operand(self.ufunc(np.exp, a), True, True, a.terms)
+            return _Operand(self.ufunc("exp", a), True, True, a.terms)
         if isinstance(e, (Sin, Cos)):
             a = self.compile(e.a)
-            fn = np.sin if isinstance(e, Sin) else np.cos
+            fn = "sin" if isinstance(e, Sin) else "cos"
             return _Operand(self.ufunc(fn, a), True, True, a.terms)
         raise TypeError(f"not an expression node: {e!r}")
 
@@ -264,18 +241,27 @@ class _Compiler:
                 else:
                     # acc is squared again unless this is the last bit
                     last = _Operand(acc.reg, acc.owned and m == 1, True, [])
-                    res = _Operand(self.ufunc(np.multiply, res, last), True, True, res.terms)
+                    res = _Operand(self.ufunc("multiply", res, last), True, True, res.terms)
             m >>= 1
             if not m:
                 return _Operand(res.reg, res.owned, True, base.terms)
-            acc = _Operand(self.ufunc(np.multiply, acc, acc), True, True, [])
+            acc = _Operand(self.ufunc("multiply", acc, acc), True, True, [])
 
     def divide(self, a: _Operand, sa: int | None, b: _Operand) -> _Operand:
         """a / b with the pole and rescue rules; sa is a's status register."""
         sb = self.status(b)
-        q = self.ufunc(np.divide, a, b)
+        q = self.ufunc("divide", a, b)
         s = self.new_reg()
-        self.steps.append(lambda r: _divide_status(r, q, sa, sb, s))
+        # the rules of _divide_status on int statuses: 1 is OVERFLOW, 2 POLE
+        pole = f"0 if scalar_isfinite(r{q}.item()) else 2"
+        if sb is None:
+            one = f"r{s} = {pole}" if sa is None else f"r{s} = r{sa} or ({pole})"
+        else:
+            one = f"if r{sb} == 1:\n    r{q}[0] = 0\n    r{s} = 0\nelse:\n    r{s} = r{sb} or ({pole})"
+            if sa is not None:
+                one = f"if r{sa}:\n    r{s} = r{sa}\nel{one}"
+        ra, rb = ("None" if r is None else f"r{r}" for r in (sa, sb))
+        self.emit(one, f"r{s} = divide_status(r{q}, {ra}, {rb})")
         return _Operand(q, True, False, [("st", s)])
 
 
@@ -288,62 +274,16 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 _STATUS_ARRAYS = tuple(_read_only(np.full(1, s, np.uint8)) for s in (OK, OVERFLOW, POLE))
 
 
-def _isfinite(x: np.ndarray) -> bool | np.ndarray:
-    """Where x is finite: a bool mask, or a Python bool on one element."""
-    return cmath.isfinite(x.item()) if x.size == 1 else np.isfinite(x)
+def _divide_status(vq: np.ndarray, a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray:
+    """Status of the quotient vq; rescued quotients become 0.
 
-
-def _and_into(r: list, m: int, other) -> None:
-    """AND the mask other into the mask in r[m]."""
-    x = r[m]
-    if type(x) is bool:
-        r[m] = x and other
-    else:
-        np.logical_and(x, other, out=x)
-
-
-def _mask_to_status(r: list, m: int) -> None:
-    x = r[m]
-    if type(x) is bool:
-        r[m] = int(not x)  # OVERFLOW == True, as in the view below
-    else:
-        np.logical_not(x, out=x)
-        r[m] = x.view(np.uint8)
-
-
-def _first_failure(r: list, acc: int, s: int) -> None:
-    a = r[acc]
-    if type(a) is int:
-        r[acc] = a or r[s]
-    else:
-        r[acc] = np.where(a != OK, a, r[s])
-
-
-def _divide_status(r: list, q: int, sa: int | None, sb: int | None, s: int) -> None:
-    """Status of the quotient in r[q]; rescued quotients become 0.
-
-    sa and sb are the operand status registers, None where an operand
-    is OK everywhere.  Where every operand is OK and every quotient
-    finite, the status is all OK; an OK divisor leaves nothing to
-    rescue.
+    a and b are the operand statuses, None where an operand is OK
+    everywhere.  Where every operand is OK and every quotient finite,
+    the status is all OK; an OK divisor leaves nothing to rescue.
     """
-    vq = r[q]
-    a = None if sa is None else r[sa]
-    b = None if sb is None else r[sb]
-    if vq.size == 1:
-        # the rules below on int statuses, OK (0) where None
-        if a:
-            r[s] = a
-        elif b == OVERFLOW:
-            vq[0] = 0
-            r[s] = 0
-        else:
-            r[s] = b or (0 if cmath.isfinite(vq.item()) else int(POLE))
-        return
     finite = np.isfinite(vq)
     if finite.all() and (a is None or not a.any()) and (b is None or not b.any()):
-        r[s] = b if b is not None else a if a is not None else np.zeros(vq.shape, np.uint8)
-        return
+        return b if b is not None else a if a is not None else np.zeros(vq.shape, np.uint8)
     if b is None:
         status = np.zeros(vq.shape, np.uint8) if a is None else a
         pole = ~finite
@@ -363,14 +303,59 @@ def _divide_status(r: list, q: int, sa: int | None, sb: int | None, s: int) -> N
             vq[rescue] = 0
     if pole.any():
         status = np.where(pole, POLE, status)
-    r[s] = status
+    return status
+
+
+# every global name the emitted source may use besides the constants
+_NAMES = {
+    "__builtins__": {},
+    "add": np.add,
+    "subtract": np.subtract,
+    "multiply": np.multiply,
+    "divide": np.divide,
+    "negative": np.negative,
+    "exp": np.exp,
+    "sin": np.sin,
+    "cos": np.cos,
+    "isfinite": np.isfinite,
+    "logical_and": np.logical_and,
+    "logical_not": np.logical_not,
+    "where": np.where,
+    "empty": np.empty,
+    "zeros": np.zeros,
+    "complex128": np.complex128,
+    "uint8": np.uint8,
+    "OK": OK,
+    "STATUS": _STATUS_ARRAYS,
+    "scalar_isfinite": cmath.isfinite,
+    "divide_status": _divide_status,
+}
+
+
+@functools.lru_cache(maxsize=256)
+def _function_code(source: str) -> CodeType:
+    """The code of the one function that source defines."""
+    module = compile(source, "<bungee_lab plan>", "exec")
+    return next(c for c in module.co_consts if isinstance(c, CodeType))
+
+
+def _function(name: str, body: list[str], names: dict) -> Callable:
+    lines = "".join(f"    {line}\n" for step in body for line in step.split("\n"))
+    return FunctionType(_function_code(f"def {name}(r0):\n{lines}"), names)
 
 
 def _compile(e: Expr) -> _Plan:
     c = _Compiler()
     root = c.compile(e)
     status = c.status(root)
-    return _Plan(tuple(c.steps), c.n_regs, root.reg, status)
+    if status is None:
+        c.emit(f"return r{root.reg}, STATUS[0]", f"return r{root.reg}, zeros(r0.shape, uint8)")
+    else:
+        c.emit(f"return r{root.reg}, STATUS[r{status}]", f"return r{root.reg}, r{status}")
+    # each function compiled on its own: compile() holds about 4 KB per
+    # line until it returns
+    names = {**_NAMES, **c.consts}
+    return _Plan(_function("one", c.one, names), _function("many", c.many, names))
 
 
 # True inside ignoring_fp_errors(), where eval_array skips its own errstate
@@ -420,11 +405,12 @@ def eval_array(e: Expr, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         z = np.asarray(z, dtype=np.complex128)
         shape = z.shape
         z = z.reshape(-1)
+    run = plan.one if z.size == 1 else plan.many
     if _FP_ERRORS_IGNORED.get():
-        vals, status = plan.run(z)
+        vals, status = run(z)
     else:
         with np.errstate(all="ignore"):
-            vals, status = plan.run(z)
+            vals, status = run(z)
     if flat:
         return vals, status
     return vals.reshape(shape), status.reshape(shape)

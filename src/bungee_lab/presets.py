@@ -385,6 +385,13 @@ def _run_all_paper(samples: int, seed: int) -> list[CheckResult]:
         return [check for name in PRESETS for check in _run_prefixed(name, samples, seed)]
 
 
+def check_preset(name: str) -> None:
+    """Raise KeyError unless name is a preset or "all-paper"."""
+    if name != "all-paper" and name not in PRESETS:
+        known = ", ".join([*PRESETS, "all-paper"])
+        raise KeyError(f"unknown preset {name!r}; known presets: {known}")
+
+
 def run_preset(name: str, samples: int = DEFAULT_SAMPLES, seed: int = 42) -> list[CheckResult]:
     """Run one preset, or every preset for "all-paper".
 
@@ -395,10 +402,8 @@ def run_preset(name: str, samples: int = DEFAULT_SAMPLES, seed: int = 42) -> lis
     Either way it returns the same checks in PRESETS order, named
     "<preset>:<check>".
     """
+    check_preset(name)
     if name == "all-paper":
         return _run_all_paper(samples, seed)
-    if name not in PRESETS:
-        known = ", ".join([*PRESETS, "all-paper"])
-        raise KeyError(f"unknown preset {name!r}; known presets: {known}")
     with shared_classifications():
         return PRESETS[name].run(samples, seed)

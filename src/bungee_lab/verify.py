@@ -421,11 +421,14 @@ def verify_invariance(
 # Pointwise comparison: commutation and value identities
 
 
-def _check_tol(tol: float) -> None:
+def check_pointwise(tol: float, n_max: int = 0) -> None:
+    """Raise ValueError unless tol and n_max are valid pointwise options."""
     # a nan tolerance flags nothing and an infinite one passes everything,
     # so either would make a check pass without testing anything
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
+    if n_max < 0:
+        raise ValueError(f"n_max must be non-negative, got {n_max}")
 
 
 def _pointwise(pts, lhs, rhs, tol, names):
@@ -477,7 +480,7 @@ def verify_commute(
     than MIN_USABLE usable samples marks the whole check inconclusive.
     tol must be finite and non-negative.
     """
-    _check_tol(tol)
+    check_pointwise(tol)
     t0 = time.perf_counter()
     params = params or OrbitParams()
     pts = sampler.points()
@@ -530,9 +533,7 @@ def verify_translate(
     only the drift law.  tol must be finite and non-negative and n_max
     non-negative; n_max = 0 compares nothing and is inconclusive.
     """
-    _check_tol(tol)
-    if n_max < 0:
-        raise ValueError(f"n_max must be non-negative, got {n_max}")
+    check_pointwise(tol, n_max)
     t0 = time.perf_counter()
     c = complex(c)
     g = translate(f, c)
@@ -638,7 +639,7 @@ def verify_value_identity(
     g_text: str | None = None,
 ) -> RelationReport:
     """Compare two expressions pointwise with relative tolerance."""
-    _check_tol(tol)
+    check_pointwise(tol)
     t0 = time.perf_counter()
     params = params or OrbitParams()
     pts = sampler.points()

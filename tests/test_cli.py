@@ -179,6 +179,38 @@ class TestRender:
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+class TestOut:
+    @pytest.mark.parametrize(
+        "work, argv",
+        [
+            ("classify_point", ["classify", "--f", "z^2", "--z0", "0.5"]),
+            ("find_fixed_points", ["fixed-points", "--f", "z^2"]),
+            ("verify_partition", ["verify", "partition", "--f", "z^2"]),
+            ("run_preset", ["preset", "sec4-power"]),
+        ],
+    )
+    def test_unwritable_out_exits_2_before_the_work(
+        self, capsys, tmp_path, monkeypatch, work, argv
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{work} ran despite a usage error")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(f"bungee_lab.cli.{work}", no_work)
+        code, out, err = run(capsys, *argv, "--out", "no-such-dir/x.json")
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write --out ") and err.count("\n") == 1
+
+    def test_bad_options_exit_2_before_opening_out(self, capsys, tmp_path):
+        out_file = tmp_path / "x.json"
+        code, _, err = run(
+            capsys, "verify", "commute", "--f", "z^2", "--g", "1/z^2",
+            "--tol", "nan", "--out", str(out_file),
+        )
+        assert code == 2 and err.startswith("error: tolerance")
+        assert not out_file.exists()
+
+
 class TestFixedPoints:
     def test_squaring_map(self, capsys):
         code, out, _ = run(capsys, "fixed-points", "--f", "z^2", "--grid", "0,0,4,4")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import math
 import random
 import sys
 import threading
@@ -237,12 +238,59 @@ class TestOneElement:
             assert again_vals.tobytes() == want_vals.tobytes(), (text, z0)
 
 
+# the seeds of the shape tests: finite, pole, subnormal, exp overflow,
+# non-finite
+SHAPE_POINTS = np.array([0.5 + 0.1j, 0, 5e-324, 1000, complex("inf"), -1000j], dtype=np.complex128)
+
+
+class TestSizeSplit:
+    """One-element input and every other size take different plan bodies."""
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (1, 1), (2, 3)])
+    @pytest.mark.parametrize("text", ["1/z", "z*exp(-z^2)", "2", "z+1"])
+    def test_results_shaped_like_z(self, text, shape):
+        e = parse(text)
+        n = math.prod(shape)
+        for k in range(SHAPE_POINTS.size - n + 1):
+            z = SHAPE_POINTS[k : k + n].reshape(shape)
+            vals, status = eval_array(e, z)
+            assert vals.shape == status.shape == shape
+            assert vals.dtype == np.complex128 and status.dtype == np.uint8
+            want_vals, want_status = oracle_eval(e, z.reshape(-1))
+            assert status.tobytes() == want_status.tobytes(), (text, z)
+            ok = want_status == engine.OK
+            assert vals.reshape(-1)[ok].tobytes() == want_vals[ok].tobytes(), (text, z)
+
+    def test_constants_stay_per_plan(self):
+        # z+1, z+2 and z+2*pi*i compile to one source and share its code;
+        # each plan must still see its own constants
+        exprs = [parse(t) for t in ("z+1", "z+2", "2*z+1e-300", "z+2*pi*i", "1/z+0.5")]
+        pts = np.concatenate([SHAPE_POINTS, random_points(np.random.default_rng(17), 8)])
+        want = [oracle_eval(e, pts) for e in exprs]
+        for _ in range(3):
+            for e, (want_vals, want_status) in zip(exprs, want):
+                vals, status = eval_array(e, pts)
+                assert status.tobytes() == want_status.tobytes(), str(e)
+                ok = want_status == engine.OK
+                assert vals[ok].tobytes() == want_vals[ok].tobytes(), str(e)
+                for k in range(pts.size):
+                    v1, s1 = eval_array(e, pts[k : k + 1])
+                    assert s1[0] == want_status[k], (str(e), pts[k])
+                    if s1[0] == engine.OK:
+                        assert v1.tobytes() == want_vals[k : k + 1].tobytes(), (str(e), pts[k])
+        plans = [e.__dict__["_plan"] for e in exprs]
+        assert plans[0].one.__code__ is plans[1].one.__code__ is plans[3].one.__code__
+        assert plans[0].many.__code__ is plans[1].many.__code__ is plans[3].many.__code__
+
+
 class TestSharedPlan:
     def test_threads_share_one_plan(self):
         # grid workers evaluate one Expr at once: the first calls race to
-        # compile its plan, and every call must use buffers of its own
+        # compile its plan, and every call must use buffers of its own;
+        # the one-element inputs run the plan's other body at the same time
         e = parse("z*exp(-z^2) + 1/(z-0.5)^2")
         inputs = [random_points(np.random.default_rng(k), 4000 + k) for k in range(8)]
+        inputs += [np.array([z0], dtype=np.complex128) for z0 in (0.3 + 0.2j, 0.5, 1000j, 0)]
         want = [oracle_eval(e, z) for z in inputs]
         failures = []
 
@@ -260,7 +308,7 @@ class TestSharedPlan:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(len(inputs))]
             for t in threads:
                 t.start()
             for t in threads:
