@@ -25,7 +25,7 @@ import json
 import math
 import sys
 
-from .expr import ParseError, constant_value, parse
+from .expr import ParseError, check_composition, constant_value, parse
 from .grid import MAX_GRID_PIXELS, GridSpec, classify_grid, mask_stats, resolve_workers
 from .orbit import OrbitParams, Rect, classify_point, find_fixed_points
 from .presets import DEFAULT_SAMPLES, PRESETS, check_preset, run_preset
@@ -192,8 +192,7 @@ def _cmd_classify(args) -> int:
     z0 = _parse_complex(args.z0)
     params = _orbit_params(args)
     with _open_out(args.out) as out:
-        result, trace = classify_point(f, z0, params)
-        mags = list(trace.magnitudes)
+        result = classify_point(f, z0, params)
         payload = {
             "function": str(f),
             "z0": pair(z0),
@@ -205,8 +204,8 @@ def _cmd_classify(args) -> int:
             },
             "oscillations": result.oscillation_count,
             "params": params.to_dict(),
-            "log10_magnitudes_head": mags[:10],
-            "log10_magnitudes_tail": mags[-10:],
+            "log10_magnitudes_head": list(result.head),
+            "log10_magnitudes_tail": list(result.tail),
         }
         _emit(payload, out)
     _note(
@@ -275,7 +274,9 @@ def _cmd_verify(args) -> int:
     sampler = _sampler(args)
     f = _load_expr(args.f)
     g = _load_expr(args.g) if "g" in vars(args) else None
-    if args.relation == "commute":
+    if args.relation == "containment":
+        _checked(check_composition, f, g)
+    elif args.relation == "commute":
         _checked(check_pointwise, args.tol)
     elif args.relation == "translate":
         c = _load_constant(args.C)

@@ -21,7 +21,10 @@ division rules.
 Plans.  An Expr is compiled once into a plan, cached on the node the
 way node_count is.  The compiler emits Python source for two
 straight-line functions, one for one-element input and one for every
-other size, and eval_array picks one per call.  Each calls the same
+other size, and eval_array picks one per call.  A third function, the
+scalar orbit loop that orbit_loop returns, runs the one-element lines
+inside a loop; it is built from the plan on first use, so plans that
+only see arrays never compile it.  Each calls the same
 numpy ufuncs in the same order as a node-by-node evaluation (Pow is
 square-and-multiply with *, constants are full arrays), so values are
 bit-identical to it.  The source holds only register numbers and names
@@ -37,13 +40,18 @@ one-element function allocates instead, and each constant is one
 read-only one-element array made at compile time.  Registers are
 locals of one call, so threads can share a plan.
 
+The orbit loop keeps each step's status a Python int and its value a
+one-element array: there is no eval_array call, no status array and
+no .item() of a status per step.  It tests for an exact fixed point
+against the previous point as a Python complex, appends each point to
+a buffer and hands the buffer to a fold callback every k steps, which
+keeps the loop's memory bounded by k rather than by the orbit length.
+
 Floating-point errors.  eval_array runs each plan under
 np.errstate(all="ignore"), since statuses, not warnings, report
 overflow and poles.  Entering and leaving an errstate costs more than
-a one-element evaluation, so a caller that evaluates in a loop opens
-one ignoring_fp_errors() block around it, and eval_array inside the
-block skips its own errstate.  The block lives in a context variable,
-as np.errstate does, so other threads do not see it.
+a one-element evaluation, so the orbit loop runs no errstate of its
+own: its caller opens one around the whole orbit.
 
 Status is tracked only where it can change.  Without division, a
 non-finite value stays non-finite in every ancestor up to the nearest
@@ -71,9 +79,7 @@ statuses stay shaped like z.
 from __future__ import annotations
 
 import cmath
-import contextvars
 import functools
-from contextlib import contextmanager
 from dataclasses import dataclass
 from types import CodeType, FunctionType
 from typing import Callable
@@ -89,10 +95,16 @@ POLE = np.uint8(2)
 STATUS_NAMES = ("finite", "overflow", "pole")
 
 
-@dataclass(frozen=True)
+@dataclass
 class _Plan:
     one: Callable  # for one-element input
     many: Callable  # for every other size
+    body: str  # the one-element lines before the return
+    root: int  # register of the value
+    status: int | None  # register of the one-element status; None: always OK
+    kept: bool  # an OK status means body left the value in z
+    names: dict  # the functions' globals
+    orbit: Callable | None = None  # the scalar orbit loop, made on first use
 
 
 @dataclass
@@ -151,8 +163,11 @@ class _Compiler:
 
     # -- statuses --------------------------------------------------------
 
-    def check(self, x: _Operand) -> None:
-        """Record where x's value is non-finite as an OVERFLOW term."""
+    def check(self, x: _Operand, keep: str = "") -> None:
+        """Record where x's value is non-finite as an OVERFLOW term.
+
+        On one element, keep="z := " also leaves the value in local z.
+        """
         if not x.pending:
             return
         x.pending = False
@@ -160,17 +175,17 @@ class _Compiler:
         if x.terms and x.terms[-1][0] == "ok":
             m = x.terms[-1][1]
             self.emit(
-                f"r{m} = r{m} and scalar_isfinite(r{v}.item())",
+                f"r{m} = r{m} and scalar_isfinite({keep}r{v}.item())",
                 f"logical_and(r{m}, isfinite(r{v}), out=r{m})",
             )
             return
         m = self.new_reg()
-        self.emit(f"r{m} = scalar_isfinite(r{v}.item())", f"r{m} = isfinite(r{v})")
+        self.emit(f"r{m} = scalar_isfinite({keep}r{v}.item())", f"r{m} = isfinite(r{v})")
         x.terms.append(("ok", m))
 
-    def status(self, x: _Operand) -> int | None:
+    def status(self, x: _Operand, keep: str = "") -> int | None:
         """Emit x's full status; return its register (None: all OK)."""
-        self.check(x)
+        self.check(x, keep)
         groups = []  # the terms with each run of masks ANDed into its first
         for kind, reg in x.terms:
             if kind == "ok" and groups and groups[-1][0] == "ok":
@@ -328,6 +343,7 @@ _NAMES = {
     "OK": OK,
     "STATUS": _STATUS_ARRAYS,
     "scalar_isfinite": cmath.isfinite,
+    "range": range,
     "divide_status": _divide_status,
 }
 
@@ -339,15 +355,23 @@ def _function_code(source: str) -> CodeType:
     return next(c for c in module.co_consts if isinstance(c, CodeType))
 
 
-def _function(name: str, body: list[str], names: dict) -> Callable:
-    lines = "".join(f"    {line}\n" for step in body for line in step.split("\n"))
-    return FunctionType(_function_code(f"def {name}(r0):\n{lines}"), names)
+def _indent(body: list[str]) -> list[str]:
+    return ["    " + line for step in body for line in step.split("\n")]
+
+
+def _function(signature: str, body: list[str], names: dict) -> Callable:
+    lines = "".join(f"{line}\n" for line in _indent(body))
+    return FunctionType(_function_code(f"def {signature}:\n{lines}"), names)
 
 
 def _compile(e: Expr) -> _Plan:
     c = _Compiler()
     root = c.compile(e)
-    status = c.status(root)
+    # the root's finiteness check, when it has one, also leaves the value
+    # in z as a Python complex; an OK status means the check ran
+    kept = root.pending
+    status = c.status(root, keep="z := ")
+    body = "\n".join(c.one)
     if status is None:
         c.emit(f"return r{root.reg}, STATUS[0]", f"return r{root.reg}, zeros(r0.shape, uint8)")
     else:
@@ -355,33 +379,60 @@ def _compile(e: Expr) -> _Plan:
     # each function compiled on its own: compile() holds about 4 KB per
     # line until it returns
     names = {**_NAMES, **c.consts}
-    return _Plan(_function("one", c.one, names), _function("many", c.many, names))
+    one = _function("one(r0)", c.one, names)
+    return _Plan(one, _function("many(r0)", c.many, names), body, root.reg, status, kept, names)
 
 
-# True inside ignoring_fp_errors(), where eval_array skips its own errstate
-_FP_ERRORS_IGNORED: contextvars.ContextVar[bool] = contextvars.ContextVar(
-    "bungee_lab_fp_errors_ignored", default=False
-)
+def _plan(e: Expr) -> _Plan:
+    plan = e.__dict__.get("_plan")
+    if plan is None:
+        plan = _compile(e)
+        object.__setattr__(e, "_plan", plan)
+    return plan
 
 
-@contextmanager
-def ignoring_fp_errors():
-    """Run the block under one np.errstate(all="ignore").
+def orbit_loop(e: Expr) -> Callable:
+    """The scalar orbit loop of e, compiled on first use.
 
-    eval_array called inside the block skips entering and leaving an
-    errstate of its own, which costs more than a whole one-element
-    evaluation.  Reentrant; like np.errstate, it is not seen by other
-    threads.
+    orbit(r0, n_total, buf, fold, k) iterates e from the one-element
+    complex128 array r0, whose value is the Python complex buf[0], for
+    at most n_total steps.  It appends each new point to buf as a
+    Python complex and calls fold(buf) after every k steps and after
+    the last; fold must empty buf.  It returns (steps, status): the
+    number of evaluations and the status of the last one as an int.  An
+    exact fixed point ends the loop with status OK after fewer than
+    n_total steps.  Run it under np.errstate(all="ignore"), as
+    eval_array runs a plan.
     """
-    if _FP_ERRORS_IGNORED.get():
-        yield
-        return
-    token = _FP_ERRORS_IGNORED.set(True)
-    try:
-        with np.errstate(all="ignore"):
-            yield
-    finally:
-        _FP_ERRORS_IGNORED.reset(token)
+    plan = _plan(e)
+    if plan.orbit is None:
+        v, s = f"r{plan.root}", f"r{plan.status}"
+        step = [plan.body]
+        if plan.status is not None:
+            step.append(f"if {s}:\n    return n + 1, {s}")
+        if not plan.kept:
+            step.append(f"z = {v}.item()")
+        step += [
+            "append(z)",
+            "if z == prev:\n    return n + 1, 0",
+            "prev = z",
+            f"r0 = {v}",
+        ]
+        # chunks of k steps, folded after each, without a per-step test
+        chunk = [
+            "for n in range(start, start + k if start + k < n_total else n_total):",
+            *_indent(step),
+            "fold(buf)",
+        ]
+        body = [
+            "prev = buf[0]",
+            "append = buf.append",
+            "for start in range(0, n_total, k):",
+            *_indent(chunk),
+            "return n_total, 0",
+        ]
+        plan.orbit = _function("orbit(r0, n_total, buf, fold, k)", body, plan.names)
+    return plan.orbit
 
 
 _COMPLEX128 = np.dtype(np.complex128)
@@ -396,21 +447,15 @@ def eval_array(e: Expr, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     shared between calls and read-only: the status always, the values
     when e is a constant.
     """
-    plan = e.__dict__.get("_plan")
-    if plan is None:
-        plan = _compile(e)
-        object.__setattr__(e, "_plan", plan)
+    plan = _plan(e)
     flat = type(z) is np.ndarray and z.ndim == 1 and z.dtype is _COMPLEX128
     if not flat:
         z = np.asarray(z, dtype=np.complex128)
         shape = z.shape
         z = z.reshape(-1)
     run = plan.one if z.size == 1 else plan.many
-    if _FP_ERRORS_IGNORED.get():
+    with np.errstate(all="ignore"):
         vals, status = run(z)
-    else:
-        with np.errstate(all="ignore"):
-            vals, status = run(z)
     if flat:
         return vals, status
     return vals.reshape(shape), status.reshape(shape)

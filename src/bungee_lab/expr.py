@@ -562,14 +562,19 @@ def derivative(e: Expr) -> Expr:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def compose(f: Expr, g: Expr, max_nodes: int = DEFAULT_NODE_CAP) -> Expr:
-    """f(g(z)): substitute g for every occurrence of z in f."""
+def check_composition(f: Expr, g: Expr, max_nodes: int = DEFAULT_NODE_CAP) -> None:
+    """Raise ExpressionTooLargeError if f(g(z)) would exceed max_nodes nodes."""
     projected = f.node_count + f.var_count * (g.node_count - 1)
     if projected > max_nodes:
         raise ExpressionTooLargeError(
             f"composition would produce about {projected} nodes "
             f"(limit {max_nodes})"
         )
+
+
+def compose(f: Expr, g: Expr, max_nodes: int = DEFAULT_NODE_CAP) -> Expr:
+    """f(g(z)): substitute g for every occurrence of z in f."""
+    check_composition(f, g, max_nodes)
 
     def subst(e: Expr) -> Expr:
         if isinstance(e, Var):

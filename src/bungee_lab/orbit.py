@@ -22,13 +22,24 @@ and undecided verdicts are heuristic; pole, escaping, and bounded are
 confident.  classify_point and classify_batch share one evaluation
 engine and one rule table, so a single seed classifies identically no
 matter which path ran it.
+
+classify_point runs one seed in the scalar orbit loop that the engine
+generates from the map's one-element plan.  It streams: the loop
+buffers at most CHUNK + 1 points, and every CHUNK steps one numpy pass
+takes their magnitudes and folds them into the oscillation count, the
+all-below flag and the length of the current run of magnitudes above
+log10(escape_radius) that never decrease (the tail test is that run
+reaching tail_window).  Per orbit it keeps only these, the step count
+and the first and last SUMMARY_MAGNITUDES magnitudes, so its memory
+does not grow with max_iter.  classify_batch streams per seed as well.
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,92 +135,97 @@ class Termination:
 
 
 @dataclass(frozen=True)
-class OrbitTrace:
-    seed: complex
-    magnitudes: tuple[float, ...]  # log10 |z_n|; -inf for 0; +inf on overflow
-    termination: Termination
-    oscillation_count: int
-    points: tuple[complex, ...] = field(repr=False, default=())
+class OrbitSummary:
+    """What classify_point keeps of one orbit: its verdict and a few magnitudes."""
 
-
-@dataclass(frozen=True)
-class Classification:
     verdict: Verdict
     confidence: str
-    oscillation_count: int
     termination: Termination
+    oscillation_count: int
+    all_below: bool  # every magnitude at or below log10(bound_radius)
+    tail_escape: bool  # the last tail_window magnitudes: above log10(escape_radius), nondecreasing
+    steps: int  # evaluations of the map
+    head: tuple[float, ...]  # the first SUMMARY_MAGNITUDES log10 magnitudes
+    tail: tuple[float, ...]  # the last SUMMARY_MAGNITUDES log10 magnitudes
 
 
-def count_oscillations(magnitudes, params: OrbitParams) -> int:
-    """Completed excursions: above escape_radius, then below bound_radius."""
-    log_esc = params.log_escape
-    log_bound = params.log_bound
-    count = 0
-    in_excursion = False
-    for m in magnitudes:
-        if not in_excursion:
-            if m > log_esc:
-                in_excursion = True
-        elif m < log_bound:
-            count += 1
-            in_excursion = False
-    return count
+# points the scalar loop buffers between two folds; a module constant,
+# not an option: about the default max_iter, so a longer orbit needs no
+# more memory than a default one
+CHUNK = 1024
+SUMMARY_MAGNITUDES = 10
 
 
-def iterate_orbit(f: Expr, z0: complex, params: OrbitParams) -> OrbitTrace:
-    """Follow one orbit, recording points and log10 magnitudes.
+class _Fold:
+    """The streaming state of one orbit's log10 magnitudes.
 
-    The loop calls eval_array once per step and keeps only the points;
-    their log10 magnitudes are taken in one pass after the loop.  The
-    whole loop runs under one engine.ignoring_fp_errors() block, so no
-    step enters and leaves an errstate of its own.
+    Called with a list of orbit points, it takes their magnitudes in one
+    numpy pass, folds them in and empties the list.  It carries what
+    crosses a chunk boundary: the in-excursion flag, the last magnitude
+    and the length of the run of magnitudes above log10(escape_radius)
+    that never decrease.
     """
-    z = np.array([z0], dtype=np.complex128)
-    if not np.isfinite(z)[0]:
-        return OrbitTrace(
-            seed=complex(z0),
-            magnitudes=(math.inf,),
-            termination=Termination("overflow", 0),
-            oscillation_count=0,
-            points=(),
-        )
-    n_total = params.max_iter
-    points = [z.item()]  # Python complex: cheaper to compare than numpy scalars
-    termination = Termination("completed", n_total)
-    with engine.ignoring_fp_errors():
-        for n in range(n_total):
-            vals, status = eval_array(f, z)
-            st = status.item()
-            if st == engine.POLE:
-                termination = Termination("pole", n)
-                break
-            if st == engine.OVERFLOW:
-                termination = Termination("overflow", n + 1)
-                break
-            points.append(vals.item())
-            if points[-1] == points[-2]:
-                break  # exact fixed point, padded below
-            z = vals
-    orbit = np.array(points, dtype=np.complex128)
-    with np.errstate(all="ignore"):
-        mags = np.log10(np.abs(orbit)).tolist()
-    if termination.kind == "overflow":
-        mags.append(math.inf)
-    elif termination.kind == "completed":
-        # an exact fixed point ends the loop early; the rest of the orbit
-        # repeats its value
-        mags.extend([mags[-1]] * (n_total + 1 - len(mags)))
-    return OrbitTrace(
-        seed=complex(z0),
-        magnitudes=tuple(mags),
-        termination=termination,
-        oscillation_count=count_oscillations(mags, params),
-        points=tuple(orbit.tolist()),
-    )
+
+    def __init__(self, params: OrbitParams):
+        self.log_esc = params.log_escape
+        self.log_bound = params.log_bound
+        self.length = 0  # magnitudes folded in
+        self.oscillations = 0
+        self.in_excursion = False
+        self.all_below = True
+        self.run = 0
+        self.last = -math.inf
+        self.head: list[float] = []
+        self.tail: list[float] = []
+
+    def __call__(self, points: list) -> None:
+        if points:
+            m = np.log10(np.abs(np.array(points, dtype=np.complex128)))
+            points.clear()
+            self.add(m)
+
+    def add(self, m: np.ndarray) -> None:
+        """Fold in the magnitudes m, which follow every magnitude so far."""
+        log_esc = self.log_esc
+        # an excursion goes above log_esc and ends below log_bound; keep
+        # only those events, True for above, after the carried flag
+        events = m[(m > log_esc) | (m < self.log_bound)] > log_esc
+        events = np.concatenate(([self.in_excursion], events))
+        self.oscillations += int(np.count_nonzero(events[:-1] > events[1:]))
+        self.in_excursion = bool(events[-1])
+        self.all_below = self.all_below and bool((m <= self.log_bound).all())
+        above = m > log_esc
+        grows = above & (m >= np.concatenate(([self.last], m[:-1])))
+        breaks = np.flatnonzero(~grows)
+        if breaks.size:
+            # the run restarts after the last break, at 1 if that
+            # magnitude is above (it decreased), at 0 if not
+            j = breaks[-1]
+            self.run = int(m.size - 1 - j + above[j])
+        else:
+            self.run += m.size
+        self.last = float(m[-1])
+        self._keep(m[:SUMMARY_MAGNITUDES].tolist(), m[-SUMMARY_MAGNITUDES:].tolist(), m.size)
+
+    def repeat(self, count: int) -> None:
+        """Fold in count more copies of the last magnitude (a frozen orbit)."""
+        if count <= 0:
+            return
+        if self.last > self.log_esc:
+            self.run += count
+        k = min(count, SUMMARY_MAGNITUDES)
+        self._keep([self.last] * k, [self.last] * k, count)
+
+    def _keep(self, first: list, last: list, count: int) -> None:
+        self.length += count
+        if len(self.head) < SUMMARY_MAGNITUDES:
+            self.head += first[: SUMMARY_MAGNITUDES - len(self.head)]
+        self.tail = (self.tail + last)[-SUMMARY_MAGNITUDES:]
 
 
 def _verdicts(term_kind, osc, all_below, tail_escape, params: OrbitParams):
-    """Shared rule table; all arguments are numpy arrays of equal shape."""
+    """Shared rule table; the arguments are numpy arrays of equal shape or
+    numpy scalars, which give a 0-d verdict array and a bool scalar."""
     completed = term_kind == TERM_COMPLETED
     bungee = (osc >= params.min_oscillations) | (~completed & (osc >= 1))
     pole = ~bungee & (term_kind == TERM_POLE)
@@ -226,45 +242,58 @@ def _verdicts(term_kind, osc, all_below, tail_escape, params: OrbitParams):
     return verdict, confident
 
 
-def _tail_flags(magnitudes, params: OrbitParams) -> tuple[bool, bool]:
-    """(all_below, tail_escape) summaries of a completed magnitude list."""
-    log_bound = params.log_bound
-    log_esc = params.log_escape
-    all_below = all(m <= log_bound for m in magnitudes)
-    w = min(params.tail_window, len(magnitudes))
-    tail = magnitudes[len(magnitudes) - w :]
-    tail_escape = all(m > log_esc for m in tail) and all(
-        tail[i + 1] >= tail[i] for i in range(len(tail) - 1)
-    )
-    return all_below, tail_escape
+def classify_point(f: Expr, z0: complex, params: OrbitParams) -> OrbitSummary:
+    """Follow one orbit in f's generated scalar loop and classify it.
 
-
-def classify(trace: OrbitTrace, params: OrbitParams) -> Classification:
-    """Apply the verdict rules to a recorded orbit."""
-    kind = TERM_NAMES.index(trace.termination.kind)
-    all_below, tail_escape = _tail_flags(trace.magnitudes, params)
-    verdict_arr, confident_arr = _verdicts(
-        np.array([kind], dtype=np.uint8),
-        np.array([trace.oscillation_count], dtype=np.int32),
-        np.array([all_below]),
-        np.array([tail_escape]),
+    The loop keeps at most CHUNK + 1 points (the seed rides with the
+    first chunk); every CHUNK steps, and after the last one, their
+    magnitudes are folded into a _Fold.  An exact fixed point ends the
+    loop early, and the rest of the orbit, which repeats its value, is
+    folded in without evaluating.  So memory does not grow with
+    max_iter.  Everything runs under one errstate.
+    """
+    z0 = complex(z0)
+    fold = _Fold(params)
+    n_total = params.max_iter
+    with np.errstate(all="ignore"):
+        if cmath.isfinite(z0):
+            points = [z0]
+            loop = engine.orbit_loop(f)
+            # the loop's statuses are engine's OK, OVERFLOW and POLE,
+            # which are also TERM_COMPLETED, TERM_OVERFLOW and TERM_POLE
+            steps, status = loop(np.array([z0], dtype=np.complex128), n_total, points, fold, CHUNK)
+        else:
+            points, steps, status = [], 0, TERM_OVERFLOW
+        if status == TERM_OVERFLOW:
+            points.append(complex(math.inf))  # the magnitude of the bad point
+        fold(points)
+    if status == TERM_COMPLETED:
+        fold.repeat(n_total - steps)
+    # completed at max_iter, overflow at the bad point, pole at the
+    # point the map failed at
+    step = (n_total, steps, steps - 1)[status]
+    termination = Termination(TERM_NAMES[status], step)
+    # a tail shorter than tail_window is tested whole, like any other
+    tail_escape = fold.run >= min(params.tail_window, fold.length)
+    # numpy scalars: the rule table costs half as much as on arrays
+    verdict, confident = _verdicts(
+        np.uint8(status),
+        np.int32(fold.oscillations),
+        np.bool_(fold.all_below),
+        np.bool_(tail_escape),
         params,
     )
-    verdict = Verdict(int(verdict_arr[0]))
-    confidence = CONFIDENT if bool(confident_arr[0]) else HEURISTIC
-    return Classification(
-        verdict=verdict,
-        confidence=confidence,
-        oscillation_count=trace.oscillation_count,
-        termination=trace.termination,
+    return OrbitSummary(
+        verdict=Verdict(int(verdict)),
+        confidence=CONFIDENT if confident else HEURISTIC,
+        termination=termination,
+        oscillation_count=fold.oscillations,
+        all_below=fold.all_below,
+        tail_escape=tail_escape,
+        steps=steps,
+        head=tuple(fold.head),
+        tail=tuple(fold.tail),
     )
-
-
-def classify_point(
-    f: Expr, z0: complex, params: OrbitParams
-) -> tuple[Classification, OrbitTrace]:
-    trace = iterate_orbit(f, z0, params)
-    return classify(trace, params), trace
 
 
 @dataclass
@@ -333,7 +362,7 @@ def classify_batch(
     below = m <= log_bound
     n_osc = np.zeros(alive.size, dtype=np.int32)
     # from step first_tail on: every magnitude so far above log_esc and
-    # nondecreasing, as in _tail_flags (m >= prev holds for inf >= inf)
+    # nondecreasing (m >= prev holds for inf >= inf)
     first_tail = n_total - w
     tail_ok = prev = None
     if want_tail_values:

@@ -328,6 +328,22 @@ class TestVerify:
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1
 
+    def test_over_cap_composition_exits_2_before_opening_out(self, capsys, tmp_path, monkeypatch):
+        # the composite of two 2000-factor products is far over the node cap
+        def no_work(*args, **kwargs):
+            raise AssertionError("containment ran despite a usage error")
+
+        monkeypatch.setattr(cli, "verify_composition_containments", no_work)
+        big = "*".join(["z"] * 2000)
+        out_file = tmp_path / "x.json"
+        code, out, err = run(
+            capsys, "verify", "containment", "--f", big, "--g", big, "--out", str(out_file)
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: composition would produce about ")
+        assert err.count("\n") == 1
+        assert not out_file.exists()
+
     def test_partition_without_decisive_samples_is_inconclusive(self, capsys):
         # every sample of this tiny square sits on the pole at 0
         code, out, err = run(

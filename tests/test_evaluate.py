@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from bungee_lab import engine
 from bungee_lab.engine import eval_array, evaluate
 from bungee_lab.expr import Z, Div, Pow, compose, derivative, parse
+from bungee_lab.orbit import OrbitParams, classify_batch
 from bungee_lab.presets import PRESET_FUNCTIONS
 
 from conftest import random_expr, random_points
@@ -281,6 +282,40 @@ class TestSizeSplit:
         plans = [e.__dict__["_plan"] for e in exprs]
         assert plans[0].one.__code__ is plans[1].one.__code__ is plans[3].one.__code__
         assert plans[0].many.__code__ is plans[1].many.__code__ is plans[3].many.__code__
+
+
+class TestOrbitLoop:
+    def test_made_on_first_scalar_use_and_cached_on_its_source(self):
+        # z+1 and z+2 share one source, so their loops share one code
+        # object; an array evaluation or a batch never builds a loop
+        exprs = [parse("z+1"), parse("z+2")]
+        for e in exprs:
+            eval_array(e, SHAPE_POINTS)
+            eval_array(e, SHAPE_POINTS[:1])
+        classify_batch(exprs[0], SHAPE_POINTS, OrbitParams(max_iter=5, tail_window=1))
+        assert [e.__dict__["_plan"].orbit for e in exprs] == [None, None]
+        loops = [engine.orbit_loop(e) for e in exprs]
+        assert loops[0].__code__ is loops[1].__code__
+        assert engine.orbit_loop(exprs[0]) is loops[0]
+
+    @pytest.mark.parametrize("text", ["z*exp(-z^2)", "1/z^2", "2", "z", "(z-1)/(z^2-1e300)"])
+    def test_steps_like_the_one_element_plan(self, text):
+        # the loop runs the one-element lines: each point is what the
+        # one-element plan gives for the previous one
+        e = parse(text)
+        for z0 in (0.5 + 0.1j, 1e200 + 0j, 1 + 0j):
+            points = [z0]
+            with np.errstate(all="ignore"):
+                steps, status = engine.orbit_loop(e)(np.array([z0]), 20, points, lambda buf: None, 10**6)
+            assert all(type(p) is complex for p in points)
+            for a, b in zip(points, points[1:]):
+                vals, st = eval_array(e, np.array([a]))
+                assert st[0] == engine.OK and vals.tobytes() == np.array([b]).tobytes()
+            if status != engine.OK:
+                _, st = eval_array(e, np.array([points[-1]]))
+                assert st[0] == status and steps == len(points)
+            else:
+                assert steps == len(points) - 1
 
 
 class TestSharedPlan:

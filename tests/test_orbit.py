@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,15 +24,13 @@ from bungee_lab.orbit import (
     Verdict,
     classify_batch,
     classify_point,
-    count_oscillations,
     find_fixed_points,
-    iterate_orbit,
 )
 from bungee_lab.presets import PRESET_FUNCTIONS
 
 import orbit_oracle
 from conftest import random_expr, random_points
-from orbit_oracle import oracle_iterate_orbit
+from orbit_oracle import count_oscillations, oracle_iterate_orbit, oracle_summary, tail_flags
 
 
 class TestParams:
@@ -71,57 +70,103 @@ class TestParams:
         assert OrbitParams(max_iter=2**31 - 1).max_iter == 2**31 - 1
 
 
+def folded(magnitudes, params, chunk):
+    """The streaming fold of magnitudes, fed chunk magnitudes at a time."""
+    fold = orbit._Fold(params)
+    for k in range(0, len(magnitudes), chunk):
+        fold.add(np.array(magnitudes[k : k + chunk], dtype=np.float64))
+    return fold
+
+
 class TestOscillationCounting:
+    # the oracle's count and the streaming fold, in chunks of every size
+
+    @staticmethod
+    def count(magnitudes, p):
+        want = count_oscillations(magnitudes, p)
+        for chunk in range(1, len(magnitudes) + 1):
+            assert folded(magnitudes, p, chunk).oscillations == want, chunk
+        return want
+
     def test_needs_completed_excursions(self):
         p = OrbitParams()  # thresholds at log10 8 and 4
-        assert count_oscillations([0.0, 9.0, 3.0, 9.0, 1.0], p) == 2
-        assert count_oscillations([0.0, 9.0, 5.0], p) == 0  # never returns below
-        assert count_oscillations([0.0, 3.0, 2.0], p) == 0  # never leaves
+        assert self.count([0.0, 9.0, 3.0, 9.0, 1.0], p) == 2
+        assert self.count([0.0, 9.0, 5.0], p) == 0  # never returns below
+        assert self.count([0.0, 3.0, 2.0], p) == 0  # never leaves
         assert count_oscillations([], p) == 0
+        assert orbit._Fold(p).oscillations == 0
 
     def test_staying_high_is_one_excursion(self):
         p = OrbitParams()
-        assert count_oscillations([9.0, 10.0, 11.0, 2.0], p) == 1
+        assert self.count([9.0, 10.0, 11.0, 2.0], p) == 1
 
     def test_pole_magnitudes_count(self):
         # alternation through -inf (hitting 0) still completes excursions
         p = OrbitParams()
-        assert count_oscillations([9.0, float("-inf"), 9.0, 0.0], p) == 2
+        assert self.count([9.0, float("-inf"), 9.0, 0.0], p) == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.sampled_from([-math.inf, 0.0, 3.0, 4.0, 5.0, 8.0, 8.5, 9.0, 12.0, math.inf]),
+                 max_size=24),
+        st.integers(1, 8),
+        st.integers(1, 24),
+    )
+    def test_fold_matches_the_oracle_flags(self, magnitudes, chunk, window):
+        p = OrbitParams(max_iter=24, tail_window=window)
+        fold = folded(magnitudes, p, chunk)
+        all_below, tail_escape = tail_flags(magnitudes, p)
+        assert fold.oscillations == count_oscillations(magnitudes, p)
+        assert fold.all_below == all_below
+        if magnitudes:
+            assert (fold.run >= min(window, fold.length)) == tail_escape
+        assert fold.length == len(magnitudes)
+        assert fold.head == magnitudes[:10] and fold.tail == magnitudes[-10:]
 
 
 class TestIterateOrbit:
+    # what classify_point keeps of an orbit: its summary, and no points
+
     def test_reciprocal_square_trace(self):
-        tr = iterate_orbit(parse("1/z^2"), 2.0, OrbitParams())
-        assert tr.termination.kind == "pole"
-        assert tr.termination.step == 9
-        assert tr.oscillation_count == 2
-        assert len(tr.magnitudes) == 10
-        np.testing.assert_allclose(tr.magnitudes[:4], [0.301, -0.602, 1.204, -2.408], atol=5e-4)
+        s = classify_point(parse("1/z^2"), 2.0, OrbitParams())
+        assert s.termination.kind == "pole"
+        assert s.termination.step == 9
+        assert s.steps == 10
+        assert s.oscillation_count == 2
+        # ten magnitudes in all, so the head and the tail are the same ten
+        assert len(s.head) == 10 and s.tail == s.head
+        np.testing.assert_allclose(s.head[:4], [0.301, -0.602, 1.204, -2.408], atol=5e-4)
+        tr = oracle_iterate_orbit(parse("1/z^2"), 2.0, OrbitParams())
         assert tr.points[0] == 2.0
         assert tr.points[1] == 0.25
+        assert _bits(tr.magnitudes) == _bits(s.head)
 
     def test_seed_on_pole(self):
-        tr = iterate_orbit(parse("1/z^2"), 0.0, OrbitParams())
-        assert tr.termination == type(tr.termination)("pole", 0)
-        assert tr.magnitudes == (float("-inf"),)
+        s = classify_point(parse("1/z^2"), 0.0, OrbitParams())
+        assert s.termination == type(s.termination)("pole", 0)
+        assert s.steps == 1
+        assert s.head == s.tail == (float("-inf"),)
 
     def test_nonfinite_seed(self):
-        tr = iterate_orbit(parse("z^2"), complex(float("nan"), 0), OrbitParams())
-        assert tr.termination.kind == "overflow"
-        assert tr.termination.step == 0
+        s = classify_point(parse("z^2"), complex(float("nan"), 0), OrbitParams())
+        assert s.termination.kind == "overflow"
+        assert s.termination.step == 0
+        assert s.steps == 0
+        assert s.head == s.tail == (float("inf"),)
 
     def test_overflow_records_inf_magnitude(self):
-        tr = iterate_orbit(parse("z^2"), 2.0, OrbitParams())
-        assert tr.termination.kind == "overflow"
-        assert tr.termination.step == 10
-        assert tr.magnitudes[-1] == float("inf")
+        s = classify_point(parse("z^2"), 2.0, OrbitParams())
+        assert s.termination.kind == "overflow"
+        assert s.termination.step == 10
+        assert s.tail[-1] == float("inf")
 
     def test_frozen_orbit_completes(self):
-        tr = iterate_orbit(Z, 0.5, OrbitParams(max_iter=50))
-        assert tr.termination.kind == "completed"
-        assert tr.termination.step == 50
-        assert len(tr.magnitudes) == 51
-        assert len(set(tr.magnitudes)) == 1
+        s = classify_point(Z, 0.5, OrbitParams(max_iter=50))
+        assert s.termination.kind == "completed"
+        assert s.termination.step == 50
+        assert s.steps == 1
+        assert len(s.head) == len(s.tail) == 10
+        assert len(set(s.head + s.tail)) == 1
 
 
 # maps with poles (1/z at 0, 1/(z-1) at 1), overflow (z^64, 1e300*z) and
@@ -139,15 +184,14 @@ def _bits(values) -> bytes:
     return np.array(values, dtype=np.complex128).tobytes()
 
 
-def assert_same_trace(got, want):
-    """Equal traces, magnitudes and points compared bit for bit."""
-    assert got.termination == want.termination
-    assert got.oscillation_count == want.oscillation_count
-    assert _bits(got.seed) == _bits(want.seed)
-    assert _bits(got.magnitudes) == _bits(want.magnitudes)
-    assert _bits(got.points) == _bits(want.points)
-    assert all(type(m) is float for m in got.magnitudes)
-    assert all(type(p) is complex for p in got.points)
+def assert_same_summary(got, want):
+    """Equal summaries, magnitudes compared bit for bit."""
+    assert got == want
+    assert _bits(got.head) == _bits(want.head)
+    assert _bits(got.tail) == _bits(want.tail)
+    assert all(type(m) is float for m in got.head + got.tail)
+    assert type(got.steps) is type(got.oscillation_count) is int
+    assert type(got.all_below) is type(got.tail_escape) is bool
 
 
 @st.composite
@@ -163,22 +207,22 @@ def orbit_params(draw):
     )
 
 
+oracle_maps = st.one_of(
+    st.sampled_from(ORACLE_MAPS).map(parse),
+    st.integers(0, 2**32 - 1).map(lambda s: random_expr(random.Random(s), 3)),
+)
+oracle_seeds = st.one_of(
+    st.sampled_from(ORACLE_SEEDS),
+    st.complex_numbers(max_magnitude=4.0),
+    st.complex_numbers(allow_nan=True, allow_infinity=True),
+)
+
+
 class TestOracleAgreement:
     @settings(max_examples=400, deadline=None)
-    @given(
-        st.one_of(
-            st.sampled_from(ORACLE_MAPS).map(parse),
-            st.integers(0, 2**32 - 1).map(lambda s: random_expr(random.Random(s), 3)),
-        ),
-        st.one_of(
-            st.sampled_from(ORACLE_SEEDS),
-            st.complex_numbers(max_magnitude=4.0),
-            st.complex_numbers(allow_nan=True, allow_infinity=True),
-        ),
-        orbit_params(),
-    )
+    @given(oracle_maps, oracle_seeds, orbit_params())
     def test_trace_matches_oracle(self, f, z0, params):
-        assert_same_trace(iterate_orbit(f, z0, params), oracle_iterate_orbit(f, z0, params))
+        assert_same_summary(classify_point(f, z0, params), oracle_summary(f, z0, params))
 
     @pytest.mark.parametrize("text", PRESET_FUNCTIONS)
     def test_full_length_orbits_match_oracle(self, text):
@@ -186,9 +230,49 @@ class TestOracleAgreement:
         rng = random.Random(text)
         for _ in range(8):
             z0 = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            assert_same_trace(
-                iterate_orbit(f, z0, OrbitParams()), oracle_iterate_orbit(f, z0, OrbitParams())
+            assert_same_summary(
+                classify_point(f, z0, OrbitParams()), oracle_summary(f, z0, OrbitParams())
             )
+
+
+# maps and seeds whose orbits end after 16 consecutive step counts:
+# "10*z" overflows, "0.5*z" underflows to the fixed point 0 and
+# "(z+1e-300/z)-1" counts down to the pole at 0
+EDGE_ORBITS = (
+    [("10*z", 10.0 ** (300.5 - t)) for t in range(16)]
+    + [("0.5*z", 2.0 ** (t - 1074)) for t in range(16)]
+    + [("(z+1e-300/z)-1", float(t)) for t in range(16)]
+    + [("1/z^2", 2.0), ("1/z", 1e9), ("z+sin(z)+2*pi", 0.5)]
+)
+EDGE_PARAMS = OrbitParams(max_iter=60, escape_radius=100.0, bound_radius=10.0, tail_window=4)
+
+
+class TestChunkBoundaries:
+    """The streaming summary does not depend on where the chunks end."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+    @settings(max_examples=150, deadline=None)
+    @given(oracle_maps, oracle_seeds, orbit_params())
+    def test_summary_matches_oracle(self, chunk, f, z0, params):
+        with mock.patch.object(orbit, "CHUNK", chunk):
+            got = classify_point(f, z0, params)
+        assert_same_summary(got, oracle_summary(f, z0, params))
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+    def test_orbits_ending_at_every_offset(self, monkeypatch, chunk):
+        monkeypatch.setattr(orbit, "CHUNK", chunk)
+        offsets = {}
+        for text, z0 in EDGE_ORBITS:
+            want = oracle_summary(parse(text), z0, EDGE_PARAMS)
+            assert_same_summary(classify_point(parse(text), z0, EDGE_PARAMS), want)
+            kind = want.termination.kind
+            if kind == "completed" and want.steps < EDGE_PARAMS.max_iter:
+                kind = "frozen"
+            offsets.setdefault(kind, set()).add(want.steps % chunk)
+        # each way of ending falls on the last step of a chunk, on the
+        # first step of the next one, and everywhere between
+        for kind in ("overflow", "frozen", "pole"):
+            assert offsets[kind] == set(range(chunk)), kind
 
 
 class TestOneEvaluationPerStep:
@@ -207,28 +291,23 @@ class TestOneEvaluationPerStep:
         ],
     )
     def test_eval_array_once_per_step(self, monkeypatch, text, z0, max_iter, steps):
-        # bench/tracer.py counts orbit steps as calls of orbit.eval_array
-        counts = {}
+        # the summary counts the evaluations that the oracle makes through
+        # eval_array, one per step
+        calls = []
+        real = orbit_oracle.eval_array
 
-        def counting(module):
-            real = module.eval_array
+        def counting(e, z):
+            calls.append(1)
+            return real(e, z)
 
-            def eval_array(e, z):
-                counts[module] = counts.get(module, 0) + 1
-                return real(e, z)
-
-            monkeypatch.setattr(module, "eval_array", eval_array)
-
-        counting(orbit)
-        counting(orbit_oracle)
+        monkeypatch.setattr(orbit_oracle, "eval_array", counting)
         f, params = parse(text), OrbitParams(max_iter=max_iter, tail_window=1)
-        iterate_orbit(f, z0, params)
         oracle_iterate_orbit(f, z0, params)
-        assert counts.get(orbit, 0) == counts.get(orbit_oracle, 0) == steps
+        assert classify_point(f, z0, params).steps == len(calls) == steps
 
 
 class TestOneErrstatePerOrbit:
-    # iterate_orbit runs its loop under one engine.ignoring_fp_errors() block
+    # classify_point runs its loop and its folds under one np.errstate
 
     @pytest.mark.parametrize(
         "text, z0, kind",
@@ -237,22 +316,22 @@ class TestOneErrstatePerOrbit:
     def test_restores_errstate(self, text, z0, kind):
         with np.errstate(over="raise", divide="warn", invalid="print", under="ignore"):
             before = np.geterr()
-            tr = iterate_orbit(parse(text), z0, OrbitParams(max_iter=60))
-            assert tr.termination.kind == kind
+            s = classify_point(parse(text), z0, OrbitParams(max_iter=60))
+            assert s.termination.kind == kind
             assert np.geterr() == before
 
     def test_restores_errstate_when_a_step_raises(self, monkeypatch):
         seen = []
 
-        def failing(e, z):
+        def failing(r0, n_total, buf, fold, k):
             seen.append(np.geterr())
             raise RuntimeError("step failed")
 
-        monkeypatch.setattr(orbit, "eval_array", failing)
+        monkeypatch.setattr(engine, "orbit_loop", lambda e: failing)
         with np.errstate(over="raise", divide="warn", invalid="print", under="ignore"):
             before = np.geterr()
             with pytest.raises(RuntimeError, match="step failed"):
-                iterate_orbit(parse("z^2"), 0.5, OrbitParams())
+                classify_point(parse("z^2"), 0.5, OrbitParams())
             assert np.geterr() == before
         assert seen == [{"divide": "ignore", "over": "ignore", "under": "ignore", "invalid": "ignore"}]
         # the block is closed: a bare eval_array opens its own errstate again
@@ -261,55 +340,63 @@ class TestOneErrstatePerOrbit:
             _, status = eval_array(parse("z^2"), np.array([1e300], dtype=np.complex128))
         assert status[0] == engine.OVERFLOW
 
-    @pytest.mark.parametrize("n", [1, 3])
-    def test_block_is_not_seen_by_other_threads(self, n):
-        f = parse("z^2")
-        z = np.array([1e300, 1e-200, 2.0][:n], dtype=np.complex128)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with engine.ignoring_fp_errors():
-                with ThreadPoolExecutor(1) as pool:
-                    _, in_worker = pool.submit(eval_array, f, z).result(timeout=60)
-            _, bare = eval_array(f, z)
-        want = [engine.OVERFLOW, engine.OK, engine.OK][:n]
-        assert list(in_worker) == list(bare) == want
+
+class TestBoundedMemory:
+    def test_peak_does_not_grow_with_max_iter(self):
+        # the loop buffers one chunk of points and the summary keeps 20
+        # magnitudes, so 100x the steps must not take 2x the memory
+        f, z0 = parse("z*exp(-z^2)"), 0.5 + 0.1j
+        classify_point(f, z0, OrbitParams(max_iter=10))  # compiles the loop
+
+        def peak(max_iter):
+            tracemalloc.start()
+            try:
+                s = classify_point(f, z0, OrbitParams(max_iter=max_iter))
+                return tracemalloc.get_traced_memory()[1], s
+            finally:
+                tracemalloc.stop()
+
+        small, _ = peak(10**3)
+        big, s = peak(10**5)
+        assert s.termination.kind == "completed" and s.steps == 10**5
+        assert big <= 2 * small, (small, big)
 
 
 class TestClassifyPoint:
     def test_reciprocal_square_is_bungee(self):
-        c, tr = classify_point(parse("1/z^2"), 2.0, OrbitParams())
+        c = classify_point(parse("1/z^2"), 2.0, OrbitParams())
         assert c.verdict is Verdict.BUNGEE
         assert c.confidence == HEURISTIC
         assert c.oscillation_count == 2
         assert c.termination.kind == "pole"
 
     def test_squaring_map_inside_disc(self):
-        c, _ = classify_point(parse("z^2"), 0.5, OrbitParams())
+        c = classify_point(parse("z^2"), 0.5, OrbitParams())
         assert c.verdict is Verdict.BOUNDED
         assert c.confidence == CONFIDENT
         assert c.termination.kind == "completed"
 
     def test_squaring_map_outside_disc(self):
-        c, _ = classify_point(parse("z^2"), 2.0, OrbitParams())
+        c = classify_point(parse("z^2"), 2.0, OrbitParams())
         assert c.verdict is Verdict.ESCAPING
         assert c.confidence == CONFIDENT
         assert c.termination == type(c.termination)("overflow", 10)
 
     def test_pole_seed(self):
-        c, _ = classify_point(parse("1/z^2"), 0.0, OrbitParams())
+        c = classify_point(parse("1/z^2"), 0.0, OrbitParams())
         assert c.verdict is Verdict.POLE
         assert c.confidence == CONFIDENT
 
     def test_escape_requires_sustained_tail(self):
         # sin keeps points near the real axis bounded
-        c, _ = classify_point(parse("sin(z)"), 1.0, OrbitParams(max_iter=200, tail_window=10))
+        c = classify_point(parse("sin(z)"), 1.0, OrbitParams(max_iter=200, tail_window=10))
         assert c.verdict is Verdict.BOUNDED
 
     def test_undecided_on_straddling_tail(self):
         # orbit of |z|~2.5e3 under z+sin(z) drifts slowly; shrink radii to force
         # a tail that is neither all-above nor all-below
         p = OrbitParams(max_iter=8, escape_radius=3.0, bound_radius=2.0, tail_window=8)
-        c, _ = classify_point(parse("z*1.05"), 2.5 / 1.05**4, p)
+        c = classify_point(parse("z*1.05"), 2.5 / 1.05**4, p)
         assert c.verdict in (Verdict.UNDECIDED, Verdict.BUNGEE)
         assert c.confidence == HEURISTIC
 
@@ -323,7 +410,7 @@ class TestBatchAgreement:
             f = parse(text)
             batch = classify_batch(f, pts, p)
             for i, z in enumerate(pts):
-                c, _ = classify_point(f, complex(z), p)
+                c = classify_point(f, complex(z), p)
                 assert int(c.verdict) == int(batch.verdict[i]), (text, z)
                 assert (c.confidence == CONFIDENT) == bool(batch.confident[i])
                 assert c.oscillation_count == batch.oscillations[i]
@@ -340,7 +427,7 @@ class TestBatchAgreement:
         batch = classify_batch(f, seeds, p)
         verdicts = set()
         for i, z in enumerate(seeds):
-            c, _ = classify_point(f, complex(z), p)
+            c = classify_point(f, complex(z), p)
             assert int(c.verdict) == int(batch.verdict[i]), (text, z)
             verdicts.add(c.verdict)
         assert Verdict.ESCAPING in verdicts
@@ -351,7 +438,7 @@ class TestBatchAgreement:
         # is inf; inf >= inf keeps the tail nondecreasing in both paths
         f, z, p = parse("-z"), 1.5e308 + 1.5e308j, OrbitParams()
         batch = classify_batch(f, np.array([z]), p)
-        c, _ = classify_point(f, z, p)
+        c = classify_point(f, z, p)
         assert c.verdict == Verdict.ESCAPING and c.confidence == CONFIDENT
         assert int(batch.verdict[0]) == int(c.verdict)
         assert bool(batch.confident[0])
@@ -380,8 +467,8 @@ class TestMorePatienceKeepsConfidentVerdicts:
         short = OrbitParams(max_iter=150)
         long = OrbitParams(max_iter=600)
         f = parse("z^2")
-        c1, _ = classify_point(f, z, short)
-        c2, _ = classify_point(f, z, long)
+        c1 = classify_point(f, z, short)
+        c2 = classify_point(f, z, long)
         if c1.confidence == CONFIDENT:
             assert c1.verdict is c2.verdict
 
