@@ -27,10 +27,14 @@ import sys
 
 from .expr import ParseError, check_composition, constant_value, parse
 from .grid import MAX_GRID_PIXELS, GridSpec, classify_grid, mask_stats, resolve_workers
-from .orbit import OrbitParams, Rect, classify_point, find_fixed_points
-from .presets import DEFAULT_SAMPLES, PRESETS, check_preset, run_preset
+from .orbit import DEFAULT_STARTS, OrbitParams, Rect, classify_point, find_fixed_points
+from .presets import PRESETS, check_preset, run_preset
 from .render import DEFAULT_N_SHADE, render_ppm
 from .verify import (
+    DEFAULT_N_MAX,
+    DEFAULT_SAMPLES,
+    DEFAULT_SEED,
+    DEFAULT_TOL,
     SamplerSpec,
     check_pointwise,
     check_sampling,
@@ -112,11 +116,12 @@ def _grid_spec(text: str) -> GridSpec:
 
 
 def _add_orbit_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-iter", type=int, default=1000)
-    p.add_argument("--escape-radius", type=float, default=1e8)
-    p.add_argument("--bound-radius", type=float, default=1e4)
-    p.add_argument("--min-osc", type=int, default=3)
-    p.add_argument("--tail-window", type=int, default=10)
+    d = OrbitParams()
+    p.add_argument("--max-iter", type=int, default=d.max_iter)
+    p.add_argument("--escape-radius", type=float, default=d.escape_radius)
+    p.add_argument("--bound-radius", type=float, default=d.bound_radius)
+    p.add_argument("--min-osc", type=int, default=d.min_oscillations)
+    p.add_argument("--tail-window", type=int, default=d.tail_window)
 
 
 def _orbit_params(args) -> OrbitParams:
@@ -135,7 +140,7 @@ def _orbit_params(args) -> OrbitParams:
 def _add_sampler_args(p: argparse.ArgumentParser, grid: str = "0,0,4,4") -> None:
     p.add_argument("--grid", default=grid, metavar="CX,CY,W,H")
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
 
 def _sampler(args) -> SamplerSpec:
@@ -374,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf = sub.add_parser("fixed-points", help="locate fixed points by Newton search")
     pf.add_argument("--f", required=True, metavar="EXPR")
     pf.add_argument("--grid", default="0,0,4,4", metavar="CX,CY,W,H")
-    pf.add_argument("--starts", type=int, default=32)
+    pf.add_argument("--starts", type=int, default=DEFAULT_STARTS)
     pf.add_argument("--out", default=None)
 
     pv = sub.add_parser("verify", help="sampling checks of set relations")
@@ -402,13 +407,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = vsub.add_parser("commute", help="compare f(g(z)) with g(f(z))")
     common(sp, grid="0,0,2,2")
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     sp = vsub.add_parser("translate", help="iterates of f + C against f")
     common(sp, g_required=False)
     sp.add_argument("--C", required=True, metavar="EXPR")
-    sp.add_argument("--n-max", type=int, default=20)
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
+    sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     sp = vsub.add_parser(
         "property-a", help="f sends confidently escaping g-orbits far out"
@@ -421,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp = sub.add_parser("preset", help="run a canned verification suite")
     pp.add_argument("name", nargs="?", default=None, help="omit to list the presets")
     pp.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    pp.add_argument("--seed", type=int, default=42)
+    pp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     pp.add_argument("--out", default=None)
 
     return p

@@ -29,7 +29,8 @@ import math
 import re
 from dataclasses import dataclass, fields
 
-DEFAULT_NODE_CAP = 10**6
+# the most nodes compose and iterate_expr will build
+NODE_CAP = 10**6
 
 MAX_POW_EXPONENT = 64
 
@@ -562,19 +563,23 @@ def derivative(e: Expr) -> Expr:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def check_composition(f: Expr, g: Expr, max_nodes: int = DEFAULT_NODE_CAP) -> None:
-    """Raise ExpressionTooLargeError if f(g(z)) would exceed max_nodes nodes."""
+def check_composition(f: Expr, g: Expr) -> None:
+    """Raise ExpressionTooLargeError if f(g(z)) would exceed NODE_CAP nodes."""
     projected = f.node_count + f.var_count * (g.node_count - 1)
-    if projected > max_nodes:
+    if projected > NODE_CAP:
         raise ExpressionTooLargeError(
             f"composition would produce about {projected} nodes "
-            f"(limit {max_nodes})"
+            f"(limit {NODE_CAP})"
         )
 
 
-def compose(f: Expr, g: Expr, max_nodes: int = DEFAULT_NODE_CAP) -> Expr:
-    """f(g(z)): substitute g for every occurrence of z in f."""
-    check_composition(f, g, max_nodes)
+def compose(f: Expr, g: Expr) -> Expr:
+    """f(g(z)): substitute g for every occurrence of z in f.
+
+    Raises ExpressionTooLargeError, before building anything, when the
+    result would exceed NODE_CAP nodes.
+    """
+    check_composition(f, g)
 
     def subst(e: Expr) -> Expr:
         if isinstance(e, Var):
@@ -604,24 +609,22 @@ def compose(f: Expr, g: Expr, max_nodes: int = DEFAULT_NODE_CAP) -> Expr:
     return subst(f)
 
 
-def iterate_expr(f: Expr, n: int, max_nodes: int = DEFAULT_NODE_CAP) -> Expr:
-    """The n-fold composition f(f(...f(z)...)) as an expression."""
+def iterate_expr(f: Expr, n: int) -> Expr:
+    """The n-fold composition f(f(...f(z)...)) as an expression.
+
+    Each composition step is held to NODE_CAP nodes, as in compose.
+    """
     if not isinstance(n, int) or n < 1:
         raise ValueError("iteration count must be a positive integer")
     result = f
     for _ in range(n - 1):
-        result = compose(f, result, max_nodes)
+        result = compose(f, result)
     return result
 
 
 def translate(f: Expr, c: complex) -> Expr:
     """f(z) + c."""
     return add(f, Const(complex(c)))
-
-
-def scale(f: Expr, a: complex) -> Expr:
-    """a * f(z)."""
-    return mul(Const(complex(a)), f)
 
 
 def constant_value(e: Expr) -> complex:

@@ -96,7 +96,6 @@ def classify_grid(
     spec: GridSpec,
     params: OrbitParams,
     workers: int | None = None,
-    chunk: int = CHUNK_PIXELS,
 ) -> ClassGrid:
     k = spec.pixel_count
     verdict = np.empty(k, dtype=np.uint8)
@@ -113,7 +112,7 @@ def classify_grid(
         term_step[lo:hi] = batch.term_step
         osc[lo:hi] = batch.oscillations
 
-    ranges = [(lo, min(lo + chunk, k)) for lo in range(0, k, chunk)]
+    ranges = [(lo, min(lo + CHUNK_PIXELS, k)) for lo in range(0, k, CHUNK_PIXELS)]
     n_workers = resolve_workers(workers)
     if n_workers <= 1 or len(ranges) <= 1:
         for lo, hi in ranges:

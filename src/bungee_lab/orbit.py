@@ -471,6 +471,14 @@ MULTIPLIER_BAND = 1e-6
 UNITY_TOLERANCE = 1e-6
 UNITY_MAX_ORDER = 64
 
+# find_fixed_points: the side of its lattice of Newton starts, the Newton
+# steps per start, the largest residual |f(z) - z| a root keeps, and the
+# distance within which two roots count as one
+DEFAULT_STARTS = 32
+MAX_NEWTON_ITER = 256
+NEWTON_TOL = 1e-10
+DEDUP_TOL = 1e-6
+
 
 def _classify_multiplier(lam: complex) -> tuple[str, int | None]:
     r = abs(lam)
@@ -487,21 +495,17 @@ def _classify_multiplier(lam: complex) -> tuple[str, int | None]:
 
 
 def find_fixed_points(
-    f: Expr,
-    region: Rect,
-    starts: int = 32,
-    newton_tol: float = 1e-10,
-    dedup_tol: float = 1e-6,
-    max_newton_iter: int = 256,
+    f: Expr, region: Rect, starts: int = DEFAULT_STARTS
 ) -> list[FixedPointReport]:
     """Solve f(z) = z by damped-free Newton from a starts x starts lattice.
 
-    Iteration runs until the step underflows (relative to |z|) rather
-    than to a fixed step threshold, so multiple roots are polished as
-    far as double precision allows.  Candidates keep only residuals at
-    or below newton_tol inside the region, deduplicated to dedup_tol
-    with the smallest-residual representative winning.  starts must be
-    at least 1.
+    Each start takes at most MAX_NEWTON_ITER steps.  Iteration runs
+    until the step underflows (relative to |z|) rather than to a fixed
+    step threshold, so multiple roots are polished as far as double
+    precision allows.  Candidates keep only residuals at or below
+    NEWTON_TOL inside the region, deduplicated to DEDUP_TOL with the
+    smallest-residual representative winning.  starts must be at
+    least 1.
     """
     if starts < 1:
         raise ValueError(f"starts must be at least 1, got {starts}")
@@ -514,7 +518,7 @@ def find_fixed_points(
     dead = np.zeros(z.size, dtype=bool)
 
     with np.errstate(all="ignore"):
-        for _ in range(max_newton_iter):
+        for _ in range(MAX_NEWTON_ITER):
             act = np.nonzero(~done & ~dead)[0]
             if act.size == 0:
                 break
@@ -543,7 +547,7 @@ def find_fixed_points(
         return []
     fv, fs = eval_array(f, candidates)
     residual = np.abs(fv - candidates)
-    keep = (fs == engine.OK) & (residual <= newton_tol)
+    keep = (fs == engine.OK) & (residual <= NEWTON_TOL)
     keep &= np.abs(candidates.real - region.center.real) <= region.width / 2
     keep &= np.abs(candidates.imag - region.center.imag) <= region.height / 2
     candidates = candidates[keep]
@@ -556,7 +560,7 @@ def find_fixed_points(
     rep_res: list[float] = []
     for i in order:
         c = complex(candidates[i])
-        if all(abs(c - r) > dedup_tol for r in reps):
+        if all(abs(c - r) > DEDUP_TOL for r in reps):
             reps.append(c)
             rep_res.append(float(residual[i]))
 

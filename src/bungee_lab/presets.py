@@ -21,6 +21,8 @@ from .expr import compose, iterate_expr, parse
 from .grid import resolve_workers
 from .orbit import OrbitParams, Rect, find_fixed_points
 from .verify import (
+    DEFAULT_SAMPLES,
+    DEFAULT_SEED,
     RelationReport,
     SamplerSpec,
     shared_classifications,
@@ -32,8 +34,6 @@ from .verify import (
     verify_translate,
     verify_value_identity,
 )
-
-DEFAULT_SAMPLES = 4096
 
 # Every map text exercised by a preset, for parser and numerics sweeps.
 PRESET_FUNCTIONS: tuple[str, ...] = (
@@ -83,7 +83,7 @@ def _invariance_checks(f, g, sampler, params) -> list[CheckResult]:
     return out
 
 
-def run_power_pair(samples: int = DEFAULT_SAMPLES, seed: int = 42) -> list[CheckResult]:
+def run_power_pair(samples: int, seed: int) -> list[CheckResult]:
     """z^2 against 1/z^2: a commuting pair where one map has poles."""
     f = parse("z^2")
     g = parse("1/z^2")
@@ -109,7 +109,7 @@ def run_power_pair(samples: int = DEFAULT_SAMPLES, seed: int = 42) -> list[Check
     return checks
 
 
-def run_exp_family(samples: int = DEFAULT_SAMPLES, seed: int = 42) -> list[CheckResult]:
+def run_exp_family(samples: int, seed: int) -> list[CheckResult]:
     """z*exp(z^2) and its negation: commuting entire pair."""
     f = parse("z*exp(z^2)")
     g = parse("-z*exp(z^2)")
@@ -136,7 +136,7 @@ def run_exp_family(samples: int = DEFAULT_SAMPLES, seed: int = 42) -> list[Check
     return checks
 
 
-def run_scaled_family(samples: int = DEFAULT_SAMPLES, seed: int = 42) -> list[CheckResult]:
+def run_scaled_family(samples: int, seed: int) -> list[CheckResult]:
     """z*exp(z^2) against its 0.5-multiple: these do not commute.
 
     Negating the map (the sec4-expfamily pair) commutes because -1
@@ -157,12 +157,10 @@ def run_scaled_family(samples: int = DEFAULT_SAMPLES, seed: int = 42) -> list[Ch
     ]
 
 
-def run_indifferent_fixed_point(
-    samples: int = DEFAULT_SAMPLES, seed: int = 42
-) -> list[CheckResult]:
+def run_indifferent_fixed_point(samples: int, seed: int) -> list[CheckResult]:
     """z*exp(-z^2) has an indifferent fixed point at the origin."""
     f = parse("z*exp(-z^2)")
-    reports = find_fixed_points(f, Rect(0, 2.0, 2.0), starts=32)
+    reports = find_fixed_points(f, Rect(0, 2.0, 2.0))
     origin = [r for r in reports if abs(r.location) <= 1e-8]
     passed = bool(origin) and all(
         abs(r.multiplier - 1) <= 1e-8
@@ -197,8 +195,8 @@ def run_drift_pair(
     g_text: str,
     c: complex,
     params: OrbitParams,
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = 42,
+    samples: int,
+    seed: int,
 ) -> list[CheckResult]:
     """A map f and its translate g = f + c by a pseudo-period c.
 
@@ -237,9 +235,7 @@ def run_drift_pair(
     return checks
 
 
-def run_sine_periodic_translate(
-    samples: int = DEFAULT_SAMPLES, seed: int = 42
-) -> list[CheckResult]:
+def run_sine_periodic_translate(samples: int, seed: int) -> list[CheckResult]:
     """sin(z) translated by its period 2*pi: iterates shift exactly."""
     f = parse("sin(z)")
     c = 2 * math.pi
@@ -256,9 +252,7 @@ def run_sine_periodic_translate(
     ]
 
 
-def run_composition_question(
-    samples: int = DEFAULT_SAMPLES, seed: int = 42
-) -> list[CheckResult]:
+def run_composition_question(samples: int, seed: int) -> list[CheckResult]:
     """Report-only probe: do points bounded under exactly one of f, g
     stay bounded under f o g?  For the power pair the answer observed
     here is no (points inside the unit disk are bounded under z^2 but
@@ -392,9 +386,13 @@ def check_preset(name: str) -> None:
         raise KeyError(f"unknown preset {name!r}; known presets: {known}")
 
 
-def run_preset(name: str, samples: int = DEFAULT_SAMPLES, seed: int = 42) -> list[CheckResult]:
+def run_preset(
+    name: str, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED
+) -> list[CheckResult]:
     """Run one preset, or every preset for "all-paper".
 
+    Every check draws samples points with sample seed seed; the preset
+    functions in PRESETS take both from here and have no defaults.
     A single preset runs in this process and classifies each (map,
     samples, params) once.  "all-paper" runs each preset in a forked
     worker process, with a memo per preset, when there are two or more

@@ -15,8 +15,6 @@ verdict arrays, so a given grid always produces byte-identical output:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .grid import ClassGrid
@@ -25,30 +23,17 @@ from .orbit import Verdict
 DEFAULT_N_SHADE = 64
 
 
-@dataclass(frozen=True)
-class Palette:
-    bounded: tuple[int, int, int] = (0, 0, 0)
-    bungee: tuple[int, int, int] = (255, 140, 0)
-    undecided: tuple[int, int, int] = (96, 96, 96)
-    pole: tuple[int, int, int] = (255, 255, 255)
-
-
-def render_ppm(
-    grid: ClassGrid,
-    palette: Palette = Palette(),
-    n_shade: int = DEFAULT_N_SHADE,
-) -> bytes:
+def render_ppm(grid: ClassGrid, n_shade: int = DEFAULT_N_SHADE) -> bytes:
     if n_shade < 1:
         raise ValueError("n_shade must be at least 1")
     nx, ny = grid.spec.nx, grid.spec.ny
     verdict = grid.verdict.reshape(ny, nx)
     steps = grid.term_step.reshape(ny, nx).astype(np.int64)
 
-    img = np.zeros((ny, nx, 3), dtype=np.uint8)
-    img[verdict == int(Verdict.BOUNDED)] = palette.bounded
-    img[verdict == int(Verdict.BUNGEE)] = palette.bungee
-    img[verdict == int(Verdict.UNDECIDED)] = palette.undecided
-    img[verdict == int(Verdict.POLE)] = palette.pole
+    img = np.zeros((ny, nx, 3), dtype=np.uint8)  # bounded pixels stay black
+    img[verdict == int(Verdict.BUNGEE)] = (255, 140, 0)
+    img[verdict == int(Verdict.UNDECIDED)] = (96, 96, 96)
+    img[verdict == int(Verdict.POLE)] = (255, 255, 255)
 
     esc = verdict == int(Verdict.ESCAPING)
     if esc.any():

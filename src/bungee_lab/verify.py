@@ -40,6 +40,7 @@ import numpy as np
 from . import engine
 from .engine import eval_array
 from .expr import Expr, compose, derivative, format_expr, translate
+from .grid import MAX_GRID_PIXELS
 from .orbit import (
     BatchClassification,
     OrbitParams,
@@ -51,6 +52,12 @@ from .orbit import (
 MAX_VIOLATION_EXAMPLES = 20
 # A check with fewer usable samples than this is inconclusive, never a pass.
 MIN_USABLE = 10
+
+DEFAULT_SAMPLES = 4096
+DEFAULT_SEED = 42
+# pointwise checks: the tolerance, and the iterates verify_translate compares
+DEFAULT_TOL = 1e-9
+DEFAULT_N_MAX = 20
 
 KIND_VERDICT = {
     "escaping": Verdict.ESCAPING,
@@ -68,6 +75,8 @@ def check_sampling(count: int, seed: int) -> None:
     """Raise ValueError unless count and seed make a valid SamplerSpec."""
     if count < 1:
         raise ValueError("sample count must be at least 1")
+    if count > MAX_GRID_PIXELS:  # the grid pixel limit, 2^26
+        raise ValueError(f"sample count must be at most {MAX_GRID_PIXELS}")
     if seed < 0:
         raise ValueError("sample seed must be non-negative")
 
@@ -75,8 +84,8 @@ def check_sampling(count: int, seed: int) -> None:
 @dataclass(frozen=True)
 class SamplerSpec:
     rect: Rect
-    count: int = 4096
-    seed: int = 42
+    count: int = DEFAULT_SAMPLES
+    seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         check_sampling(self.count, self.seed)
@@ -238,13 +247,13 @@ def verify_containment(
 ) -> RelationReport:
     """Check that lhs membership implies rhs membership on every sample.
 
-    lhs_mode "all"/"any"/"one" combines the left memberships by
-    intersection, union, or symmetric restriction (exactly one holds);
-    rhs_mode "any"/"all" combines the right by union or intersection.
-    An empty rhs never holds, turning the check into an emptiness test
-    of the lhs.
+    lhs_mode "all" combines the left memberships by intersection, and
+    "one" by symmetric restriction (exactly one holds); rhs_mode
+    "any"/"all" combines the right by union or intersection.  An empty
+    rhs never holds, turning the check into an emptiness test of the
+    lhs.
     """
-    if lhs_mode not in ("all", "any", "one"):
+    if lhs_mode not in ("all", "one"):
         raise ValueError(f"bad lhs_mode {lhs_mode!r}")
     if rhs_mode not in ("any", "all"):
         raise ValueError(f"bad rhs_mode {rhs_mode!r}")
@@ -471,7 +480,7 @@ def verify_commute(
     sampler: SamplerSpec,
     params: OrbitParams | None = None,
     *,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
 ) -> RelationReport:
     """Compare f(g(z)) with g(f(z)) pointwise.
 
@@ -511,19 +520,19 @@ def verify_translate(
     sampler: SamplerSpec,
     params: OrbitParams,
     *,
-    n_max: int = 20,
-    tol: float = 1e-9,
-    window: float | None = None,
+    n_max: int = DEFAULT_N_MAX,
+    tol: float = DEFAULT_TOL,
 ) -> RelationReport:
     """Compare iterates of g = f + c against f.
 
     Checks the identity g^n(z) = f^n(z) + c for n up to n_max with an
     absolute tolerance, recording the first failing step.  A sample is
     compared only while the comparison stays numerically meaningful:
-    both value orbits finite and within the window (each step injects
-    fresh rounding noise proportional to the orbit magnitude), and the
-    accumulated derivative product along the orbit small enough that
-    amplified double-precision noise, eps times that product, stays a
+    both value orbits finite and within the window |w| <=
+    min(bound_radius, 1000) (each step injects fresh rounding noise
+    proportional to the orbit magnitude), and the accumulated
+    derivative product along the orbit small enough that amplified
+    double-precision noise, eps times that product, stays a
     comfortable factor under tol.  Past either limit even an exact
     identity drowns in float noise, and the set-level verdict
     agreement reported alongside carries the claim instead.  The
@@ -540,8 +549,7 @@ def verify_translate(
     fp = derivative(f)
     pts = sampler.points()
     k = pts.size
-    if window is None:
-        window = min(params.bound_radius, 1000.0)
+    window = min(params.bound_radius, 1000.0)
     eps = float(np.finfo(np.float64).eps)
     noise_budget = tol / 20.0
 
@@ -553,6 +561,7 @@ def verify_translate(
     exact_bad = np.zeros(k, dtype=bool)
     drift_bad = np.zeros(k, dtype=bool)
     first_failure = None
+    first_index = -1
     max_exact_err = 0.0
     max_drift_err = 0.0
 
@@ -582,11 +591,11 @@ def verify_translate(
         bad_now = usable & (err_exact > tol)
         if bad_now.any():
             if first_failure is None:
-                i = int(np.nonzero(bad_now)[0][0])
+                first_index = int(np.nonzero(bad_now)[0][0])
                 first_failure = {
                     "n": n,
-                    "z": pair(pts[i]),
-                    "error": float(err_exact[i]),
+                    "z": pair(pts[first_index]),
+                    "error": float(err_exact[first_index]),
                 }
             exact_bad |= bad_now
         drift_bad |= usable & (err_drift > tol)
@@ -598,12 +607,18 @@ def verify_translate(
     both = _usable(batch_f.verdict, False) & _usable(batch_g.verdict, False)
     agree = both & (batch_f.verdict == batch_g.verdict)
 
+    def witness(i: int) -> dict:
+        record = {"z": pair(pts[i])}
+        if i == first_index:
+            record.update(n=first_failure["n"], error=first_failure["error"])
+        return record
+
     n_compared = int(compared.sum())
-    report = _finish_report(
+    return _finish_report(
         t0, sampler, params, "translate-iterate-identity", format_expr(f), format_expr(g),
         confident=n_compared,
         violating=exact_bad,
-        witness=lambda i: {"z": pair(pts[i])},
+        witness=witness,
         detail={
             "C": pair(c),
             "n_max": n_max,
@@ -622,9 +637,6 @@ def verify_translate(
             },
         },
     )
-    if first_failure is not None:
-        report.violation_examples[0].update(first_failure)
-    return report
 
 
 def verify_value_identity(
@@ -633,17 +645,15 @@ def verify_value_identity(
     sampler: SamplerSpec,
     params: OrbitParams | None = None,
     *,
-    tol: float = 1e-9,
     relation: str = "value-identity",
     f_text: str | None = None,
     g_text: str | None = None,
 ) -> RelationReport:
-    """Compare two expressions pointwise with relative tolerance."""
-    check_pointwise(tol)
+    """Compare two expressions pointwise with relative tolerance DEFAULT_TOL."""
     t0 = time.perf_counter()
     params = params or OrbitParams()
     pts = sampler.points()
-    usable, violating, witness, worst = _pointwise(pts, (a,), (b,), tol, ("lhs", "rhs"))
+    usable, violating, witness, worst = _pointwise(pts, (a,), (b,), DEFAULT_TOL, ("lhs", "rhs"))
     return _finish_report(
         t0, sampler, params, relation,
         f_text if f_text is not None else format_expr(a),
@@ -652,7 +662,7 @@ def verify_value_identity(
         violating=violating,
         witness=witness,
         detail={
-            "tol": tol,
+            "tol": DEFAULT_TOL,
             "max_relative_error": worst["relative_error"] if worst else 0.0,
         },
     )

@@ -145,14 +145,14 @@ def test_criterion_03_invariance_suites():
 def test_criterion_04_commutation_algebra():
     sampler = SamplerSpec(BIDISC, 4096, 42)
 
-    unity = verify_commute(parse("z*exp(z^2)"), parse("-z*exp(z^2)"), sampler, tol=1e-9)
-    power = verify_commute(parse("z^2"), parse("1/z^2"), sampler, tol=1e-9)
-    scaled = verify_commute(parse("z*exp(z^2)"), parse("0.5*z*exp(z^2)"), sampler, tol=1e-9)
+    unity = verify_commute(parse("z*exp(z^2)"), parse("-z*exp(z^2)"), sampler)
+    power = verify_commute(parse("z^2"), parse("1/z^2"), sampler)
+    scaled = verify_commute(parse("z*exp(z^2)"), parse("0.5*z*exp(z^2)"), sampler)
 
     f, g = parse("z*exp(z^2)"), parse("-z*exp(z^2)")
     lhs = iterate_expr(compose(f, g), 2)
     rhs = iterate_expr(f, 4)
-    identity = verify_value_identity(lhs, rhs, SamplerSpec(BIDISC, 100, 42), tol=1e-9)
+    identity = verify_value_identity(lhs, rhs, SamplerSpec(BIDISC, 100, 42))
 
     ok = (
         unity.detail["commutes"] is True

@@ -13,6 +13,7 @@ import pytest
 
 from bungee_lab import cli
 from bungee_lab.cli import build_parser, main
+from bungee_lab.orbit import OrbitParams
 
 
 def run(capsys, *argv):
@@ -464,10 +465,41 @@ class TestPresets:
         assert code == 2 and out == ""
         assert err == "error: sample count must be at least 1\n"
 
+    @pytest.mark.parametrize(
+        "argv", [["preset", "sec4-power"], ["verify", "partition", "--f", "z"]]
+    )
+    def test_samples_beyond_the_pixel_limit_exit_2_before_opening_out(
+        self, capsys, tmp_path, argv
+    ):
+        # a count numpy cannot allocate is refused before any work
+        out_file = tmp_path / "x.json"
+        code, out, err = run(
+            capsys, *argv, "--samples", str(2**62), "--out", str(out_file)
+        )
+        assert code == 2 and out == ""
+        assert err == "error: sample count must be at most 67108864\n"
+        assert not out_file.exists()
+
     def test_negative_seed_exits_2(self, capsys):
         code, out, err = run(capsys, "preset", "sec4-power", "--seed", "-1")
         assert code == 2 and out == ""
         assert err == "error: sample seed must be non-negative\n"
+
+
+class TestDefaults:
+    def test_flags_default_to_the_library_values(self, capsys):
+        code, out, _ = run(capsys, "classify", "--f", "z^2", "--z0", "0.5")
+        assert code == 0
+        assert json.loads(out)["params"] == OrbitParams().to_dict()
+
+        code, out, _ = run(capsys, "verify", "translate", "--f", "sin(z)", "--C", "2*pi")
+        assert code == 0
+        doc = json.loads(out)
+        assert {k: doc["params"][k] for k in OrbitParams().to_dict()} == (
+            OrbitParams().to_dict()
+        )
+        assert (doc["seed"], doc["samples_total"]) == (42, 4096)
+        assert (doc["detail"]["tol"], doc["detail"]["n_max"]) == (1e-9, 20)
 
 
 class TestUsage:

@@ -31,7 +31,6 @@ from bungee_lab.expr import (
     format_expr,
     iterate_expr,
     parse,
-    scale,
     translate,
 )
 
@@ -211,10 +210,6 @@ class TestSurgery:
     def test_translate(self):
         g = translate(parse("sin(z)"), 2 * math.pi)
         assert g == Add(Sin(Z), Const(2 * math.pi))
-
-    def test_scale_keeps_structure(self):
-        g = scale(parse("z^2"), -1)
-        assert g == Mul(Const(-1), Pow(Z, 2))
 
     def test_derivative_structures(self):
         assert derivative(Const(3)) == Const(0)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from bungee_lab import grid
 from bungee_lab.expr import parse
 from bungee_lab.grid import (
     MAX_GRID_PIXELS,
@@ -104,12 +105,14 @@ class TestClassifyGrid:
             assert np.array_equal(base.term_kind, other.term_kind)
             assert np.array_equal(base.term_step, other.term_step)
 
-    def test_chunk_size_does_not_change_results(self):
+    def test_chunk_size_does_not_change_results(self, monkeypatch):
         f = parse("z^2")
         spec = GridSpec(0j, 4.0, 4.0, 16, 16)
         p = OrbitParams(max_iter=100)
-        a = classify_grid(f, spec, p, chunk=7)
-        b = classify_grid(f, spec, p, chunk=100000)
+        monkeypatch.setattr(grid, "CHUNK_PIXELS", 7)
+        a = classify_grid(f, spec, p)
+        monkeypatch.setattr(grid, "CHUNK_PIXELS", 100000)
+        b = classify_grid(f, spec, p)
         assert np.array_equal(a.verdict, b.verdict)
 
     def test_function_text_recorded(self):

@@ -11,7 +11,7 @@ from bungee_lab.expr import parse
 from bungee_lab.grid import ClassGrid, GridSpec, classify_grid
 from bungee_lab.orbit import OrbitParams
 from bungee_lab.presets import FATOU_PARAMS
-from bungee_lab.render import DEFAULT_N_SHADE, Palette, render_ppm
+from bungee_lab.render import DEFAULT_N_SHADE, render_ppm
 
 
 def _manual_grid(verdicts, nx, ny, term_step=None):
@@ -78,12 +78,6 @@ class TestShading:
         payload = render_ppm(g)[len(b"P6\n5 1\n255\n"):]
         colors = {payload[i : i + 3] for i in range(0, 15, 3)}
         assert len(colors) == 5
-
-    def test_custom_palette(self):
-        pal = Palette(bounded=(10, 20, 30), bungee=(1, 2, 3),
-                      undecided=(4, 5, 6), pole=(7, 8, 9))
-        payload = render_ppm(_manual_grid([1], 1, 1), palette=pal)
-        assert payload.endswith(b"\x0a\x14\x1e")
 
 
 class TestDeterminism:

@@ -12,6 +12,7 @@ import pytest
 
 from bungee_lab import orbit, presets, verify
 from bungee_lab.expr import parse
+from bungee_lab.grid import MAX_GRID_PIXELS
 from bungee_lab.orbit import OrbitParams, Rect
 from bungee_lab.verify import (
     SamplerSpec,
@@ -51,6 +52,10 @@ class TestSampler:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             SamplerSpec(BIDISC, 0)
+
+    def test_rejects_more_samples_than_grid_pixels(self):
+        with pytest.raises(ValueError, match="at most"):
+            SamplerSpec(BIDISC, MAX_GRID_PIXELS + 1)
 
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="seed"):
@@ -103,6 +108,13 @@ class TestContainment:
         assert set(ex) == {"z", "lhs", "rhs"}
         z = complex(*ex["z"])
         assert abs(z) < 1  # interior of the disc stays bounded under z^2
+
+    def test_union_of_the_left_side_is_rejected(self):
+        with pytest.raises(ValueError, match="lhs_mode"):
+            verify_containment(
+                [(parse("z^2"), "bounded")], [], sampler(100), OrbitParams(),
+                lhs_mode="any",
+            )
 
     def test_exponential_pair_containments(self):
         p = OrbitParams(max_iter=400)
@@ -198,10 +210,6 @@ class TestValueIdentity:
         r = verify_value_identity(parse("z^2"), parse("z^3"), sampler(100, rect=BIDISC))
         assert r.violations > 0
 
-    def test_rejects_vacuous_tolerance(self):
-        with pytest.raises(ValueError, match="tolerance"):
-            verify_value_identity(parse("z^2"), parse("z^3"), sampler(100), tol=math.inf)
-
 
 class TestTranslate:
     def test_exact_period_of_sine(self):
@@ -227,6 +235,17 @@ class TestTranslate:
         assert ff["n"] == 2
         # at n=2 the translated orbit has drifted by exactly one extra period
         assert abs(ff["error"] - 2 * math.pi) < 1e-6
+
+    def test_first_failure_annotates_its_own_witness(self):
+        # the first failure (n = 3) is not the lowest violating sample
+        r = verify_translate(parse("z^2-1"), 1e-10, sampler(200, rect=BIDISC), OrbitParams())
+        ff = r.detail["first_failure"]
+        zs = [e["z"] for e in r.violation_examples]
+        assert len(zs) == 20 and len({tuple(z) for z in zs}) == 20
+        annotated = [e for e in r.violation_examples if "n" in e]
+        assert annotated == [{"z": ff["z"], "n": ff["n"], "error": ff["error"]}]
+        assert list(annotated[0]) == ["z", "n", "error"]
+        assert r.violation_examples[0] == {"z": [0.5479120971119267, -0.12224312049589536]}
 
     def test_drift_law_for_displacement_map(self):
         r = verify_translate(parse("z+sin(z)"), 2 * math.pi,
