@@ -79,12 +79,11 @@ def _load_constant(text: str) -> complex:
         raise CliError(f"bad constant expression {text!r}: {exc}") from exc
 
 
-def _split_grid(text: str) -> list[float]:
+def _split_grid(text: str, form: str) -> list[float]:
+    """The numbers of --grid, which must have as many as form names."""
     parts = text.split(",")
-    if len(parts) not in (4, 6):
-        raise CliError(
-            f"--grid wants cx,cy,w,h or cx,cy,w,h,nx,ny, got {text!r}"
-        )
+    if len(parts) != form.count(",") + 1:
+        raise CliError(f"--grid wants {form} here, got {text!r}")
     try:
         nums = [float(p) for p in parts]
     except ValueError as exc:
@@ -95,7 +94,7 @@ def _split_grid(text: str) -> list[float]:
 
 
 def _grid_rect(text: str) -> Rect:
-    nums = _split_grid(text)
+    nums = _split_grid(text, "cx,cy,w,h")
     try:
         return Rect(complex(nums[0], nums[1]), nums[2], nums[3])
     except ValueError as exc:
@@ -103,9 +102,7 @@ def _grid_rect(text: str) -> Rect:
 
 
 def _grid_spec(text: str) -> GridSpec:
-    nums = _split_grid(text)
-    if len(nums) != 6:
-        raise CliError("rendering needs the full --grid cx,cy,w,h,nx,ny form")
+    nums = _split_grid(text, "cx,cy,w,h,nx,ny")
     nx, ny = int(nums[4]), int(nums[5])
     if nx != nums[4] or ny != nums[5]:
         raise CliError("pixel counts nx, ny must be integers")
@@ -324,16 +321,17 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_preset(args) -> int:
-    if args.name is None:
-        listing = [
-            {"name": p.name, "description": p.description} for p in PRESETS.values()
-        ]
-        listing.append(
-            {"name": "all-paper", "description": "run every preset, in forked workers on 2+ CPUs"}
-        )
-        _emit(listing, None)
-        return 0
     _checked(check_sampling, args.samples, args.seed)
+    if args.name is None:
+        with _open_out(args.out) as out:
+            listing = [
+                {"name": p.name, "description": p.description} for p in PRESETS.values()
+            ]
+            listing.append(
+                {"name": "all-paper", "description": "run every preset, in forked workers on 2+ CPUs"}
+            )
+            _emit(listing, out)
+        return 0
     try:
         check_preset(args.name)
     except KeyError as exc:

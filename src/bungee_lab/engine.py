@@ -24,7 +24,7 @@ straight-line functions, one for one-element input and one for every
 other size, and eval_array picks one per call.  A third function, the
 scalar orbit loop that orbit_loop returns, runs the one-element lines
 inside a loop; it is built from the plan on first use, so plans that
-only see arrays never compile it.  Each calls the same
+only see arrays never compile it.  The array function calls the same
 numpy ufuncs in the same order as a node-by-node evaluation (Pow is
 square-and-multiply with *, constants are full arrays), so values are
 bit-identical to it.  The source holds only register numbers and names
@@ -34,18 +34,37 @@ subnormals and 2*pi*i stay exact) and no input text reaches compile().
 Trees of one shape, such as z+1 and z+2, therefore give the same
 source, and the compiled code is cached on that text; each plan binds
 its own constants to it.  The array function overwrites intermediates
-in place when no other node reads them.  On one element numpy's
-overlap check on an aliased out= costs more than a fresh array, so the
-one-element function allocates instead, and each constant is one
-read-only one-element array made at compile time.  Registers are
-locals of one call, so threads can share a plan.
+in place when no other node reads them.
+
+One element.  A one-element ufunc call costs more than the arithmetic,
+so the one-element lines run add, subtract and negate as Python complex
+arithmetic.  IEEE rounds a sum, a difference and a negation exactly,
+componentwise, so these match np.add, np.subtract and np.negative bit
+for bit (for np.add on one element, up to the sign of a NaN made from
+two NaNs, and a NaN is never an OK value).  Multiply, divide, exp, sin
+and cos stay numpy calls: Python's complex * and / round differently
+from numpy's, and cmath's exp, sin and cos differ for large arguments.
+exp, sin and cos take a Python complex and give a numpy complex scalar,
+which numpy computes with the loop it runs on arrays; multiply and
+divide take one-element arrays, since numpy's scalar path is slower
+there.  A value crosses between the two kinds once: .item() or
+.__complex__() makes a Python complex, and a write into a one-element
+buffer an array.  Each constant is bound twice, as a read-only
+one-element array and as a Python complex taken from it with .item(),
+never as a float: under C99 mixed-mode rules (Python 3.14) float +
+complex keeps a -0.0 imaginary part where np.add gives +0.0.  A
+one-element call returns a fresh value array unless its root is the
+input or a constant.  Registers and buffers are locals of one call, so
+threads can share a plan.
 
 The orbit loop keeps each step's status a Python int and its value a
-one-element array: there is no eval_array call, no status array and
-no .item() of a status per step.  It tests for an exact fixed point
-against the previous point as a Python complex, appends each point to
-a buffer and hands the buffer to a fold callback every k steps, which
-keeps the loop's memory bounded by k rather than by the orbit length.
+Python complex z: there is no eval_array call, no status array and
+no .item() of a status per step.  Where the lines read the point as an
+array, the loop carries the root's array, or writes z into a buffer of
+its own when the root is a Python value.  It tests for an exact fixed
+point against the previous point, appends each point to a list and
+hands the list to a fold callback every k steps, which keeps the loop's
+memory bounded by k rather than by the orbit length.
 
 Floating-point errors.  eval_array runs each plan under
 np.errstate(all="ignore"), since statuses, not warnings, report
@@ -69,9 +88,9 @@ finiteness at
 Finiteness checks between two division statuses are ANDed into one
 mask; a status array is built only at a division and at the root.
 
-On one element a numpy call costs more than the arithmetic, so there
-masks are Python bools (cmath.isfinite) and statuses Python ints, under
-the same rules, and the division rules run inline.  The root status is
+On one element masks are Python bools, from cmath.isfinite on the
+scalar values, and statuses Python ints, under the same rules, and the
+division rules run inline.  The root status is
 then one of three shared read-only one-element uint8 arrays, so
 statuses stay shaped like z.
 """
@@ -100,21 +119,35 @@ class _Plan:
     one: Callable  # for one-element input
     many: Callable  # for every other size
     body: str  # the one-element lines before the return
-    root: int  # register of the value
+    value: str  # the one-element value as a Python complex, after body
     status: int | None  # register of the one-element status; None: always OK
     kept: bool  # an OK status means body left the value in z
+    buffers: tuple  # one-element arrays body writes, allocated per call
+    carry: str | None  # after a step, makes r0 the new point; None: body never reads r0
     names: dict  # the functions' globals
     orbit: Callable | None = None  # the scalar orbit loop, made on first use
 
 
 @dataclass
 class _Operand:
-    """A compiled subtree during compilation."""
+    """A compiled subtree during compilation.
+
+    val, arr and raw name its value in the one-element body: as a Python
+    complex, as a one-element array and as the numpy scalar that a
+    ufunc gives on a Python complex.  Each is None until made.
+    """
 
     reg: int
     owned: bool  # no other node reads reg, so it may be overwritten
     pending: bool  # the value may be non-finite without a check so far
     terms: list  # ("ok", mask reg) or ("st", status reg), in status order
+    val: str | None = None
+    arr: str | None = None
+    raw: str | None = None
+
+
+# the one-element lines of the operations Python complex arithmetic runs
+_PYTHON_OPS = {"add": "{} + {}", "subtract": "{} - {}", "negative": "-{}"}
 
 
 class _Compiler:
@@ -125,10 +158,17 @@ class _Compiler:
         self.many: list[str] = []  # body of the function for every other size
         self.consts: dict[str, object] = {}  # globals named after registers
         self.n_regs = 1
+        self.n_locals = 0  # locals of the one-element body only
+        self.buffers: list[str] = []
+        self.reads: set[str] = set()  # which of z and r0 the one-element body reads
 
     def new_reg(self) -> int:
         self.n_regs += 1
         return self.n_regs - 1
+
+    def new_local(self, prefix: str) -> str:
+        self.n_locals += 1
+        return f"{prefix}{self.n_locals}"
 
     def emit(self, one: str, many: str | None = None) -> None:
         """Append a line to each body; many defaults to the one-element line."""
@@ -137,29 +177,65 @@ class _Compiler:
 
     # -- values ----------------------------------------------------------
 
-    def ufunc(self, fn: str, *args: _Operand) -> int:
-        """Emit fn(*args) into the first owned operand's register, else a new one."""
+    def value(self, x: _Operand) -> str:
+        """x's value on one element as a Python complex, converted once."""
+        if x.val is None:
+            x.val = self.new_local("p")
+            convert = f"{x.raw}.__complex__()" if x.raw else f"{x.arr}.item()"
+            self.one.append(f"{x.val} = {convert}")
+        if x.val == "z":
+            self.reads.add("z")
+        return x.val
+
+    def scalar(self, x: _Operand) -> str:
+        """x's value on one element as a Python or numpy complex scalar."""
+        return x.raw or self.value(x)
+
+    def array(self, x: _Operand) -> str:
+        """x's value on one element in a one-element array, written once."""
+        if x.arr is None:
+            x.arr = self.new_local("b")
+            self.buffers.append(x.arr)
+            self.one.append(f"{x.arr}[0] = {x.raw or x.val}")
+        if x.arr == "r0":
+            self.reads.add("r0")
+        return x.arr
+
+    def ufunc(self, fn: str, args: tuple, terms: list, pending: bool = True) -> _Operand:
+        """Emit fn(*args) into the first owned operand's register, else a new one.
+
+        On one element add, subtract and negative are Python complex
+        arithmetic, multiply and divide take one-element arrays, and exp,
+        sin and cos take a scalar and give a numpy scalar.
+        """
+        if fn in _PYTHON_OPS:
+            one, form = _PYTHON_OPS[fn].format(*map(self.value, args)), "val"
+        elif fn in ("multiply", "divide"):
+            one, form = f"{fn}({', '.join(map(self.array, args))})", "arr"
+        else:
+            one, form = f"{fn}({self.scalar(args[0])})", "raw"
         out = next((a.reg for a in args if a.owned), None)
         call = f"{fn}({', '.join(f'r{a.reg}' for a in args)}"
         if out is None:
             out = self.new_reg()
-            self.emit(f"r{out} = {call})")
+            self.many.append(f"r{out} = {call})")
         else:
-            # one element allocates: numpy runs a one-element binary op
-            # whose output overlaps an input through another loop, which
-            # can round differently
-            self.emit(f"r{out} = {call})", f"{call}, out=r{out})")
-        return out
+            self.many.append(f"{call}, out=r{out})")
+        self.one.append(f"r{out} = {one}")
+        return _Operand(out, True, pending, terms, **{form: f"r{out}"})
 
-    def fill(self, value) -> int:
-        """Emit a register holding value at every point."""
+    def fill(self, value) -> _Operand:
+        """A register holding value at every point."""
         dst = self.new_reg()
-        self.consts[f"c{dst}"] = _read_only(np.full(1, value, np.complex128))
-        self.consts[f"v{dst}"] = value
+        const = _read_only(np.full(1, value, np.complex128))
+        self.consts[f"c{dst}"] = const
+        # a Python complex, never a float: float + complex can round a
+        # zero's sign differently from complex + complex
+        self.consts[f"v{dst}"] = const.item()
         # np.empty + fill: np.full costs about twice as much on the
         # few-element arrays of a thinning batch
-        self.emit(f"r{dst} = c{dst}", f"r{dst} = empty(r0.shape, complex128)\nr{dst}.fill(v{dst})")
-        return dst
+        self.many.append(f"r{dst} = empty(r0.shape, complex128)\nr{dst}.fill(v{dst})")
+        return _Operand(dst, True, False, [], val=f"v{dst}", arr=f"c{dst}")
 
     # -- statuses --------------------------------------------------------
 
@@ -172,15 +248,14 @@ class _Compiler:
             return
         x.pending = False
         v = x.reg
+        # z gets a Python complex; the check alone takes any scalar
+        one = f"scalar_isfinite({keep}{self.value(x) if keep else self.scalar(x)})"
         if x.terms and x.terms[-1][0] == "ok":
             m = x.terms[-1][1]
-            self.emit(
-                f"r{m} = r{m} and scalar_isfinite({keep}r{v}.item())",
-                f"logical_and(r{m}, isfinite(r{v}), out=r{m})",
-            )
+            self.emit(f"r{m} = r{m} and {one}", f"logical_and(r{m}, isfinite(r{v}), out=r{m})")
             return
         m = self.new_reg()
-        self.emit(f"r{m} = scalar_isfinite({keep}r{v}.item())", f"r{m} = isfinite(r{v})")
+        self.emit(f"r{m} = {one}", f"r{m} = isfinite(r{v})")
         x.terms.append(("ok", m))
 
     def status(self, x: _Operand, keep: str = "") -> int | None:
@@ -208,16 +283,16 @@ class _Compiler:
 
     def compile(self, e: Expr) -> _Operand:
         if isinstance(e, Var):
-            return _Operand(0, owned=False, pending=True, terms=[])
+            return _Operand(0, owned=False, pending=True, terms=[], val="z", arr="r0")
         if isinstance(e, Const):
-            return _Operand(self.fill(e.value), owned=True, pending=False, terms=[])
+            return self.fill(e.value)
         if isinstance(e, (Add, Sub, Mul)):
             fn = "add" if isinstance(e, Add) else "subtract" if isinstance(e, Sub) else "multiply"
             a = self.compile(e.a)
             if not e.b.entire:
                 self.check(a)
             b = self.compile(e.b)
-            return _Operand(self.ufunc(fn, a, b), True, True, a.terms + b.terms)
+            return self.ufunc(fn, (a, b), a.terms + b.terms)
         if isinstance(e, Div):
             a = self.compile(e.a)
             sa = self.status(a)
@@ -225,25 +300,25 @@ class _Compiler:
             return self.divide(a, sa, b)
         if isinstance(e, Neg):
             a = self.compile(e.a)
-            return _Operand(self.ufunc("negative", a), True, a.pending, a.terms)
+            return self.ufunc("negative", (a,), a.terms, a.pending)
         if isinstance(e, Pow):
             p = self.power(self.compile(e.base), abs(e.exponent))
             if e.exponent > 0:
                 return p
-            ones = _Operand(self.fill(1), True, False, [])
-            return self.divide(ones, None, p)
+            return self.divide(self.fill(1), None, p)
         if isinstance(e, Exp):
             a = self.compile(e.a)
             self.check(a)
-            return _Operand(self.ufunc("exp", a), True, True, a.terms)
+            return self.ufunc("exp", (a,), a.terms)
         if isinstance(e, (Sin, Cos)):
             a = self.compile(e.a)
-            fn = "sin" if isinstance(e, Sin) else "cos"
-            return _Operand(self.ufunc(fn, a), True, True, a.terms)
+            return self.ufunc("sin" if isinstance(e, Sin) else "cos", (a,), a.terms)
         raise TypeError(f"not an expression node: {e!r}")
 
     def power(self, base: _Operand, n: int) -> _Operand:
         """base**n for n >= 1 by square-and-multiply on whole arrays."""
+        if n > 1:
+            self.array(base)  # once, for every operand that shares base's register
         acc = base
         res = None
         m = n
@@ -252,32 +327,33 @@ class _Compiler:
                 if res is None:
                     # res shares acc's register; only res may overwrite it
                     res = acc
-                    acc = _Operand(acc.reg, False, acc.pending, [])
+                    acc = _Operand(acc.reg, False, acc.pending, [], arr=acc.arr)
                 else:
                     # acc is squared again unless this is the last bit
-                    last = _Operand(acc.reg, acc.owned and m == 1, True, [])
-                    res = _Operand(self.ufunc("multiply", res, last), True, True, res.terms)
+                    last = _Operand(acc.reg, acc.owned and m == 1, True, [], arr=acc.arr)
+                    res = self.ufunc("multiply", (res, last), res.terms)
             m >>= 1
             if not m:
-                return _Operand(res.reg, res.owned, True, base.terms)
-            acc = _Operand(self.ufunc("multiply", acc, acc), True, True, [])
+                return _Operand(res.reg, res.owned, True, base.terms, res.val, res.arr, res.raw)
+            acc = self.ufunc("multiply", (acc, acc), [])
 
     def divide(self, a: _Operand, sa: int | None, b: _Operand) -> _Operand:
         """a / b with the pole and rescue rules; sa is a's status register."""
         sb = self.status(b)
-        q = self.ufunc("divide", a, b)
+        q = self.ufunc("divide", (a, b), [], pending=False)
         s = self.new_reg()
         # the rules of _divide_status on int statuses: 1 is OVERFLOW, 2 POLE
-        pole = f"0 if scalar_isfinite(r{q}.item()) else 2"
+        pole = f"0 if scalar_isfinite(r{q.reg}.item()) else 2"
         if sb is None:
             one = f"r{s} = {pole}" if sa is None else f"r{s} = r{sa} or ({pole})"
         else:
-            one = f"if r{sb} == 1:\n    r{q}[0] = 0\n    r{s} = 0\nelse:\n    r{s} = r{sb} or ({pole})"
+            one = f"if r{sb} == 1:\n    r{q.reg}[0] = 0\n    r{s} = 0\nelse:\n    r{s} = r{sb} or ({pole})"
             if sa is not None:
                 one = f"if r{sa}:\n    r{s} = r{sa}\nel{one}"
         ra, rb = ("None" if r is None else f"r{r}" for r in (sa, sb))
-        self.emit(one, f"r{s} = divide_status(r{q}, {ra}, {rb})")
-        return _Operand(q, True, False, [("st", s)])
+        self.emit(one, f"r{s} = divide_status(r{q.reg}, {ra}, {rb})")
+        q.terms.append(("st", s))
+        return q
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -343,6 +419,7 @@ _NAMES = {
     "OK": OK,
     "STATUS": _STATUS_ARRAYS,
     "scalar_isfinite": cmath.isfinite,
+    "array": np.array,
     "range": range,
     "divide_status": _divide_status,
 }
@@ -372,15 +449,27 @@ def _compile(e: Expr) -> _Plan:
     kept = root.pending
     status = c.status(root, keep="z := ")
     body = "\n".join(c.one)
+    value = root.val or (f"{root.raw}.__complex__()" if root.raw else f"{root.arr}.item()")
+    # the value array of a one-element call is the caller's, a fresh one
+    # or a shared read-only constant
+    vals = root.arr or f"array(({root.raw or root.val},))"
     if status is None:
-        c.emit(f"return r{root.reg}, STATUS[0]", f"return r{root.reg}, zeros(r0.shape, uint8)")
+        c.emit(f"return {vals}, STATUS[0]", f"return r{root.reg}, zeros(r0.shape, uint8)")
     else:
-        c.emit(f"return r{root.reg}, STATUS[r{status}]", f"return r{root.reg}, r{status}")
+        c.emit(f"return {vals}, STATUS[r{status}]", f"return r{root.reg}, r{status}")
+    carry = None
+    if "r0" in c.reads:
+        # a root array is fresh at every step, so the next step may read it
+        carry = f"r0 = {root.arr}" if root.arr else "r0[0] = z"
+    setup = [f"{b} = empty(1, complex128)" for b in c.buffers]
+    if "z" in c.reads:
+        setup.insert(0, "z = r0.item()")
     # each function compiled on its own: compile() holds about 4 KB per
     # line until it returns
     names = {**_NAMES, **c.consts}
-    one = _function("one(r0)", c.one, names)
-    return _Plan(one, _function("many(r0)", c.many, names), body, root.reg, status, kept, names)
+    one = _function("one(r0)", setup + c.one, names)
+    many = _function("many(r0)", c.many, names)
+    return _Plan(one, many, body, value, status, kept, tuple(c.buffers), carry, names)
 
 
 def _plan(e: Expr) -> _Plan:
@@ -394,30 +483,29 @@ def _plan(e: Expr) -> _Plan:
 def orbit_loop(e: Expr) -> Callable:
     """The scalar orbit loop of e, compiled on first use.
 
-    orbit(r0, n_total, buf, fold, k) iterates e from the one-element
-    complex128 array r0, whose value is the Python complex buf[0], for
-    at most n_total steps.  It appends each new point to buf as a
-    Python complex and calls fold(buf) after every k steps and after
-    the last; fold must empty buf.  It returns (steps, status): the
-    number of evaluations and the status of the last one as an int.  An
-    exact fixed point ends the loop with status OK after fewer than
+    orbit(n_total, buf, fold, k) iterates e from the Python complex
+    buf[0] for at most n_total steps.  It appends each new point to buf
+    as a Python complex and calls fold(buf) after every k steps and
+    after the last; fold must empty buf.  It returns (steps, status):
+    the number of evaluations and the status of the last one as an int.
+    An exact fixed point ends the loop with status OK after fewer than
     n_total steps.  Run it under np.errstate(all="ignore"), as
     eval_array runs a plan.
     """
     plan = _plan(e)
     if plan.orbit is None:
-        v, s = f"r{plan.root}", f"r{plan.status}"
-        step = [plan.body]
+        s = f"r{plan.status}"
+        step = [plan.body] if plan.body else []
         if plan.status is not None:
             step.append(f"if {s}:\n    return n + 1, {s}")
         if not plan.kept:
-            step.append(f"z = {v}.item()")
-        step += [
-            "append(z)",
-            "if z == prev:\n    return n + 1, 0",
-            "prev = z",
-            f"r0 = {v}",
-        ]
+            step.append(f"z = {plan.value}")
+        step += ["append(z)", "if z == prev:\n    return n + 1, 0", "prev = z"]
+        # the buffers, like the registers, are locals of one call
+        setup = [f"{b} = empty(1, complex128)" for b in plan.buffers]
+        if plan.carry is not None:
+            step.append(plan.carry)
+            setup += ["r0 = empty(1, complex128)", "r0[0] = z"]
         # chunks of k steps, folded after each, without a per-step test
         chunk = [
             "for n in range(start, start + k if start + k < n_total else n_total):",
@@ -425,13 +513,14 @@ def orbit_loop(e: Expr) -> Callable:
             "fold(buf)",
         ]
         body = [
-            "prev = buf[0]",
+            "z = prev = buf[0]",
+            *setup,
             "append = buf.append",
             "for start in range(0, n_total, k):",
             *_indent(chunk),
             "return n_total, 0",
         ]
-        plan.orbit = _function("orbit(r0, n_total, buf, fold, k)", body, plan.names)
+        plan.orbit = _function("orbit(n_total, buf, fold, k)", body, plan.names)
     return plan.orbit
 
 

@@ -261,7 +261,7 @@ def classify_point(f: Expr, z0: complex, params: OrbitParams) -> OrbitSummary:
             loop = engine.orbit_loop(f)
             # the loop's statuses are engine's OK, OVERFLOW and POLE,
             # which are also TERM_COMPLETED, TERM_OVERFLOW and TERM_POLE
-            steps, status = loop(np.array([z0], dtype=np.complex128), n_total, points, fold, CHUNK)
+            steps, status = loop(n_total, points, fold, CHUNK)
         else:
             points, steps, status = [], 0, TERM_OVERFLOW
         if status == TERM_OVERFLOW:

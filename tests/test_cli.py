@@ -232,6 +232,16 @@ class TestFixedPoints:
         assert code == 2 and out == ""
         assert err == f"error: --starts must be between 1 and 8192, got {starts}\n"
 
+    def test_pixel_counts_in_grid_exit_2(self, capsys, monkeypatch):
+        # nx,ny mean nothing to a Newton search; they used to be dropped
+        def no_search(*args, **kwargs):
+            raise AssertionError("find_fixed_points ran")
+
+        monkeypatch.setattr("bungee_lab.cli.find_fixed_points", no_search)
+        code, out, err = run(capsys, "fixed-points", "--f", "z^2", "--grid", "0,0,4,4,9,9")
+        assert code == 2 and out == ""
+        assert err == "error: --grid wants cx,cy,w,h here, got '0,0,4,4,9,9'\n"
+
     def test_indifferent_report(self, capsys):
         code, out, _ = run(capsys, "fixed-points", "--f", "z*exp(-z^2)",
                            "--grid", "0,0,2,2")
@@ -384,6 +394,17 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error: --grid numbers must be finite")
 
+    def test_pixel_counts_in_grid_exit_2(self, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("verify_partition ran")
+
+        monkeypatch.setattr("bungee_lab.cli.verify_partition", no_work)
+        code, out, err = run(
+            capsys, "verify", "partition", "--f", "z^2", "--grid", "0,0,4,4,9,9", "--samples", "64"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: --grid wants cx,cy,w,h here, got '0,0,4,4,9,9'\n"
+
     def test_verify_without_relation_exits_2(self, capsys):
         code, _, err = run(capsys, "verify")
         assert code == 2
@@ -449,6 +470,29 @@ class TestPresets:
         assert code == 0
         names = {d["name"] for d in json.loads(out)}
         assert {"sec4-power", "sec4-expfamily", "all-paper"} <= names
+
+    def test_list_presets_to_out(self, capsys, tmp_path):
+        out_file = tmp_path / "list.json"
+        code, out, _ = run(capsys, "preset", "--out", str(out_file))
+        assert code == 0
+        assert json.loads(out_file.read_text()) == json.loads(out)
+
+    def test_list_presets_unwritable_out_exits_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "preset", "--out", str(tmp_path / "no-such-dir" / "x.json"))
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write --out ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--samples", "0", "sample count must be at least 1"),
+         ("--seed", "-1", "sample seed must be non-negative")],
+    )
+    def test_list_presets_checks_sampling_before_out(self, capsys, tmp_path, flag, value, message):
+        out_file = tmp_path / "list.json"
+        code, out, err = run(capsys, "preset", flag, value, "--out", str(out_file))
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+        assert not out_file.exists()
 
     def test_top_level_preset_alias(self, capsys):
         code, out, _ = run(capsys, "preset", "indifferent-fixed-point")

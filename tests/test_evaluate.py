@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import cmath
+import collections
 import math
 import random
 import sys
 import threading
+from types import FunctionType
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 from bungee_lab import engine
 from bungee_lab.engine import eval_array, evaluate
 from bungee_lab.expr import Z, Div, Pow, compose, derivative, parse
-from bungee_lab.orbit import OrbitParams, classify_batch
+from bungee_lab.orbit import OrbitParams, classify_batch, classify_point
 from bungee_lab.presets import PRESET_FUNCTIONS
 
 from conftest import random_expr, random_points
@@ -194,14 +196,25 @@ class TestOracleAgreement:
 # constants made once at compile time
 CONSTANT_TREES = ["2", "exp(1000)", "1/0", "0*exp(z)", "1+z+exp(-z)+2*pi*i", "z^-3"]
 
+# trees whose one-element lines mix Python arithmetic with ufunc calls: a
+# Python value feeds a ufunc and a ufunc result feeds a Python operation,
+# a divisor computed in Python meets the rescue and pole rules
+MIXED_TREES = ["exp(-z)-z", "-(z^2)+z", "(z+1)/(z-1)", "1/(z-1e300)", "cos(z)-0.5"]
+
+# the seeds of the shape tests: finite, pole, subnormal, exp overflow,
+# non-finite
+SHAPE_POINTS = np.array([0.5 + 0.1j, 0, 5e-324, 1000, complex("inf"), -1000j], dtype=np.complex128)
+
 
 class TestOneElement:
     """One-element calls against whole arrays and the oracle."""
 
-    @pytest.mark.parametrize("text", CONSTANT_TREES)
+    @pytest.mark.parametrize("text", CONSTANT_TREES + MIXED_TREES)
     def test_matches_array_and_oracle(self, text):
         e = parse(text)
-        pts = np.concatenate([ADVERSARIAL, random_points(np.random.default_rng(13), 16, 4.0)])
+        pts = np.concatenate(
+            [ADVERSARIAL, SHAPE_POINTS, random_points(np.random.default_rng(13), 16, 4.0)]
+        )
         vals, stats = eval_array(e, pts)
         want_vals, want_stats = oracle_eval(e, pts)
         assert np.array_equal(stats, want_stats), text
@@ -218,7 +231,7 @@ class TestOneElement:
             assert status.dtype == np.uint8 and status.shape == (1,)
             assert vals.dtype == np.complex128 and vals.shape == (1,)
 
-    @pytest.mark.parametrize("text", CONSTANT_TREES + ["z^2", "1/exp(z)"])
+    @pytest.mark.parametrize("text", CONSTANT_TREES + MIXED_TREES + ["z^2", "1/exp(z)"])
     def test_writes_into_results_cannot_reach_a_later_call(self, text):
         e = parse(text)
         for z0 in (0, 0.5, 1000):
@@ -237,11 +250,6 @@ class TestOneElement:
             again_vals, again_status = eval_array(e, z)
             assert again_status.tobytes() == want_status.tobytes(), (text, z0)
             assert again_vals.tobytes() == want_vals.tobytes(), (text, z0)
-
-
-# the seeds of the shape tests: finite, pole, subnormal, exp overflow,
-# non-finite
-SHAPE_POINTS = np.array([0.5 + 0.1j, 0, 5e-324, 1000, complex("inf"), -1000j], dtype=np.complex128)
 
 
 class TestSizeSplit:
@@ -298,24 +306,187 @@ class TestOrbitLoop:
         assert loops[0].__code__ is loops[1].__code__
         assert engine.orbit_loop(exprs[0]) is loops[0]
 
-    @pytest.mark.parametrize("text", ["z*exp(-z^2)", "1/z^2", "2", "z", "(z-1)/(z^2-1e300)"])
+    @pytest.mark.parametrize(
+        "text",
+        ["z*exp(-z^2)", "1/z^2", "2", "z", "(z-1)/(z^2-1e300)", "1+z+exp(-z)+2*pi*i", *MIXED_TREES],
+    )
     def test_steps_like_the_one_element_plan(self, text):
         # the loop runs the one-element lines: each point is what the
-        # one-element plan gives for the previous one
+        # one-element plan gives for the previous one, and what the
+        # oracle gives on the whole orbit at once
         e = parse(text)
-        for z0 in (0.5 + 0.1j, 1e200 + 0j, 1 + 0j):
+        seeds = np.concatenate([np.array([0.5 + 0.1j, 1e200, 1]), ADVERSARIAL, SHAPE_POINTS])
+        for z0 in seeds.tolist():
             points = [z0]
             with np.errstate(all="ignore"):
-                steps, status = engine.orbit_loop(e)(np.array([z0]), 20, points, lambda buf: None, 10**6)
+                steps, status = engine.orbit_loop(e)(20, points, lambda buf: None, 10**6)
             assert all(type(p) is complex for p in points)
             for a, b in zip(points, points[1:]):
                 vals, st = eval_array(e, np.array([a]))
                 assert st[0] == engine.OK and vals.tobytes() == np.array([b]).tobytes()
+            want_vals, want_stats = oracle_eval(e, np.array(points))
             if status != engine.OK:
                 _, st = eval_array(e, np.array([points[-1]]))
-                assert st[0] == status and steps == len(points)
+                assert st[0] == status == want_stats[-1] and steps == len(points)
             else:
                 assert steps == len(points) - 1
+            m = len(points) - 1
+            assert (want_stats[:m] == engine.OK).all(), (text, z0)
+            assert want_vals[:m].tobytes() == np.array(points[1:]).tobytes(), (text, z0)
+
+    # numpy ufunc calls in one step of each preset map's loop: add,
+    # subtract and negative run in Python, so only these remain
+    UFUNC_CALLS = {
+        "z^2": {"multiply": 1},
+        "1/z^2": {"multiply": 1, "divide": 1},
+        "z*exp(z^2)": {"multiply": 2, "exp": 1},
+        "-z*exp(z^2)": {"multiply": 2, "exp": 1},
+        "0.5*z*exp(z^2)": {"multiply": 3, "exp": 1},
+        "z*exp(-z^2)": {"multiply": 2, "exp": 1},
+        "1+z+exp(-z)": {"exp": 1},
+        "1+z+exp(-z)+2*pi*i": {"exp": 1},
+        "z+sin(z)": {"sin": 1},
+        "z+sin(z)+2*pi": {"sin": 1},
+        "sin(z)": {"sin": 1},
+    }
+
+    def test_ufunc_calls_per_step(self):
+        assert set(self.UFUNC_CALLS) == set(PRESET_FUNCTIONS)
+        calls = collections.Counter()
+
+        def counting(name, ufunc):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return ufunc(*args, **kwargs)
+
+            return call
+
+        for text in PRESET_FUNCTIONS:
+            loop = engine.orbit_loop(parse(text))
+            names = {
+                k: counting(k, v) if isinstance(v, np.ufunc) else v
+                for k, v in loop.__globals__.items()
+            }
+            counted = FunctionType(loop.__code__, names)
+            per_run = []
+            for n in (1, 2):
+                calls.clear()
+                with np.errstate(all="ignore"):
+                    assert counted(n, [0.3 + 0.2j], lambda buf: buf.clear(), 10**6) == (n, 0)
+                per_run.append(calls.copy())
+            assert per_run[1] - per_run[0] == self.UFUNC_CALLS[text], text
+            # and the set-up before the first step makes none
+            assert per_run[0] == self.UFUNC_CALLS[text], text
+
+    def test_two_threads_share_one_loop(self):
+        # grid threads share a plan, so the loop's buffers must be locals:
+        # two threads at once give the serial orbits and summaries
+        exprs = [parse(t) for t in ("-z*exp(z^2)", "(z+1)/(z-1)", "1+z+exp(-z)+2*pi*i")]
+        seeds = random_points(np.random.default_rng(11), 6).tolist()
+        params = OrbitParams(max_iter=300)
+
+        def run():
+            out = []
+            for e in exprs:
+                for z0 in seeds:
+                    seen = []
+
+                    def fold(buf):
+                        seen.extend(buf)
+                        buf.clear()
+
+                    with np.errstate(all="ignore"):
+                        result = engine.orbit_loop(e)(300, [z0], fold, 64)
+                    out.append((result, np.array(seen).tobytes()))
+                    out.append(repr(classify_point(e, z0, params)))
+            return out
+
+        serial = run()
+        # the GIL rarely switches inside a step, so also check that no
+        # array a call could write is shared through the globals
+        for e in exprs:
+            shared = engine.orbit_loop(e).__globals__.values()
+            assert not any(isinstance(v, np.ndarray) and v.flags.writeable for v in shared)
+        results, failures = [None, None], []
+
+        def work(k):
+            try:
+                results[k] = run()
+            except Exception as exc:  # a thread's exception would be lost
+                failures.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
+        assert results[0] == serial and results[1] == serial
+
+
+class TestPythonArithmetic:
+    """One-element add, subtract and negate run as Python complex
+    arithmetic, which IEEE rounds exactly, so it matches numpy's ufuncs
+    bit for bit, on one-element and on long arrays."""
+
+    SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+               1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308,
+               math.inf, -math.inf, math.nan, -math.nan, 1.0, -1.0]
+
+    def components(self, rng, n):
+        special = rng.choice(np.array(self.SPECIAL), size=n)
+        spread = rng.uniform(-1, 1, n) * 10.0 ** rng.uniform(-320, 308, n)
+        return np.where(rng.random(n) < 0.5, special, spread)
+
+    def test_matches_numpy_bit_for_bit(self):
+        rng = np.random.default_rng(2024)
+        n = 20000
+        a = self.components(rng, n) + 0j
+        a.imag = self.components(rng, n)
+        b = self.components(rng, n) + 0j
+        b.imag = self.components(rng, n)
+        xs, ys = a.tolist(), b.tolist()
+        cases = [
+            (np.add, (a, b), [x + y for x, y in zip(xs, ys)]),
+            (np.subtract, (a, b), [x - y for x, y in zip(xs, ys)]),
+            (np.negative, (a,), [-x for x in xs]),
+        ]
+        with np.errstate(all="ignore"):
+            for ufunc, args, python in cases:
+                want = np.array(python, dtype=np.complex128).view(np.uint64)
+                long = ufunc(*args).view(np.uint64)
+                assert (want == long).all(), ufunc.__name__
+                one = np.concatenate(
+                    [ufunc(*(x[k : k + 1] for x in args)) for k in range(n)]
+                ).view(np.uint64)
+                differ = want != one
+                if ufunc is np.add:
+                    # a one-element np.add of two NaNs takes the second's
+                    # sign; a NaN is never an OK value, so it is never seen
+                    both_nan = np.isnan(a.view(np.float64)) & np.isnan(b.view(np.float64))
+                    assert not (differ & ~both_nan).any()
+                else:
+                    assert not differ.any(), ufunc.__name__
+
+    @pytest.mark.parametrize("text", ["z+1", "1-z", "z-0.5", "2*pi*i+z", "z^-2", "1/(z-1e300)"])
+    def test_constants_are_python_complex(self, text):
+        # float + complex keeps a -0.0 imaginary part under C99 mixed-mode
+        # rules (Python 3.14), complex + complex gives +0.0 as np.add does
+        e = parse(text)
+        plan = engine._plan(e)
+        consts = [v for k, v in plan.names.items() if k[0] == "v" and k[1:].isdigit()]
+        assert consts and all(type(v) is complex for v in consts), text
+        z = np.array([complex(0.5, -0.0), complex(-1, -0.0)])
+        want_vals, want_stats = oracle_eval(e, z)
+        for k in range(z.size):
+            vals, status = eval_array(e, z[k : k + 1])
+            assert status[0] == want_stats[k] == engine.OK
+            assert vals.tobytes() == want_vals[k : k + 1].tobytes(), (text, z[k])
 
 
 class TestSharedPlan:

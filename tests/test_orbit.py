@@ -323,7 +323,7 @@ class TestOneErrstatePerOrbit:
     def test_restores_errstate_when_a_step_raises(self, monkeypatch):
         seen = []
 
-        def failing(r0, n_total, buf, fold, k):
+        def failing(n_total, buf, fold, k):
             seen.append(np.geterr())
             raise RuntimeError("step failed")
 
