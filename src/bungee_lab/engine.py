@@ -122,7 +122,7 @@ class _Plan:
     value: str  # the one-element value as a Python complex, after body
     status: int | None  # register of the one-element status; None: always OK
     kept: bool  # an OK status means body left the value in z
-    buffers: tuple  # one-element arrays body writes, allocated per call
+    alloc: list  # lines that allocate the one-element buffers body writes
     carry: str | None  # after a step, makes r0 the new point; None: body never reads r0
     names: dict  # the functions' globals
     orbit: Callable | None = None  # the scalar orbit loop, made on first use
@@ -449,10 +449,11 @@ def _compile(e: Expr) -> _Plan:
     kept = root.pending
     status = c.status(root, keep="z := ")
     body = "\n".join(c.one)
-    value = root.val or (f"{root.raw}.__complex__()" if root.raw else f"{root.arr}.item()")
-    # the value array of a one-element call is the caller's, a fresh one
-    # or a shared read-only constant
-    vals = root.arr or f"array(({root.raw or root.val},))"
+    # a root without a Python value (a quotient) has an array; the value
+    # array of a one-element call is the caller's, a fresh one or a shared
+    # read-only constant
+    value = root.val or f"{root.arr}.item()"
+    vals = root.arr or f"array(({root.val},))"
     if status is None:
         c.emit(f"return {vals}, STATUS[0]", f"return r{root.reg}, zeros(r0.shape, uint8)")
     else:
@@ -461,15 +462,15 @@ def _compile(e: Expr) -> _Plan:
     if "r0" in c.reads:
         # a root array is fresh at every step, so the next step may read it
         carry = f"r0 = {root.arr}" if root.arr else "r0[0] = z"
-    setup = [f"{b} = empty(1, complex128)" for b in c.buffers]
-    if "z" in c.reads:
-        setup.insert(0, "z = r0.item()")
+    # the buffers, like the registers, are locals of one call
+    alloc = [f"{b} = empty(1, complex128)" for b in c.buffers]
+    setup = ["z = r0.item()"] if "z" in c.reads else []
     # each function compiled on its own: compile() holds about 4 KB per
     # line until it returns
     names = {**_NAMES, **c.consts}
-    one = _function("one(r0)", setup + c.one, names)
+    one = _function("one(r0)", setup + alloc + c.one, names)
     many = _function("many(r0)", c.many, names)
-    return _Plan(one, many, body, value, status, kept, tuple(c.buffers), carry, names)
+    return _Plan(one, many, body, value, status, kept, alloc, carry, names)
 
 
 def _plan(e: Expr) -> _Plan:
@@ -501,8 +502,7 @@ def orbit_loop(e: Expr) -> Callable:
         if not plan.kept:
             step.append(f"z = {plan.value}")
         step += ["append(z)", "if z == prev:\n    return n + 1, 0", "prev = z"]
-        # the buffers, like the registers, are locals of one call
-        setup = [f"{b} = empty(1, complex128)" for b in plan.buffers]
+        setup = list(plan.alloc)
         if plan.carry is not None:
             step.append(plan.carry)
             setup += ["r0 = empty(1, complex128)", "r0[0] = z"]
