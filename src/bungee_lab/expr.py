@@ -61,22 +61,43 @@ class ExpressionTooLargeError(ValueError):
 
 
 class Expr:
-    """Base class for immutable expression nodes."""
+    """Base class for immutable expression nodes.
+
+    Each node carries facts about its subtree, computed once when it is
+    built from those of its children:
+
+        node_count         nodes in the subtree
+        var_count          occurrences of z
+        entire             no division and no negative power
+        real_coefficients  every constant has imaginary part 0 (-0.0
+                           counts as 0), so f(conj z) = conj(f(z)):
+                           evaluation commutes with conjugation up to
+                           the sign of a zero component
+    """
 
     node_count: int
     var_count: int
     entire: bool
+    real_coefficients: bool
 
     def __post_init__(self):
-        kids = self.children()
-        object.__setattr__(self, "node_count", 1 + sum(k.node_count for k in kids))
-        object.__setattr__(self, "var_count", sum(k.var_count for k in kids))
-        entire = all(k.entire for k in kids)
+        node_count, var_count = 1, 0
+        entire = real = True
+        for k in self.children():
+            node_count += k.node_count
+            var_count += k.var_count
+            entire = entire and k.entire
+            real = real and k.real_coefficients
         if isinstance(self, Div):
             entire = False
         if isinstance(self, Pow) and self.exponent < 0:
             entire = False
+        if isinstance(self, Const):
+            real = self.value.imag == 0
+        object.__setattr__(self, "node_count", node_count)
+        object.__setattr__(self, "var_count", var_count)
         object.__setattr__(self, "entire", entire)
+        object.__setattr__(self, "real_coefficients", real)
 
     def children(self) -> tuple["Expr", ...]:
         return tuple(

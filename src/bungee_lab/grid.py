@@ -10,6 +10,20 @@ Grids are classified in fixed 65536-pixel chunks regardless of worker
 count, which keeps the output bit-identical across thread settings.
 Each chunk builds its own pixel centers, so memory follows the chunk
 size rather than the grid size.
+
+Mirrored grids.  When every constant of the map is real
+(Expr.real_coefficients) and the row ordinates are exact negatives of
+each other (ys == -ys[::-1], on the formula above, which holds when
+center.imag is 0 and ny is 3 or a power of two), only rows
+k >= ny // 2 are classified and each is copied into its mirror row
+ny - 1 - k.  The copy is exact,
+not an approximation: the mirror pixel is the conjugate seed, and
+conjugation commutes with +, -, *, numpy's complex division, negation,
+square-and-multiply, exp, sin, cos and isfinite up to the sign of a
+zero component.  That sign never changes a magnitude, a status, the
+frozen test (==) or a division's pole and rescue rules, so the
+conjugate orbit has the same verdict, confidence, termination kind and
+step and oscillation count, bit for bit.
 """
 
 from __future__ import annotations
@@ -56,6 +70,18 @@ class GridSpec:
     def pixel_count(self) -> int:
         return self.nx * self.ny
 
+    def _axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Column abscissae xs and row ordinates ys of the pixel centers."""
+        xs = self.center.real + ((np.arange(self.nx) + 0.5) / self.nx - 0.5) * self.width
+        ys = self.center.imag + ((np.arange(self.ny) + 0.5) / self.ny - 0.5) * self.height
+        return xs, ys
+
+    @property
+    def mirrored(self) -> bool:
+        """Row ny - 1 - k holds the conjugates of row k, exactly."""
+        ys = self._axes()[1]
+        return bool(np.array_equal(ys, -ys[::-1]))
+
     def points(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
         """Pixel centers at flat indices lo..hi-1 (default: all of them).
 
@@ -64,8 +90,7 @@ class GridSpec:
         be generated one at a time.
         """
         hi = self.pixel_count if hi is None else hi
-        xs = self.center.real + ((np.arange(self.nx) + 0.5) / self.nx - 0.5) * self.width
-        ys = self.center.imag + ((np.arange(self.ny) + 0.5) / self.ny - 0.5) * self.height
+        xs, ys = self._axes()
         i = np.arange(lo, hi)
         return xs[i % self.nx] + 1j * ys[i // self.nx]
 
@@ -97,7 +122,14 @@ def classify_grid(
     params: OrbitParams,
     workers: int | None = None,
 ) -> ClassGrid:
+    """Classify every pixel of spec under f, in CHUNK_PIXELS chunks.
+
+    For a real-coefficient map on a mirrored grid only the rows from
+    ny // 2 up are classified; the rows below are copies of their
+    mirrors (see the module docstring).
+    """
     k = spec.pixel_count
+    half = spec.ny // 2 if f.real_coefficients and spec.mirrored else 0
     verdict = np.empty(k, dtype=np.uint8)
     confident = np.empty(k, dtype=bool)
     term_kind = np.empty(k, dtype=np.uint8)
@@ -112,7 +144,10 @@ def classify_grid(
         term_step[lo:hi] = batch.term_step
         osc[lo:hi] = batch.oscillations
 
-    ranges = [(lo, min(lo + CHUNK_PIXELS, k)) for lo in range(0, k, CHUNK_PIXELS)]
+    ranges = [
+        (lo, min(lo + CHUNK_PIXELS, k))
+        for lo in range(half * spec.nx, k, CHUNK_PIXELS)
+    ]
     n_workers = resolve_workers(workers)
     if n_workers <= 1 or len(ranges) <= 1:
         for lo, hi in ranges:
@@ -120,6 +155,9 @@ def classify_grid(
     else:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             list(pool.map(lambda r: run(*r), ranges))
+    for a in (verdict, confident, term_kind, term_step, osc):
+        rows = a.reshape(spec.ny, spec.nx)
+        rows[:half] = rows[::-1][:half]
 
     return ClassGrid(
         spec=spec,

@@ -303,18 +303,35 @@ class BatchClassification:
     term_kind: np.ndarray  # uint8, TERM_* values
     term_step: np.ndarray  # int32
     oscillations: np.ndarray  # int32
-    tail_values: np.ndarray | None = None  # complex ring, (n, tail_window)
+    # complex ring, (n, tail_window): orbit point t of sample i is in
+    # column t % tail_window if it is among the last tail_window
+    tail_values: np.ndarray | None = None
     tail_last: np.ndarray | None = None  # int32 index of last finite point
+
+    def ordered_tails(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Last finite orbit points of the samples idx, in one gather.
+
+        Returns (points, held), both (len(idx), tail_window): row j holds
+        sample idx[j]'s points oldest first, ending at column
+        tail_window - 1; held marks the columns that hold a point, all
+        but the first ones of an orbit with fewer than tail_window points.
+        """
+        if self.tail_values is None:
+            raise ValueError("batch was classified without want_tail_values")
+        idx = np.asarray(idx, dtype=np.intp)
+        w = self.tail_values.shape[1]
+        t = self.tail_last[idx, None] + np.arange(1 - w, 1)
+        return self.tail_values[idx[:, None], t % w], t >= 0
 
     def ordered_tail(self, i: int) -> np.ndarray:
         """Last finite orbit points of sample i, oldest first."""
-        if self.tail_values is None:
-            raise ValueError("batch was classified without want_tail_values")
-        w = self.tail_values.shape[1]
-        last = int(self.tail_last[i])
-        start = max(0, last + 1 - w)
-        cols = np.arange(start, last + 1) % w
-        return self.tail_values[i, cols]
+        points, held = self.ordered_tails(np.array([i]))
+        return points[0, held[0]]
+
+
+def _compact(ring: np.ndarray, keep: np.ndarray) -> None:
+    """Move the kept columns of ring[:, :keep.size] to its front, in order."""
+    ring[:, : np.count_nonzero(keep)] = ring[:, : keep.size][:, keep]
 
 
 def classify_batch(
@@ -331,6 +348,11 @@ def classify_batch(
     count) is kept compact, in the order of the live set, and written
     to the outputs when a seed finishes.  The tail test runs only over
     the last tail_window magnitudes, since only completed orbits read it.
+
+    With want_tail_values, the last tail_window points of the live
+    seeds are kept in live order too, so each step writes its points as
+    one contiguous row of a (tail_window, n) ring.  A seed's tail and
+    last finite index go to the outputs once, when it finishes.
     """
     seeds = np.ascontiguousarray(seeds, dtype=np.complex128).ravel()
     k = seeds.size
@@ -344,8 +366,11 @@ def classify_batch(
     osc = np.zeros(k, dtype=np.int32)
     all_below = np.zeros(k, dtype=bool)
     tail_escape = np.zeros(k, dtype=bool)
-    val_ring = np.zeros((k, w), dtype=np.complex128) if want_tail_values else None
+    tail_values = np.zeros((k, w), dtype=np.complex128) if want_tail_values else None
     tail_last = np.zeros(k, dtype=np.int32) if want_tail_values else None
+    # ring[:, :alive.size]: the tails of the live seeds, aligned with alive;
+    # a row not yet written is 0 for every seed, as in tail_values
+    ring = np.zeros((w, k), dtype=np.complex128) if want_tail_values else None
 
     finite0 = np.isfinite(seeds)
     bad0 = ~finite0
@@ -366,7 +391,7 @@ def classify_batch(
     first_tail = n_total - w
     tail_ok = prev = None
     if want_tail_values:
-        val_ring[alive, 0] = z
+        ring[0, : alive.size] = z
 
     for n in range(n_total):
         if alive.size == 0:
@@ -387,6 +412,10 @@ def classify_batch(
             done = ~ok
             osc[alive[done]] = n_osc[done]
             all_below[alive[done]] = below[done]
+            if want_tail_values:
+                tail_last[alive[done]] = n
+                tail_values[alive[done]] = ring[:, : alive.size][:, done].T
+                _compact(ring, ok)
             alive, vals, z = alive[ok], vals[ok], z[ok]
             in_exc, below, n_osc = in_exc[ok], below[ok], n_osc[ok]
             if tail_ok is not None:
@@ -407,9 +436,7 @@ def classify_batch(
             tail_ok = above if tail_ok is None else tail_ok & above & (m >= prev)
             prev = m
         if want_tail_values:
-            col = (n + 1) % w
-            val_ring[alive, col] = vals
-            tail_last[alive] = n + 1
+            ring[(n + 1) % w, : alive.size] = vals
         frozen = vals == z
         if frozen.any():
             idx = alive[frozen]
@@ -419,8 +446,9 @@ def classify_batch(
             osc[idx] = n_osc[frozen]
             all_below[idx] = below[frozen]
             if want_tail_values:
-                val_ring[idx, :] = vals[frozen][:, None]
+                tail_values[idx] = vals[frozen][:, None]
                 tail_last[idx] = n_total
+                _compact(ring, ~frozen)
             live = ~frozen
             alive, vals = alive[live], vals[live]
             in_exc, below, n_osc = in_exc[live], below[live], n_osc[live]
@@ -432,6 +460,9 @@ def classify_batch(
         osc[alive] = n_osc
         all_below[alive] = below
         tail_escape[alive] = tail_ok
+        if want_tail_values:
+            tail_values[alive] = ring[:, : alive.size].T
+            tail_last[alive] = n_total
 
     verdict, confident = _verdicts(term_kind, osc, all_below, tail_escape, params)
     return BatchClassification(
@@ -440,7 +471,7 @@ def classify_batch(
         term_kind=term_kind,
         term_step=term_step,
         oscillations=osc,
-        tail_values=val_ring,
+        tail_values=tail_values,
         tail_last=tail_last,
     )
 

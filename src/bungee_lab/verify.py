@@ -693,31 +693,25 @@ def verify_property_a(
     escaping = (batch.verdict == int(Verdict.ESCAPING)) & batch.confident
     idx = np.nonzero(escaping)[0]
 
-    tails = []
-    for i in idx:
-        tail = batch.ordered_tail(int(i))
-        tails.append(tail[np.abs(tail) > params.escape_radius])
-    offsets = np.cumsum([0] + [t.size for t in tails])
+    # row j: sample idx[j]'s tail; far marks its points beyond the radius
+    tails, held = batch.ordered_tails(idx)
+    far = held & (np.abs(tails) > params.escape_radius)
+    fv = np.zeros(tails.shape, dtype=np.complex128)
+    fs = np.zeros(tails.shape, dtype=np.uint8)
+    fv[far], fs[far] = eval_array(f, tails[far])
+    bad = far & (((fs == engine.OK) & (np.abs(fv) <= params.escape_radius))
+                 | (fs == engine.POLE))
     violating = np.zeros(pts.size, dtype=bool)
-    first_bad = {}  # violating sample -> index of its first bad tail point in flat
-    if tails:
-        flat = np.concatenate(tails)
-        fv, fs = eval_array(f, flat)
-        small = (fs == engine.OK) & (np.abs(fv) <= params.escape_radius)
-        bad_pt = small | (fs == engine.POLE)
-        for j, i in enumerate(idx):
-            hits = np.nonzero(bad_pt[offsets[j]:offsets[j + 1]])[0]
-            if hits.size:
-                violating[i] = True
-                first_bad[int(i)] = int(hits[0]) + offsets[j]
+    violating[idx[bad.any(axis=1)]] = True
 
     def witness(i: int) -> dict:
-        w_at = first_bad[i]
+        j = int(np.searchsorted(idx, i))
+        at = (j, int(np.argmax(bad[j])))  # the first bad tail point
         return {
             "z": pair(pts[i]),
-            "tail_point": pair(flat[w_at]),
-            "f_status": engine.STATUS_NAMES[int(fs[w_at])],
-            "f_magnitude": float(abs(fv[w_at])) if int(fs[w_at]) == int(engine.OK) else None,
+            "tail_point": pair(tails[at]),
+            "f_status": engine.STATUS_NAMES[int(fs[at])],
+            "f_magnitude": float(abs(fv[at])) if int(fs[at]) == int(engine.OK) else None,
         }
 
     return _finish_report(

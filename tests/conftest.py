@@ -44,8 +44,8 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(f"criterion {number:2d}: {word}  {description}")
 
 
-def random_const(rng: random.Random) -> Expr:
-    kind = rng.randrange(3)
+def random_const(rng: random.Random, real: bool = False) -> Expr:
+    kind = rng.randrange(2 if real else 3)
     if kind == 0:
         return Const(float(rng.randint(0, 9)))
     if kind == 1:
@@ -53,20 +53,21 @@ def random_const(rng: random.Random) -> Expr:
     return Const(complex(round(rng.uniform(-2, 2), 3), round(rng.uniform(-2, 2), 3)))
 
 
-def random_expr(rng: random.Random, depth: int) -> Expr:
-    """Random tree of at most the given depth, in canonical folded form."""
+def random_expr(rng: random.Random, depth: int, real: bool = False) -> Expr:
+    """Random tree of at most the given depth, in canonical folded form;
+    with real, every constant it draws is real."""
     if depth <= 0 or rng.random() < 0.25:
-        return Var() if rng.random() < 0.7 else random_const(rng)
+        return Var() if rng.random() < 0.7 else random_const(rng, real)
     op = rng.randrange(9)
-    a = random_expr(rng, depth - 1)
+    a = random_expr(rng, depth - 1, real)
     if op == 0:
-        return add(a, random_expr(rng, depth - 1))
+        return add(a, random_expr(rng, depth - 1, real))
     if op == 1:
-        return sub(a, random_expr(rng, depth - 1))
+        return sub(a, random_expr(rng, depth - 1, real))
     if op == 2:
-        return mul(a, random_expr(rng, depth - 1))
+        return mul(a, random_expr(rng, depth - 1, real))
     if op == 3:
-        return div(a, random_expr(rng, depth - 1))
+        return div(a, random_expr(rng, depth - 1, real))
     if op == 4:
         return neg(a)
     if op == 5:

@@ -30,6 +30,13 @@ ADVERSARIAL = np.array(
     [0, 5e-324, 1e308, -1e308, 1000, -1000, 1000j, -1000j, complex("inf"), complex("nan")],
     dtype=np.complex128,
 )
+# points with a zero component of either sign, and near exp's and
+# sin's overflow thresholds off the real axis
+SIGNED_ZEROS = np.array(
+    [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), complex(2, -0.0),
+     complex(-0.0, 3), complex(709.5, 1), complex(1, 709.5), complex(-709.5, -0.0)],
+    dtype=np.complex128,
+)
 
 
 class TestScalarStatuses:
@@ -134,6 +141,32 @@ class TestOracleAgreement:
                 assert s1[0] == want_stats[k], (text, pts[k])
                 if s1[0] == engine.OK:
                     assert v1.tobytes() == want_vals[k : k + 1].tobytes(), (text, pts[k])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 2**63 - 1),
+        st.lists(st.complex_numbers(allow_nan=True, allow_infinity=True), max_size=6),
+    )
+    def test_real_coefficients_commute_with_conjugation(self, seed, extra):
+        # the premise of classify_grid's mirror: with real constants,
+        # f(conj z) and conj(f(z)) differ at most in the sign of a zero
+        e = random_expr(random.Random(seed), 6, real=True)
+        assert e.real_coefficients, str(e)
+        pts = np.concatenate([
+            ADVERSARIAL,
+            SIGNED_ZEROS,
+            np.array(extra, dtype=np.complex128),
+            random_points(np.random.default_rng(seed), 8),
+            random_points(np.random.default_rng(seed), 8, 800.0),
+        ])
+        vals, stats = eval_array(e, pts)
+        cvals, cstats = eval_array(e, np.conj(pts))
+        assert np.array_equal(stats, cstats), str(e)
+        ok = stats == engine.OK
+        assert np.array_equal(
+            np.abs(vals[ok]).view(np.uint64), np.abs(cvals[ok]).view(np.uint64)
+        ), str(e)
+        assert (cvals[ok] == np.conj(vals[ok])).all(), str(e)
 
     @pytest.mark.parametrize(
         "text, z0, kind",

@@ -61,6 +61,27 @@ class TestParseStructure:
     def test_negative_exponent_not_entire(self):
         assert not parse("z^-2").entire
 
+    def test_real_coefficients(self):
+        for text in ("z^2", "1/z^2", "z*exp(-z^2)", "1+z+exp(-z)", "z+sin(z)+2*pi",
+                     "(z+1)/(z-1)", "-2*z"):
+            assert parse(text).real_coefficients, text
+        # an imaginary part of -0.0 counts as 0: -2 folds to -2-0j
+        assert math.copysign(1.0, parse("-2*z").a.value.imag) == -1.0
+        for text in ("1+z+exp(-z)+2*pi*i", "i*z", "z^2+1e-300*i", "sin(z*i)/i"):
+            assert not parse(text).real_coefficients, text
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**63 - 1))
+    def test_real_coefficients_is_every_constant_real(self, seed):
+        def consts(e):
+            if isinstance(e, Const):
+                yield e.value
+            for k in e.children():
+                yield from consts(k)
+
+        e = random_expr(random.Random(seed), 6)
+        assert e.real_coefficients == all(c.imag == 0 for c in consts(e))
+
     def test_arithmetic_folding_and_pruning(self):
         assert parse("2*3") == Const(6)
         assert parse("0+z") == Z

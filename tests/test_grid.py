@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from bungee_lab import grid
+from bungee_lab import grid, orbit
 from bungee_lab.expr import parse
 from bungee_lab.grid import (
     MAX_GRID_PIXELS,
@@ -14,7 +14,40 @@ from bungee_lab.grid import (
     mask_stats,
     resolve_workers,
 )
-from bungee_lab.orbit import OrbitParams
+from bungee_lab.orbit import OrbitParams, classify_batch
+from bungee_lab.presets import PRESET_FUNCTIONS
+
+FIELDS = ("verdict", "confident", "term_kind", "term_step", "oscillations")
+REAL_MAPS = [t for t in PRESET_FUNCTIONS if parse(t).real_coefficients] + [
+    "(z+1)/(z-1)",
+    "1/(z-1e300)",
+]
+# grids whose rows mirror exactly: ny of 1, 2, 3 and even, odd and even
+# nx, off-centre along the real axis, tiny and huge widths, and a centre
+# 1e-300 above the axis that rounds away in every ordinate
+MIRRORED_SPECS = [
+    GridSpec(0j, 4.0, 4.0, 9, 1),
+    GridSpec(0j, 4.0, 4.0, 9, 2),
+    GridSpec(0j, 4.0, 3.0, 8, 3),
+    GridSpec(0.5 + 0j, 5.0, 4.0, 7, 8),
+    GridSpec(-0.25 + 0j, 1e-300, 1e-300, 6, 16),
+    GridSpec(0j, 1e5, 1e5, 5, 4),
+    GridSpec(1e-300j, 4.0, 4.0, 5, 8),
+]
+# escape and bound radii the drift maps reach within the budget
+MIRROR_PARAMS = OrbitParams(max_iter=300, escape_radius=50.0, bound_radius=30.0)
+
+
+def count_classified(monkeypatch) -> list:
+    """Record the seed count of every classify_batch call classify_grid makes."""
+    sizes = []
+
+    def counting(f, seeds, params):
+        sizes.append(seeds.size)
+        return orbit.classify_batch(f, seeds, params)
+
+    monkeypatch.setattr(grid, "classify_batch", counting)
+    return sizes
 
 
 class TestGridSpec:
@@ -119,6 +152,48 @@ class TestClassifyGrid:
         cg = classify_grid(parse("z^2"), GridSpec(0j, 2.0, 2.0, 2, 2),
                            OrbitParams(max_iter=20))
         assert cg.function_text == "(z^2)"
+
+
+class TestMirror:
+    @pytest.mark.parametrize("text", REAL_MAPS)
+    def test_equals_whole_grid(self, text, monkeypatch):
+        f = parse(text)
+        assert f.real_coefficients
+        # chunks of 7 start mid-row and on both sides of the middle row
+        monkeypatch.setattr(grid, "CHUNK_PIXELS", 7)
+        for spec in MIRRORED_SPECS:
+            assert spec.mirrored
+            cg = classify_grid(f, spec, MIRROR_PARAMS, workers=2)
+            whole = classify_batch(f, spec.points(), MIRROR_PARAMS)
+            for name in FIELDS:
+                got, want = getattr(cg, name), getattr(whole, name)
+                assert got.tobytes() == want.tobytes(), (text, spec, name)
+
+    @pytest.mark.parametrize("text", REAL_MAPS)
+    def test_classifies_the_upper_half(self, text, monkeypatch):
+        sizes = count_classified(monkeypatch)
+        classify_grid(parse(text), GridSpec(0j, 4.0, 4.0, 6, 8), MIRROR_PARAMS)
+        assert sum(sizes) == 6 * 8 // 2
+        sizes.clear()
+        # an odd ny also classifies its middle row
+        classify_grid(parse(text), GridSpec(0j, 4.0, 4.0, 5, 3), MIRROR_PARAMS)
+        assert sum(sizes) == 5 * 2
+
+    @pytest.mark.parametrize(
+        "text, spec",
+        [
+            ("1+z+exp(-z)+2*pi*i", GridSpec(0j, 4.0, 4.0, 6, 8)),  # a complex constant
+            ("z^2", GridSpec(0.1j, 4.0, 4.0, 6, 8)),  # off the real axis
+            ("z^2", GridSpec(0j, 4.0, 4.0, 6, 7)),  # rows not exact mirrors
+            ("z^2", GridSpec(0j, 4.0, 4.0, 6, 1)),  # one row: nothing to mirror
+        ],
+    )
+    def test_classifies_the_whole_grid(self, text, spec, monkeypatch):
+        sizes = count_classified(monkeypatch)
+        cg = classify_grid(parse(text), spec, MIRROR_PARAMS)
+        assert sum(sizes) == spec.pixel_count
+        whole = classify_batch(parse(text), spec.points(), MIRROR_PARAMS)
+        assert cg.verdict.tobytes() == whole.verdict.tobytes()
 
 
 class TestWorkerResolution:

@@ -451,6 +451,39 @@ class TestBatchAgreement:
         # orbit of 0.5 under squaring collapses toward 0
         assert np.all(np.abs(tail) <= 0.5**2)
 
+    # (map, seeds) at max_iter 400 and tail_window 10; each seed's orbit
+    # overflows, hits a pole or freezes at the step noted, or completes.
+    # A seed that ends fewer than 10 steps after an earlier one reads
+    # tail points written before the live set shrank.
+    TAIL_CASES = [
+        # freeze at 0, overflow at 2 and 3, freeze at 11 and 20, overflow at 65
+        ("z^2", [1, 1e100, 1e50, 0.5, 0.999, complex(math.cos(1), math.sin(1))]),
+        ("10*z", [1 + 1j]),  # overflow at 309
+        ("1/(10/z)", [1e-306, 1]),  # pole at 2 and at 308
+        ("1/(z-1)", [2]),  # pole at 1
+        ("1/z^2", [0.7 + 0.1j]),  # pole at 12
+        ("z*exp(-z^2)", [0.3]),  # completes without freezing
+        ("z+sin(z)", [2.0]),  # freeze at 4
+    ]
+
+    @pytest.mark.parametrize("text, seeds", TAIL_CASES)
+    def test_ordered_tails_are_the_last_finite_points(self, text, seeds):
+        f, p = parse(text), OrbitParams(max_iter=400, tail_window=10)
+        seeds = np.array(seeds, dtype=np.complex128)
+        b = classify_batch(f, seeds, p, want_tail_values=True)
+        rows, held = b.ordered_tails(np.arange(seeds.size))
+        for i, z0 in enumerate(seeds):
+            trace = oracle_iterate_orbit(f, z0, p)
+            points = list(trace.points)
+            if trace.termination.kind == "completed":
+                # a frozen orbit repeats its last point up to max_iter
+                points += [points[-1]] * (p.max_iter + 1 - len(points))
+            want = np.array(points[-p.tail_window:], dtype=np.complex128).tobytes()
+            assert b.ordered_tail(i).tobytes() == want, (text, z0)
+            assert rows[i, held[i]].tobytes() == want, (text, z0)
+            # a short tail is missing its oldest points, not its newest
+            assert held[i, -1] and np.all(np.diff(held[i].astype(int)) >= 0)
+
     def test_tail_values_opt_in(self):
         b = classify_batch(parse("z^2"), np.array([0.5 + 0j]), OrbitParams())
         assert b.tail_values is None
