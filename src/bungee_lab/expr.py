@@ -27,12 +27,15 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 # the most nodes compose and iterate_expr will build
 NODE_CAP = 10**6
 
 MAX_POW_EXPONENT = 64
+
+# Expr.parity values; 0 means no parity
+EVEN, ODD = 1, -1
 
 
 class ParseError(ValueError):
@@ -73,12 +76,33 @@ class Expr:
                            counts as 0), so f(conj z) = conj(f(z)):
                            evaluation commutes with conjugation up to
                            the sign of a zero component
+        parity             EVEN, ODD or 0 (none): f(-z) = parity * f(z)
+                           up to the sign of a zero component.  z is
+                           odd and every constant, complex ones too,
+                           even; + and - keep a parity both operands
+                           share; * and / multiply parities; negation
+                           and sin keep their operand's parity; a power
+                           of an odd base has its exponent's parity and
+                           a power of an even base is even; exp of an
+                           even argument and cos of an odd or even one
+                           are even.  The rules hold in the engine
+                           because +, -, *, numpy's complex division and
+                           square-and-multiply round symmetrically, and
+                           exp, sin and cos of a negated argument are
+                           exact images of the unnegated ones
+
+    classify_grid reads real_coefficients and parity: a map with real
+    coefficients classifies half of a grid whose rows mirror exactly
+    about the real axis, an odd or even map half of a grid whose pixels
+    pair exactly under z -> -z, and a map with both facts a quarter of
+    a grid with both properties (see the grid module).
     """
 
     node_count: int
     var_count: int
     entire: bool
     real_coefficients: bool
+    parity: int
 
     def __post_init__(self):
         node_count, var_count = 1, 0
@@ -98,10 +122,16 @@ class Expr:
         object.__setattr__(self, "var_count", var_count)
         object.__setattr__(self, "entire", entire)
         object.__setattr__(self, "real_coefficients", real)
+        object.__setattr__(self, "parity", self._parity())
+
+    def _parity(self) -> int:
+        return 0
 
     def children(self) -> tuple["Expr", ...]:
+        # __match_args__ lists a dataclass's fields in order, without the
+        # per-call cost of dataclasses.fields
         return tuple(
-            v for f in fields(self) if isinstance(v := getattr(self, f.name), Expr)
+            v for name in self.__match_args__ if isinstance(v := getattr(self, name), Expr)
         )
 
     def __str__(self) -> str:
@@ -145,6 +175,9 @@ class Var(Expr):
         super().__post_init__()
         object.__setattr__(self, "var_count", 1)
 
+    def _parity(self) -> int:
+        return ODD
+
 
 @dataclass(frozen=True)
 class Const(Expr):
@@ -157,11 +190,18 @@ class Const(Expr):
         object.__setattr__(self, "value", v)
         super().__post_init__()
 
+    def _parity(self) -> int:
+        return EVEN
+
 
 @dataclass(frozen=True)
 class Add(Expr):
     a: Expr
     b: Expr
+
+    def _parity(self) -> int:
+        p = self.a.parity
+        return p if p == self.b.parity else 0
 
 
 @dataclass(frozen=True)
@@ -169,11 +209,16 @@ class Sub(Expr):
     a: Expr
     b: Expr
 
+    _parity = Add._parity
+
 
 @dataclass(frozen=True)
 class Mul(Expr):
     a: Expr
     b: Expr
+
+    def _parity(self) -> int:
+        return self.a.parity * self.b.parity
 
 
 @dataclass(frozen=True)
@@ -181,10 +226,15 @@ class Div(Expr):
     a: Expr
     b: Expr
 
+    _parity = Mul._parity
+
 
 @dataclass(frozen=True)
 class Neg(Expr):
     a: Expr
+
+    def _parity(self) -> int:
+        return self.a.parity
 
 
 @dataclass(frozen=True)
@@ -202,20 +252,32 @@ class Pow(Expr):
             )
         super().__post_init__()
 
+    def _parity(self) -> int:
+        p = self.base.parity
+        return p if self.exponent % 2 else p * p
+
 
 @dataclass(frozen=True)
 class Exp(Expr):
     a: Expr
+
+    def _parity(self) -> int:
+        return EVEN if self.a.parity == EVEN else 0
 
 
 @dataclass(frozen=True)
 class Sin(Expr):
     a: Expr
 
+    _parity = Neg._parity
+
 
 @dataclass(frozen=True)
 class Cos(Expr):
     a: Expr
+
+    def _parity(self) -> int:
+        return EVEN if self.a.parity else 0
 
 
 Z = Var()

@@ -6,24 +6,46 @@ Pixel (j, k) of an nx x ny grid samples the center of its cell:
     im = center.imag + ((k + 0.5) / ny - 0.5) * height
 
 so k = 0 is the lowest imaginary row and the flat index is k * nx + j.
-Grids are classified in fixed 65536-pixel chunks regardless of worker
-count, which keeps the output bit-identical across thread settings.
+
+Chunks.  The pixels to classify form a block of rows r0.. and columns
+c0.. (the whole grid unless a symmetry below applies).  It is cut into
+chunks of at most CHUNK_PIXELS pixels that deal rows round-robin: chunk
+c of C takes rows r0 + c, r0 + C + c, ..., so the long orbits that
+crowd near an axis spread evenly over the chunks and the workers finish
+together.  C depends only on the block size and CHUNK_PIXELS, never on
+the worker count, which keeps the output bit-identical across thread
+settings.  A row wider than CHUNK_PIXELS is split into column ranges.
 Each chunk builds its own pixel centers, so memory follows the chunk
 size rather than the grid size.
 
-Mirrored grids.  When every constant of the map is real
-(Expr.real_coefficients) and the row ordinates are exact negatives of
-each other (ys == -ys[::-1], on the formula above, which holds when
-center.imag is 0 and ny is 3 or a power of two), only rows
-k >= ny // 2 are classified and each is copied into its mirror row
-ny - 1 - k.  The copy is exact,
-not an approximation: the mirror pixel is the conjugate seed, and
-conjugation commutes with +, -, *, numpy's complex division, negation,
-square-and-multiply, exp, sin, cos and isfinite up to the sign of a
-zero component.  That sign never changes a magnitude, a status, the
-frozen test (==) or a division's pole and rescue rules, so the
-conjugate orbit has the same verdict, confidence, termination kind and
+Symmetric grids.  Two symmetries of a map fill pixels without
+classifying them.  Both are exact, not approximations, because the
+evaluation of the map, and so the whole orbit, commutes with them up to
+the sign of a zero component.  That sign never changes a magnitude, a
+status, the frozen test (==) or a division's pole and rescue rules, so
+the paired seed has the same verdict, confidence, termination kind and
 step and oscillation count, bit for bit.
+
+- Conjugation: every constant of the map is real
+  (Expr.real_coefficients) and the row ordinates are exact negatives of
+  each other (ys == -ys[::-1], GridSpec.mirrored).  Row ny - 1 - k then
+  holds the conjugates of row k, and f(conj z) = conj(f(z)).
+- Point symmetry: the map is even or odd (Expr.parity) and both axes
+  are exact negatives of themselves (GridSpec.point_symmetric).  Pixel
+  (nx - 1 - j, ny - 1 - k) then holds the negative of pixel (j, k), and
+  f(-z) = +-f(z); an odd map's orbit from -z is the negative of the
+  orbit from z, and an even map's joins it after one step.
+
+On the formula above an axis is antisymmetric when its center
+coordinate is 0 and its pixel count is 3 or a power of two.  With one
+symmetry, rows k >= ny // 2 are classified and rows below are filled
+by the row flip (conjugation) or the 180-degree turn (point symmetry).
+With both, only the quadrant k >= ny // 2, j >= nx // 2 is classified:
+its columns are mirrored into j < nx // 2 (the two symmetries together
+negate the real part only), then the rows into k < ny // 2.  So an odd
+or even map with real coefficients, such as z^2, 1/z^4, z*exp(z^2) or
+z + sin(z), classifies a quarter of a centred 512 x 512 grid; z^2 +
+0.3i or 1 + z + exp(-z) on the same grid classify half of it.
 """
 
 from __future__ import annotations
@@ -38,7 +60,7 @@ from .expr import Expr, format_expr
 from .orbit import OrbitParams, Verdict, classify_batch
 
 MAX_GRID_PIXELS = 2**26
-CHUNK_PIXELS = 65536
+CHUNK_PIXELS = 2**15
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -48,6 +70,10 @@ def resolve_workers(workers: int | None = None) -> int:
             raise ValueError("workers must be at least 1")
         return workers
     return os.cpu_count() or 1
+
+
+def _antisymmetric(axis: np.ndarray) -> bool:
+    return bool(np.array_equal(axis, -axis[::-1]))
 
 
 @dataclass(frozen=True)
@@ -79,15 +105,19 @@ class GridSpec:
     @property
     def mirrored(self) -> bool:
         """Row ny - 1 - k holds the conjugates of row k, exactly."""
-        ys = self._axes()[1]
-        return bool(np.array_equal(ys, -ys[::-1]))
+        return _antisymmetric(self._axes()[1])
+
+    @property
+    def point_symmetric(self) -> bool:
+        """Pixel (nx - 1 - j, ny - 1 - k) is the negative of pixel (j, k), exactly."""
+        xs, ys = self._axes()
+        return _antisymmetric(xs) and _antisymmetric(ys)
 
     def points(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
         """Pixel centers at flat indices lo..hi-1 (default: all of them).
 
         Flat index i = k * nx + j is pixel (j, k).  Any range gives the
-        same bits as the matching slice of the whole grid, so chunks can
-        be generated one at a time.
+        same bits as the matching slice of the whole grid.
         """
         hi = self.pixel_count if hi is None else hi
         xs, ys = self._axes()
@@ -116,59 +146,67 @@ class ClassGrid:
     oscillations: np.ndarray  # int32
 
 
+def _deal(nx: int, ny: int, r0: int, c0: int) -> list[tuple[np.ndarray, int, int]]:
+    """Chunks (rows, lo, hi) covering rows r0.. and columns c0.. of the grid.
+
+    Chunk c of C takes rows r0 + c, r0 + C + c, ..., so the long orbits
+    of neighbouring rows spread over all chunks.  C follows from the
+    block size and CHUNK_PIXELS alone; a row wider than CHUNK_PIXELS is
+    split into column ranges, one row per chunk, so no chunk exceeds
+    CHUNK_PIXELS pixels.
+    """
+    width = min(nx - c0, CHUNK_PIXELS)
+    n = -(-(ny - r0) // (CHUNK_PIXELS // width))
+    return [
+        (np.arange(r0 + c, ny, n), lo, min(lo + width, nx))
+        for lo in range(c0, nx, width)
+        for c in range(n)
+    ]
+
+
 def classify_grid(
     f: Expr,
     spec: GridSpec,
     params: OrbitParams,
     workers: int | None = None,
 ) -> ClassGrid:
-    """Classify every pixel of spec under f, in CHUNK_PIXELS chunks.
+    """Classify every pixel of spec under f, in chunks of dealt rows.
 
-    For a real-coefficient map on a mirrored grid only the rows from
-    ny // 2 up are classified; the rows below are copies of their
-    mirrors (see the module docstring).
+    Only the block of rows from r0 up and columns from c0 up is
+    classified; the symmetries of f and spec fill in the rest (see the
+    module docstring).
     """
-    k = spec.pixel_count
-    half = spec.ny // 2 if f.real_coefficients and spec.mirrored else 0
-    verdict = np.empty(k, dtype=np.uint8)
-    confident = np.empty(k, dtype=bool)
-    term_kind = np.empty(k, dtype=np.uint8)
-    term_step = np.empty(k, dtype=np.int32)
-    osc = np.empty(k, dtype=np.int32)
-
-    def run(lo: int, hi: int) -> None:
-        batch = classify_batch(f, spec.points(lo, hi), params)
-        verdict[lo:hi] = batch.verdict
-        confident[lo:hi] = batch.confident
-        term_kind[lo:hi] = batch.term_kind
-        term_step[lo:hi] = batch.term_step
-        osc[lo:hi] = batch.oscillations
-
-    ranges = [
-        (lo, min(lo + CHUNK_PIXELS, k))
-        for lo in range(half * spec.nx, k, CHUNK_PIXELS)
+    conj = f.real_coefficients and spec.mirrored
+    flip = f.parity != 0 and spec.point_symmetric
+    r0 = spec.ny // 2 if conj or flip else 0
+    c0 = spec.nx // 2 if conj and flip else 0
+    xs, ys = spec._axes()
+    # verdict, confident, term_kind, term_step, oscillations; row k, column j
+    grids = [
+        np.empty((spec.ny, spec.nx), dtype=t)
+        for t in (np.uint8, bool, np.uint8, np.int32, np.int32)
     ]
+
+    def run(rows: np.ndarray, lo: int, hi: int) -> None:
+        # the same bits as spec.points() at these pixels
+        batch = classify_batch(f, (xs[lo:hi] + 1j * ys[rows, None]).ravel(), params)
+        outputs = (batch.verdict, batch.confident, batch.term_kind,
+                   batch.term_step, batch.oscillations)
+        for g, b in zip(grids, outputs):
+            g[rows, lo:hi] = b.reshape(rows.size, hi - lo)
+
+    chunks = _deal(spec.nx, spec.ny, r0, c0)
     n_workers = resolve_workers(workers)
-    if n_workers <= 1 or len(ranges) <= 1:
-        for lo, hi in ranges:
-            run(lo, hi)
+    if n_workers <= 1 or len(chunks) <= 1:
+        for chunk in chunks:
+            run(*chunk)
     else:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(lambda r: run(*r), ranges))
-    for a in (verdict, confident, term_kind, term_step, osc):
-        rows = a.reshape(spec.ny, spec.nx)
-        rows[:half] = rows[::-1][:half]
-
-    return ClassGrid(
-        spec=spec,
-        params=params,
-        function_text=format_expr(f),
-        verdict=verdict,
-        confident=confident,
-        term_kind=term_kind,
-        term_step=term_step,
-        oscillations=osc,
-    )
+            list(pool.map(lambda c: run(*c), chunks))
+    for g in grids:
+        g[r0:, :c0] = g[r0:, ::-1][:, :c0]
+        g[:r0] = (g[::-1] if conj else g[::-1, ::-1])[:r0]
+    return ClassGrid(spec, params, format_expr(f), *(g.ravel() for g in grids))
 
 
 def mask_stats(grid: ClassGrid) -> dict:

@@ -446,7 +446,11 @@ def classify_batch(
             osc[idx] = n_osc[frozen]
             all_below[idx] = below[frozen]
             if want_tail_values:
-                tail_values[idx] = vals[frozen][:, None]
+                # the ring holds points up to n + 1; later ones repeat it
+                later = np.arange(max(n + 2, n_total + 1 - w), n_total + 1)
+                tails = ring[:, : alive.size][:, frozen].T
+                tails[:, later % w] = vals[frozen][:, None]
+                tail_values[idx] = tails
                 tail_last[idx] = n_total
                 _compact(ring, ~frozen)
             live = ~frozen

@@ -83,6 +83,50 @@ def random_expr(rng: random.Random, depth: int, real: bool = False) -> Expr:
     return cos_(a)
 
 
+def random_parity_expr(rng: random.Random, depth: int, odd: bool) -> Expr:
+    """Random tree built only from steps that keep a parity: odd in z
+    when odd, else even; its constants are nonzero and may be complex."""
+    if depth <= 0 or rng.random() < 0.2:
+        if odd:
+            return Var()
+        if rng.random() < 0.5:
+            return pow_(Var(), 2)
+        # a zero constant would fold an odd product to the constant 0
+        c = random_const(rng)
+        return c if c.value != 0 else Const(1.0)
+    op = rng.randrange(8)
+    if op == 0:
+        return add(random_parity_expr(rng, depth - 1, odd), random_parity_expr(rng, depth - 1, odd))
+    if op == 1:
+        return sub(random_parity_expr(rng, depth - 1, odd), random_parity_expr(rng, depth - 1, odd))
+    if op in (2, 3):
+        # odd * even is odd; odd * odd and even * even are even
+        a_odd = rng.random() < 0.5
+        b_odd = a_odd != odd
+        a = random_parity_expr(rng, depth - 1, a_odd)
+        b = random_parity_expr(rng, depth - 1, b_odd)
+        return mul(a, b) if op == 2 else div(a, b)
+    if op == 4:
+        return neg(random_parity_expr(rng, depth - 1, odd))
+    if op == 5:
+        # a power of an odd base has its exponent's parity; of an even base, even
+        base_odd = odd or rng.random() < 0.5
+        if odd:
+            n = rng.choice([-63, -3, -1, 3, 5])
+        elif base_odd:
+            n = rng.choice([-64, -2, 2, 4, 64])
+        else:
+            n = rng.choice([-3, -2, -1, 2, 3, 64])
+        return pow_(random_parity_expr(rng, depth - 1, base_odd), n)
+    if op == 6:
+        return sin_(random_parity_expr(rng, depth - 1, odd))
+    if odd:
+        return mul(Var(), random_parity_expr(rng, depth - 1, False))
+    if rng.random() < 0.5:
+        return exp_(random_parity_expr(rng, depth - 1, False))
+    return cos_(random_parity_expr(rng, depth - 1, rng.random() < 0.5))
+
+
 def random_points(rng: random.Random, count: int, half_width: float = 2.0) -> np.ndarray:
     pts = [
         complex(rng.uniform(-half_width, half_width), rng.uniform(-half_width, half_width))

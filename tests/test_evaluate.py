@@ -12,7 +12,7 @@ from types import FunctionType
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bungee_lab import engine
@@ -21,7 +21,7 @@ from bungee_lab.expr import Z, Div, Pow, compose, derivative, parse
 from bungee_lab.orbit import OrbitParams, classify_batch, classify_point
 from bungee_lab.presets import PRESET_FUNCTIONS
 
-from conftest import random_expr, random_points
+from conftest import random_expr, random_parity_expr, random_points
 from eval_oracle import oracle_eval
 
 # points where statuses change: underflowing reciprocals, overflowing
@@ -167,6 +167,35 @@ class TestOracleAgreement:
             np.abs(vals[ok]).view(np.uint64), np.abs(cvals[ok]).view(np.uint64)
         ), str(e)
         assert (cvals[ok] == np.conj(vals[ok])).all(), str(e)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 2**63 - 1),
+        st.booleans(),
+        st.lists(st.complex_numbers(allow_nan=True, allow_infinity=True), max_size=6),
+    )
+    def test_parity_commutes_with_negation(self, seed, odd, extra):
+        # the premise of classify_grid's point symmetry: for an even or
+        # odd map, f(-z) and parity * f(z) differ at most in the sign of
+        # a zero
+        e = random_parity_expr(random.Random(seed), 6, odd)
+        # a constant that underflows to 0 can fold an odd factor away
+        assume(e.parity != 0)
+        pts = np.concatenate([
+            ADVERSARIAL,
+            SIGNED_ZEROS,
+            np.array(extra, dtype=np.complex128),
+            random_points(np.random.default_rng(seed), 8),
+            random_points(np.random.default_rng(seed), 8, 800.0),
+        ])
+        vals, stats = eval_array(e, pts)
+        nvals, nstats = eval_array(e, -pts)
+        assert np.array_equal(stats, nstats), str(e)
+        ok = stats == engine.OK
+        assert np.array_equal(
+            np.abs(vals[ok]).view(np.uint64), np.abs(nvals[ok]).view(np.uint64)
+        ), str(e)
+        assert (nvals[ok] == (vals[ok] if e.parity > 0 else -vals[ok])).all(), str(e)
 
     @pytest.mark.parametrize(
         "text, z0, kind",

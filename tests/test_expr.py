@@ -11,8 +11,11 @@ from hypothesis import strategies as st
 
 from bungee_lab.engine import evaluate
 from bungee_lab.expr import (
+    EVEN,
+    ODD,
     Add,
     Const,
+    Cos,
     Div,
     Exp,
     ExponentRangeError,
@@ -22,6 +25,7 @@ from bungee_lab.expr import (
     ParseError,
     Pow,
     Sin,
+    Sub,
     UnknownIdentifierError,
     Var,
     Z,
@@ -34,7 +38,7 @@ from bungee_lab.expr import (
     translate,
 )
 
-from conftest import random_expr
+from conftest import random_expr, random_parity_expr
 
 
 class TestParseStructure:
@@ -81,6 +85,46 @@ class TestParseStructure:
 
         e = random_expr(random.Random(seed), 6)
         assert e.real_coefficients == all(c.imag == 0 for c in consts(e))
+
+    def test_parity(self):
+        for text in ("z^2+i", "cos(z)", "1/z^4", "z^-2", "(z^2+1)^3", "exp(-z^2)",
+                     "sin(z^2)", "cos(z+sin(z))", "2*pi*i"):
+            assert parse(text).parity == EVEN, text
+        for text in ("z", "z^-3", "z*exp(z^2)", "z*exp(-z^2)", "z+sin(z)", "-z/(z^2+i)",
+                     "i*sin(z)"):
+            assert parse(text).parity == ODD, text
+        for text in ("z+1", "exp(z)", "1+z+exp(-z)", "z+sin(z)+2*pi", "(z+1)/(z-1)",
+                     "cos(z+1)", "sin(z+1)"):
+            assert parse(text).parity == 0, text
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**63 - 1))
+    def test_parity_follows_the_tree(self, seed):
+        # f(-z) = sign * f(z) for sign "+" or "-", or None without parity
+        def sign(e):
+            if isinstance(e, Var):
+                return "-"
+            if isinstance(e, Const):
+                return "+"
+            kids = [sign(k) for k in e.children()]
+            if None in kids:
+                return None
+            if isinstance(e, (Add, Sub)):
+                return kids[0] if kids[0] == kids[1] else None
+            if isinstance(e, (Mul, Div)):
+                return "+" if kids[0] == kids[1] else "-"
+            if isinstance(e, (Neg, Sin)):
+                return kids[0]
+            if isinstance(e, Pow):
+                return "-" if kids[0] == "-" and e.exponent % 2 else "+"
+            if isinstance(e, Exp):
+                return "+" if kids[0] == "+" else None
+            assert isinstance(e, Cos)
+            return "+"
+
+        rng = random.Random(seed)
+        for e in (random_expr(rng, 6), random_parity_expr(rng, 6, rng.random() < 0.5)):
+            assert e.parity == {"+": EVEN, "-": ODD, None: 0}[sign(e)], str(e)
 
     def test_arithmetic_folding_and_pruning(self):
         assert parse("2*3") == Const(6)

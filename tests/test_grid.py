@@ -34,8 +34,32 @@ MIRRORED_SPECS = [
     GridSpec(0j, 1e5, 1e5, 5, 4),
     GridSpec(1e-300j, 4.0, 4.0, 5, 8),
 ]
+# odd and even maps with real constants (the quadrant fill) and with
+# complex ones (the 180-degree turn only)
+QUADRANT_MAPS = [t for t in REAL_MAPS if parse(t).parity] + ["1/z^4", "z^3-2*z", "cos(z)"]
+ROTATION_MAPS = ["z^2+0.3*i", "(1+2*i)*z*exp(-z^2)", "cos(z)+0.1*i", "i*sin(z)", "1/(z^2+i)"]
+# grids whose pixels pair exactly under z -> -z: odd and even nx and ny
+# down to 1, a row wider than a chunk of 7, tiny and huge widths, and a
+# centre 1e-300 off both axes that rounds away in every coordinate
+POINT_SYMMETRIC_SPECS = [
+    GridSpec(0j, 4.0, 4.0, 3, 3),
+    GridSpec(0j, 4.0, 4.0, 1, 8),
+    GridSpec(0j, 4.0, 3.0, 16, 1),
+    GridSpec(0j, 5.0, 4.0, 8, 2),
+    GridSpec(0j, 1e-300, 1e-300, 4, 16),
+    GridSpec(0j, 1e5, 1e5, 3, 4),
+    GridSpec(1e-300 + 1e-300j, 4.0, 4.0, 8, 4),
+]
 # escape and bound radii the drift maps reach within the budget
 MIRROR_PARAMS = OrbitParams(max_iter=300, escape_radius=50.0, bound_radius=30.0)
+
+
+def assert_equals_whole_grid(f, spec, text):
+    cg = classify_grid(f, spec, MIRROR_PARAMS, workers=2)
+    whole = classify_batch(f, spec.points(), MIRROR_PARAMS)
+    for name in FIELDS:
+        got, want = getattr(cg, name), getattr(whole, name)
+        assert got.tobytes() == want.tobytes(), (text, spec, name)
 
 
 def count_classified(monkeypatch) -> list:
@@ -163,21 +187,28 @@ class TestMirror:
         monkeypatch.setattr(grid, "CHUNK_PIXELS", 7)
         for spec in MIRRORED_SPECS:
             assert spec.mirrored
-            cg = classify_grid(f, spec, MIRROR_PARAMS, workers=2)
-            whole = classify_batch(f, spec.points(), MIRROR_PARAMS)
-            for name in FIELDS:
-                got, want = getattr(cg, name), getattr(whole, name)
-                assert got.tobytes() == want.tobytes(), (text, spec, name)
+            assert_equals_whole_grid(f, spec, text)
 
     @pytest.mark.parametrize("text", REAL_MAPS)
     def test_classifies_the_upper_half(self, text, monkeypatch):
         sizes = count_classified(monkeypatch)
+        # columns at nx = 6 and 5 do not pair exactly, so odd and even
+        # maps classify half of these grids too
         classify_grid(parse(text), GridSpec(0j, 4.0, 4.0, 6, 8), MIRROR_PARAMS)
         assert sum(sizes) == 6 * 8 // 2
         sizes.clear()
         # an odd ny also classifies its middle row
         classify_grid(parse(text), GridSpec(0j, 4.0, 4.0, 5, 3), MIRROR_PARAMS)
         assert sum(sizes) == 5 * 2
+        sizes.clear()
+        # where the columns pair too, odd and even maps classify a quarter,
+        # and an odd nx its middle column
+        odd_or_even = parse(text).parity != 0
+        classify_grid(parse(text), GridSpec(0j, 4.0, 4.0, 8, 8), MIRROR_PARAMS)
+        assert sum(sizes) == (4 * 4 if odd_or_even else 8 * 4)
+        sizes.clear()
+        classify_grid(parse(text), GridSpec(0j, 4.0, 4.0, 3, 3), MIRROR_PARAMS)
+        assert sum(sizes) == (2 * 2 if odd_or_even else 3 * 2)
 
     @pytest.mark.parametrize(
         "text, spec",
@@ -194,6 +225,96 @@ class TestMirror:
         assert sum(sizes) == spec.pixel_count
         whole = classify_batch(parse(text), spec.points(), MIRROR_PARAMS)
         assert cg.verdict.tobytes() == whole.verdict.tobytes()
+
+
+class TestPointSymmetry:
+    @pytest.mark.parametrize("text", QUADRANT_MAPS)
+    def test_quadrant_equals_whole_grid(self, text, monkeypatch):
+        f = parse(text)
+        assert f.real_coefficients and f.parity
+        # chunks of 7 split the 16-pixel row and deal rows elsewhere
+        monkeypatch.setattr(grid, "CHUNK_PIXELS", 7)
+        for spec in POINT_SYMMETRIC_SPECS:
+            assert spec.mirrored and spec.point_symmetric
+            assert_equals_whole_grid(f, spec, text)
+
+    @pytest.mark.parametrize("text", ROTATION_MAPS)
+    def test_rotation_equals_whole_grid(self, text, monkeypatch):
+        f = parse(text)
+        assert f.parity and not f.real_coefficients
+        monkeypatch.setattr(grid, "CHUNK_PIXELS", 7)
+        for spec in POINT_SYMMETRIC_SPECS:
+            assert_equals_whole_grid(f, spec, text)
+
+    @pytest.mark.parametrize(
+        "text, spec, count",
+        [
+            # both symmetries: the quadrant, with the middle row and column
+            ("z^2", GridSpec(0j, 4.0, 4.0, 8, 8), 4 * 4),
+            ("z*exp(z^2)", GridSpec(0j, 4.0, 4.0, 3, 3), 2 * 2),
+            ("z+sin(z)", GridSpec(0j, 4.0, 4.0, 16, 1), 8),
+            ("1/z^2", GridSpec(0j, 4.0, 4.0, 1, 8), 4),
+            # the 180-degree turn alone: the upper half
+            ("z^2+0.3*i", GridSpec(0j, 4.0, 4.0, 8, 8), 8 * 4),
+            ("i*sin(z)", GridSpec(0j, 4.0, 4.0, 3, 3), 3 * 2),
+            ("z^2+0.3*i", GridSpec(0j, 4.0, 4.0, 16, 1), 16),
+            # conjugation alone: the upper half
+            ("1+z+exp(-z)", GridSpec(0j, 4.0, 4.0, 8, 8), 8 * 4),
+            # the columns do not pair off the imaginary axis or at nx = 6
+            ("z^2", GridSpec(0.5 + 0j, 4.0, 4.0, 8, 8), 8 * 4),
+            ("z^2+0.3*i", GridSpec(0.5 + 0j, 4.0, 4.0, 8, 8), 8 * 8),
+            ("z^2+0.3*i", GridSpec(0j, 4.0, 4.0, 6, 8), 6 * 8),
+            # no symmetry: the whole grid
+            ("1+z+exp(-z)+2*pi*i", GridSpec(0j, 4.0, 4.0, 8, 8), 8 * 8),
+        ],
+    )
+    def test_classified_pixels(self, text, spec, count, monkeypatch):
+        sizes = count_classified(monkeypatch)
+        monkeypatch.setattr(grid, "CHUNK_PIXELS", 7)
+        cg = classify_grid(parse(text), spec, MIRROR_PARAMS, workers=2)
+        assert sum(sizes) == count
+        # a 16-pixel row is split; no call exceeds a chunk
+        assert max(sizes) <= 7
+        whole = classify_batch(parse(text), spec.points(), MIRROR_PARAMS)
+        assert cg.verdict.tobytes() == whole.verdict.tobytes()
+
+
+class TestChunks:
+    def rows_per_call(self, monkeypatch, spec) -> list:
+        ys = spec.points()[:: spec.nx].imag
+        calls = []
+
+        def recording(f, seeds, params):
+            calls.append(sorted({int(np.nonzero(ys == y)[0][0]) for y in seeds.imag}))
+            return orbit.classify_batch(f, seeds, params)
+
+        monkeypatch.setattr(grid, "classify_batch", recording)
+        return calls
+
+    def test_rows_are_dealt(self, monkeypatch):
+        # 16 rows of 4 at 16 pixels a chunk: four chunks of four rows
+        # each, every fourth row, whatever the worker count
+        spec = GridSpec(1 + 1j, 4.0, 4.0, 4, 16)
+        monkeypatch.setattr(grid, "CHUNK_PIXELS", 16)
+        for workers in (1, 2, 3):
+            calls = self.rows_per_call(monkeypatch, spec)
+            classify_grid(parse("z^2"), spec, MIRROR_PARAMS, workers=workers)
+            assert sorted(calls) == [[c, c + 4, c + 8, c + 12] for c in range(4)]
+
+    def test_dealt_rows_start_at_the_block(self, monkeypatch):
+        # the quadrant of a 4 x 16 grid: rows 8..15, columns 2..3; eight
+        # pixels a chunk take four rows, so two chunks of alternate rows
+        spec = GridSpec(0j, 4.0, 4.0, 4, 16)
+        monkeypatch.setattr(grid, "CHUNK_PIXELS", 8)
+        calls = self.rows_per_call(monkeypatch, spec)
+        classify_grid(parse("z^2"), spec, MIRROR_PARAMS)
+        assert sorted(calls) == [[8, 10, 12, 14], [9, 11, 13, 15]]
+
+    def test_wide_rows_are_split(self, monkeypatch):
+        sizes = count_classified(monkeypatch)
+        monkeypatch.setattr(grid, "CHUNK_PIXELS", 7)
+        classify_grid(parse("z^2"), GridSpec(1j, 4.0, 4.0, 16, 3), MIRROR_PARAMS)
+        assert sorted(sizes) == [2, 2, 2, 7, 7, 7, 7, 7, 7]
 
 
 class TestWorkerResolution:

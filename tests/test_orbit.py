@@ -468,7 +468,22 @@ class TestBatchAgreement:
 
     @pytest.mark.parametrize("text, seeds", TAIL_CASES)
     def test_ordered_tails_are_the_last_finite_points(self, text, seeds):
-        f, p = parse(text), OrbitParams(max_iter=400, tail_window=10)
+        self.assert_tails_match_oracle(text, seeds, OrbitParams(max_iter=400, tail_window=10))
+
+    @pytest.mark.parametrize("max_iter", range(52, 66))
+    def test_late_freeze_keeps_its_last_points(self, max_iter):
+        # 0.5*z+1 freezes at 2 on step 54 from 0 and on step 50 from
+        # 1.9, and not at all from 0.3i: over max_iter 52..65 the freezes
+        # fall at every distance from the end of the orbit up to
+        # tail_window, so a tail starts with up to tail_window - 1
+        # points from before its freeze
+        self.assert_tails_match_oracle(
+            "0.5*z+1", [0, 0.3j, 1.9], OrbitParams(max_iter=max_iter, tail_window=10)
+        )
+
+    @staticmethod
+    def assert_tails_match_oracle(text, seeds, p):
+        f = parse(text)
         seeds = np.array(seeds, dtype=np.complex128)
         b = classify_batch(f, seeds, p, want_tail_values=True)
         rows, held = b.ordered_tails(np.arange(seeds.size))
