@@ -5,6 +5,8 @@ and summarized by log10 magnitudes (with -inf standing for |z| = 0).
 Iteration stops early when the map overflows, hits a pole, or lands
 exactly on a fixed point (from there the tail is constant, so the
 remaining magnitudes are filled in without further evaluation).
+classify_batch without tails also retires a seed that is certified to
+stay bounded to the end, as below.
 
 Verdicts, in the order the rules are tried:
 
@@ -32,20 +34,43 @@ log10(escape_radius) that never decrease (the tail test is that run
 reaching tail_window).  Per orbit it keeps only these, the step count
 and the first and last SUMMARY_MAGNITUDES magnitudes, so its memory
 does not grow with max_iter.  classify_batch streams per seed as well.
+
+Retirement.  For an entire map (no division, no negative power),
+majorant walks the dominant series M, with |f(z)| <= M(|z|), each node
+rounded outward by a relative SLACK and an absolute TINY.  That covers
+the rounding of numpy's +, -, *, powers, exp, sin and cos (below 2^-40
+relative per node, plus a few 2^-1074 under 2^-1022), so the walked
+B(r) bounds |f(z)| as eval_array computes it for every |z| <= r.  From
+B, _build_table chains radii r*(R), each verified by a forward
+evaluation of B: a point at or below r*(R) stays at or below
+bound_radius / 2 for R more steps.  After step n's bookkeeping, a live
+seed with log10|z| <= log10 r*(max_iter - n - 1), less LOG10_MARGIN for
+the rounding of np.log10(np.abs(z)), leaves on the frozen path, and its
+outputs are what the remaining steps would give: those steps stay below
+bound_radius, so the orbit completes at max_iter without overflow or
+pole, its excursion flag (just cleared, since m < log_bound) stays
+clear and its oscillation count stays, all_below keeps its value and
+the tail test fails.  So every output array is bit-identical to a run
+of every step.  A table covers at most RETIRE_STEPS remaining steps
+and is built once per map, bound_radius and length, on the first call
+that needs it.  classify_point, which reports the last magnitudes, and
+classify_batch with want_tail_values run every step.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import enum
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import engine
 from .engine import eval_array
-from .expr import Expr, derivative
+from .expr import Add, Const, Cos, Exp, Expr, Mul, Neg, Pow, Sin, Sub, Var, derivative
 
 TERM_COMPLETED = 0
 TERM_OVERFLOW = 1
@@ -334,6 +359,152 @@ def _compact(ring: np.ndarray, keep: np.ndarray) -> None:
     ring[:, : np.count_nonzero(keep)] = ring[:, : keep.size][:, keep]
 
 
+# ---------------------------------------------------------------------------
+# Retiring bounded seeds
+
+# the most remaining steps a retirement table covers; later steps have no
+# certificate, so a table's size and build time do not grow with max_iter
+RETIRE_STEPS = 2**16
+# the outward rounding of each node of the majorant, relative and absolute
+SLACK = 1e-9
+TINY = 1e-300
+# the majorant is tabulated at this many radii, log-spaced from TINY (below
+# which it is flat, every node adding TINY) up to bound_radius / 2, to
+# start the inverse chain
+MAJORANT_GRID = 4096
+# how far below its certified radius a table entry lies, in log10; far
+# above the rounding of np.log10(np.abs(z)), about 1e-13
+LOG10_MARGIN = 1e-9
+# how far below its interpolated inverse each chain radius is put, in
+# natural log; far above the rounding of the chain arithmetic
+CHAIN_SHRINK = 1e-10
+
+_DOMINANT = {Exp: np.exp, Sin: np.sinh, Cos: np.cosh}
+_NO_TABLE = np.empty(0)
+_tables_lock = threading.Lock()
+
+
+def majorant(e: Expr, r: np.ndarray) -> np.ndarray:
+    """B(r): a bound on |f(z)| as eval_array computes it, for all |z| <= r.
+
+    e must be entire (no division and no negative power).  The walk
+    evaluates e's dominant series M: z becomes r, each constant its
+    modulus, - and negation +, sin sinh and cos cosh, while *, integer
+    powers and exp stay.  M is a power series with nonnegative
+    coefficients, so it is nondecreasing, log M(e^x) is convex in x, and
+    |f(z)| <= M(|z|), since |exp(w)| <= e^|w|, |sin(w)| <= sinh|w| and
+    |cos(w)| <= cosh|w|.
+
+    Each node's walked value is multiplied by 1 + SLACK and has TINY
+    added (negation, which is exact, is left alone).  That covers two
+    errors at every node: that of the node as eval_array computes it,
+    and that of the walk's own float64 arithmetic.  For a finite result,
+    numpy's complex + and - round each component (modulus error at most
+    u |a + b|, u = 2^-53), * is within sqrt(5) u of the exact product,
+    a power of at most 64 by square-and-multiply within 63 sqrt(5) u,
+    exp, sin and cos within a few ulps per component of the exact
+    function of their computed argument, and np.abs within one ulp; the
+    walk's float64 +, *, ** (libm pow), exp, sinh and cosh are within a
+    few ulps.  Per node that is a relative error below 2^-40, which
+    SLACK exceeds a thousandfold, plus, below 2^-1022, a few 2^-1074 per
+    component, which TINY covers.  By induction over the tree, then,
+    every node's computed modulus is at most its walked value for every
+    z with |z| <= r; the induction needs the exact operations to be
+    monotone, not the float ones.  Where B(r) is finite, every node is,
+    so the map neither overflows there nor, being entire, meets a pole.
+
+    r is a float64 array; run under np.errstate(all="ignore").
+    """
+    if isinstance(e, Var):
+        v = r
+    elif isinstance(e, Const):
+        v = np.full(r.shape, abs(e.value))
+    elif isinstance(e, Neg):
+        return majorant(e.a, r)
+    elif isinstance(e, Pow):
+        v = majorant(e.base, r) ** e.exponent
+    elif isinstance(e, (Add, Sub)):
+        v = majorant(e.a, r) + majorant(e.b, r)
+    elif isinstance(e, Mul):
+        v = majorant(e.a, r) * majorant(e.b, r)
+    else:
+        v = _DOMINANT[type(e)](majorant(e.a, r))
+    return v * (1 + SLACK) + TINY
+
+
+def _retire_table(f: Expr, params: OrbitParams) -> np.ndarray:
+    """f's retirement table for params, built on first use and cached on f.
+
+    Entry R, for R < min(max_iter, RETIRE_STEPS), is a log10 radius: a
+    point at or below it stays at or below bound_radius / 2 for R more
+    steps of f.  NaN means no certificate.  A map that is not entire
+    has an empty table.  The lock builds each table once, however many
+    grid threads ask for it together.
+    """
+    if not f.entire:
+        return _NO_TABLE
+    length = min(params.max_iter, RETIRE_STEPS)
+    with _tables_lock:
+        tables = f.__dict__.setdefault("_retire_tables", {})
+        key = (params.bound_radius, length)
+        if key not in tables:
+            tables[key] = _build_table(f, params.bound_radius / 2, length)
+        return tables[key]
+
+
+def _build_table(f: Expr, top: float, length: int) -> np.ndarray:
+    """Entries 0..length-1 of f's retirement table below the radius top.
+
+    The chain starts at r_0 = top.  r_R is the largest radius whose B
+    stays at or below r_(R-1) on the chord of log B between two
+    neighbouring radii of the grid, less CHAIN_SHRINK.  log B is convex,
+    so the chord lies above it and the chain errs low.  When that
+    inverse reaches r_(R-1) itself, r_(R-1) is invariant (B(r) <= r) and
+    stands for every later R.  One forward evaluation of B then checks
+    every link B(r_R) <= r_(R-1), and the invariance; the table keeps
+    the radii up to the first link that fails, and NaN from there on.
+    A radius whose links all hold certifies R steps: |z| <= r_R gives
+    |f(z)| <= B(r_R) <= r_(R-1), and so on down to top.
+    """
+    table = np.full(length, np.nan)
+    if not top > TINY:
+        return table
+    with np.errstate(all="ignore"):
+        radii = np.geomspace(TINY, top, MAJORANT_GRID)
+        xs = np.log(radii).tolist()
+        ys = np.log(np.maximum.accumulate(majorant(f, radii))).tolist()
+        chain = np.empty(length)  # log radii
+        x = chain[0] = math.log(top)
+        invariant = False
+        k = 1
+        while k < length:
+            j = bisect.bisect_right(ys, x) - 1  # the last grid radius with B <= e^x
+            if j < 0:
+                break
+            step = xs[j]
+            if j + 1 < len(ys):
+                step += (x - ys[j]) / (ys[j + 1] - ys[j]) * (xs[j + 1] - xs[j]) - CHAIN_SHRINK
+            if step >= x:
+                invariant = True
+                break
+            chain[k] = x = step
+            k += 1
+        radius = np.exp(chain[:k])
+        radius[0] = top
+        bound = majorant(f, radius)
+        links = bound[1:] <= radius[:-1]
+        if invariant:
+            links = np.append(links, bound[-1] <= radius[-1])
+        failed = np.flatnonzero(~links)
+        valid = length if invariant else k
+        if failed.size:
+            valid = failed[0] + 1
+        table[:k] = np.log10(radius) - LOG10_MARGIN
+        table[k:] = table[k - 1]
+        table[valid:] = np.nan
+    return table
+
+
 def classify_batch(
     f: Expr,
     seeds: np.ndarray,
@@ -349,10 +520,24 @@ def classify_batch(
     to the outputs when a seed finishes.  The tail test runs only over
     the last tail_window magnitudes, since only completed orbits read it.
 
-    With want_tail_values, the last tail_window points of the live
-    seeds are kept in live order too, so each step writes its points as
-    one contiguous row of a (tail_window, n) ring.  A seed's tail and
-    last finite index go to the outputs once, when it finishes.
+    A seed finishes early by overflow, pole, exact fixed point or, for
+    an entire f, retirement: after step n, with R = max_iter - n - 1
+    steps left, a seed with log10|z| at or below entry R of f's table
+    is certified to stay at or below bound_radius / 2 to the end.  The
+    certificate bounds numpy's rounding by the majorant's SLACK and
+    TINY per node, and the table's entries sit LOG10_MARGIN below the
+    certified radii to absorb the rounding of the magnitude itself (see
+    majorant and the module docstring).  The seed takes the frozen path,
+    which writes exactly what its remaining steps would: completed at
+    max_iter, its oscillation count and all-below flag as they stand,
+    and a failed tail test.  Entries for R >= RETIRE_STEPS, or without a
+    certificate, are NaN, and such a step costs no array operation.
+
+    With want_tail_values, every step runs, since the tails need the
+    points; the last tail_window points of the live seeds are kept in
+    live order too, so each step writes its points as one contiguous
+    row of a (tail_window, n) ring.  A seed's tail and last finite
+    index go to the outputs once, when it finishes.
     """
     seeds = np.ascontiguousarray(seeds, dtype=np.complex128).ravel()
     k = seeds.size
@@ -392,6 +577,7 @@ def classify_batch(
     tail_ok = prev = None
     if want_tail_values:
         ring[0, : alive.size] = z
+    retire = _NO_TABLE if want_tail_values else _retire_table(f, params)
 
     for n in range(n_total):
         if alive.size == 0:
@@ -438,10 +624,16 @@ def classify_batch(
         if want_tail_values:
             ring[(n + 1) % w, : alive.size] = vals
         frozen = vals == z
+        left = n_total - n - 1
+        if left < retire.size and not math.isnan(limit := retire[left]):
+            # certified to stay at or below bound_radius / 2 to the end
+            frozen |= m <= limit
         if frozen.any():
             idx = alive[frozen]
             # constant tail: every later magnitude equals m, so the
-            # window test reduces to a single comparison
+            # window test reduces to a single comparison; a retired
+            # seed's later magnitudes all lie below log_bound, so its
+            # test is False, as m > log_esc is
             tail_escape[idx] = m[frozen] > log_esc
             osc[idx] = n_osc[frozen]
             all_below[idx] = below[frozen]

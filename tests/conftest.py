@@ -53,25 +53,29 @@ def random_const(rng: random.Random, real: bool = False) -> Expr:
     return Const(complex(round(rng.uniform(-2, 2), 3), round(rng.uniform(-2, 2), 3)))
 
 
-def random_expr(rng: random.Random, depth: int, real: bool = False) -> Expr:
+def random_expr(rng: random.Random, depth: int, real: bool = False, entire: bool = False) -> Expr:
     """Random tree of at most the given depth, in canonical folded form;
-    with real, every constant it draws is real."""
+    with real, every constant it draws is real, and with entire, the
+    tree has no division and no negative power (a product and a
+    positive power take their place)."""
     if depth <= 0 or rng.random() < 0.25:
         return Var() if rng.random() < 0.7 else random_const(rng, real)
     op = rng.randrange(9)
-    a = random_expr(rng, depth - 1, real)
+    a = random_expr(rng, depth - 1, real, entire)
     if op == 0:
-        return add(a, random_expr(rng, depth - 1, real))
+        return add(a, random_expr(rng, depth - 1, real, entire))
     if op == 1:
-        return sub(a, random_expr(rng, depth - 1, real))
-    if op == 2:
-        return mul(a, random_expr(rng, depth - 1, real))
+        return sub(a, random_expr(rng, depth - 1, real, entire))
+    if op == 2 or (op == 3 and entire):
+        return mul(a, random_expr(rng, depth - 1, real, entire))
     if op == 3:
         return div(a, random_expr(rng, depth - 1, real))
     if op == 4:
         return neg(a)
     if op == 5:
         n = rng.choice([-3, -2, -1, 2, 3, 4, 64, -64, 1])
+        if entire:
+            n = abs(n)
         try:
             return pow_(a, n)
         except ValueError:

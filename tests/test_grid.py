@@ -15,7 +15,7 @@ from bungee_lab.grid import (
     resolve_workers,
 )
 from bungee_lab.orbit import OrbitParams, classify_batch
-from bungee_lab.presets import PRESET_FUNCTIONS
+from bungee_lab.presets import FATOU_PARAMS, PRESET_FUNCTIONS
 
 FIELDS = ("verdict", "confident", "term_kind", "term_step", "oscillations")
 REAL_MAPS = [t for t in PRESET_FUNCTIONS if parse(t).real_coefficients] + [
@@ -315,6 +315,41 @@ class TestChunks:
         monkeypatch.setattr(grid, "CHUNK_PIXELS", 7)
         classify_grid(parse("z^2"), GridSpec(1j, 4.0, 4.0, 16, 3), MIRROR_PARAMS)
         assert sorted(sizes) == [2, 2, 2, 7, 7, 7, 7, 7, 7]
+
+
+# entire maps at their gallery widths and params: the parabolic ones
+# retire most seeds early, the drift and escaping ones few or none
+RETIRE_CASES = [
+    ("z^2", 4.0, OrbitParams()),
+    ("z*exp(z^2)", 4.0, OrbitParams()),
+    ("z*exp(-z^2)", 6.0, OrbitParams()),
+    ("0.5*z*exp(z^2)", 4.0, OrbitParams()),
+    ("-z*exp(z^2)", 4.0, OrbitParams()),
+    ("sin(z)", 4.0, OrbitParams()),
+    ("z^2+0.25", 4.0, OrbitParams()),
+    ("z^2-0.75", 4.0, OrbitParams()),
+    ("z+sin(z)", 12.0, FATOU_PARAMS),
+    ("1+z+exp(-z)", 12.0, FATOU_PARAMS),
+]
+
+
+class TestRetirement:
+    @pytest.mark.parametrize("text, width, params", RETIRE_CASES)
+    def test_grids_equal_full_runs(self, text, width, params, monkeypatch):
+        # a quarter (or half) classified and a whole grid off the axes,
+        # in chunks of 7 on 1 and 2 workers, against every seed run to
+        # the end without a table
+        monkeypatch.setattr(grid, "CHUNK_PIXELS", 7)
+        f = parse(text)
+        for spec in (GridSpec(0j, width, width, 8, 8), GridSpec(0.1 + 0.2j, width, width, 7, 5)):
+            with monkeypatch.context() as m:
+                m.setattr(orbit, "_retire_table", lambda f, params: orbit._NO_TABLE)
+                whole = classify_batch(parse(text), spec.points(), params)
+            for workers in (1, 2):
+                cg = classify_grid(f, spec, params, workers=workers)
+                for name in FIELDS:
+                    got, want = getattr(cg, name), getattr(whole, name)
+                    assert got.tobytes() == want.tobytes(), (text, spec, workers, name)
 
 
 class TestWorkerResolution:

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
+import time
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +19,7 @@ from hypothesis import strategies as st
 
 from bungee_lab import engine, orbit
 from bungee_lab.engine import eval_array, evaluate
-from bungee_lab.expr import Z, derivative, parse
+from bungee_lab.expr import Add, Const, Cos, Exp, Mul, Neg, Pow, Sin, Sub, Var, Z, derivative, parse
 from bungee_lab.orbit import (
     CONFIDENT,
     HEURISTIC,
@@ -26,7 +30,7 @@ from bungee_lab.orbit import (
     classify_point,
     find_fixed_points,
 )
-from bungee_lab.presets import PRESET_FUNCTIONS
+from bungee_lab.presets import FATOU_PARAMS, PRESET_FUNCTIONS
 
 import orbit_oracle
 from conftest import random_expr, random_points
@@ -504,6 +508,236 @@ class TestBatchAgreement:
         assert b.tail_values is None
         with pytest.raises(ValueError):
             b.ordered_tail(0)
+
+
+BATCH_FIELDS = ("verdict", "confident", "term_kind", "term_step", "oscillations")
+# entire maps beyond the presets: a parabolic point off 0 (z^2+0.25),
+# attracting cycles (z^2-0.75) and orbits through 0 that escape from
+# there (z^2-4 from 2, 5*z-5 from 1), where a 0 or -inf in place of
+# "no certificate" would retire the seed at z = 0
+EXTRA_ENTIRE_MAPS = ("z^2-0.75", "z^2+0.25", "z^2-4", "5*z-5", "cos(z)-z", "z^3-z")
+ENTIRE_MAPS = tuple(t for t in PRESET_FUNCTIONS if parse(t).entire) + EXTRA_ENTIRE_MAPS
+
+
+def no_table(f, params):
+    return orbit._NO_TABLE
+
+
+def assert_retirement_changes_nothing(f, seeds, params, want_tail_values=False):
+    """classify_batch gives the same arrays with f's table and with none."""
+    seeds = np.asarray(seeds, dtype=np.complex128)
+    got = classify_batch(f, seeds, params, want_tail_values)
+    with mock.patch.object(orbit, "_retire_table", no_table):
+        want = classify_batch(f, seeds, params, want_tail_values)
+    fields = BATCH_FIELDS + (("tail_values", "tail_last") if want_tail_values else ())
+    for name in fields:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (str(f), name)
+    return got
+
+
+def table_radii(f, params):
+    """The certified radii r*(R) for R = 0..max_iter (one more than a run uses)."""
+    longer = dataclasses.replace(params, max_iter=params.max_iter + 1)
+    return 10.0 ** (orbit._retire_table(f, longer) + orbit.LOG10_MARGIN)
+
+
+def adversarial_seeds(f, params) -> np.ndarray:
+    """Seeds at the edges of f's table and of the bound disk.
+
+    Signed zeros and subnormals; radii just inside and outside r*(R) at
+    R = 0, 1, 2, max_iter - 1 and max_iter (a seed at r*(max_iter) is
+    retired, if at all, right after its first step) and around
+    bound_radius / 2 and bound_radius; each on eight rays.
+    """
+    r_star = table_radii(f, params)
+    picks = sorted({0, 1, 2, params.max_iter - 1, params.max_iter} & set(range(r_star.size)))
+    radii = [5e-324, 1e-310, 1e-300, params.bound_radius / 2, params.bound_radius]
+    radii += [r for r in r_star[picks] if np.isfinite(r)]
+    rays = np.exp(1j * np.pi * np.arange(8) / 4)
+    ring = [r * s for r in radii for s in (1 - 1e-9, 1, 1 + 1e-9)]
+    zeros = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 5e-324j]
+    return np.concatenate([zeros, (np.array(ring)[:, None] * rays).ravel()])
+
+
+class TestRetirement:
+    """Retiring seeds on the majorant certificate changes no output."""
+
+    @pytest.mark.parametrize("params", [OrbitParams(), FATOU_PARAMS], ids=["default", "fatou"])
+    @pytest.mark.parametrize("text", PRESET_FUNCTIONS + EXTRA_ENTIRE_MAPS)
+    def test_maps_at_their_params(self, text, params):
+        f = parse(text)
+        seeds = np.concatenate([adversarial_seeds(f, params) if f.entire else [],
+                                random_points(random.Random(text), 40, 3.0)])
+        assert_retirement_changes_nothing(f, seeds, params)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), orbit_params(), st.lists(oracle_seeds, max_size=6))
+    def test_random_entire_maps(self, seed, params, drawn):
+        f = random_expr(random.Random(seed), 3, entire=True)
+        seeds = np.concatenate([adversarial_seeds(f, params), np.array(drawn, dtype=np.complex128)])
+        assert_retirement_changes_nothing(f, seeds, params)
+
+    @pytest.mark.parametrize("text, z0", [("z^2-4", 2.0), ("5*z-5", 1.0), ("z^2-4", -2.0)])
+    def test_orbit_through_zero_still_escapes(self, text, z0):
+        # the orbit reaches 0 after one step and escapes from there: the
+        # table has no certificate that far back, so 0 must not retire
+        b = assert_retirement_changes_nothing(parse(text), [z0], OrbitParams())
+        assert b.verdict[0] == Verdict.ESCAPING
+
+    def test_retirement_saves_steps(self):
+        # the parabolic seeds of z*exp(z^2) retire about halfway
+        f, p = parse("z*exp(z^2)"), OrbitParams()
+        seeds = random_points(random.Random(3), 200, 0.3)
+        steps = []
+        real = orbit.eval_array
+
+        def counting(e, z):
+            steps[-1] += z.size
+            return real(e, z)
+
+        with mock.patch.object(orbit, "eval_array", counting):
+            for table in (orbit._retire_table, no_table):
+                steps.append(0)
+                with mock.patch.object(orbit, "_retire_table", table):
+                    classify_batch(f, seeds, p)
+        assert steps[0] < 0.6 * steps[1], steps
+
+    def test_table_entries(self):
+        f, p = parse("z*exp(z^2)"), OrbitParams()
+        table = orbit._retire_table(f, p)
+        assert table.size == p.max_iter
+        # cached on f per bound radius and length
+        assert orbit._retire_table(f, p) is table
+        assert orbit._retire_table(f, OrbitParams(max_iter=10)).size == 10
+        assert table[0] == math.log10(p.bound_radius / 2) - orbit.LOG10_MARGIN
+        assert np.all(np.diff(table) <= 0)
+        # r*(R) of r exp(r^2) falls like 1/sqrt(2R)
+        assert 0.02 < 10 ** table[999] < 0.025
+        escaping = orbit._retire_table(parse("z^2-4"), p)
+        assert np.isfinite(escaping[:3]).all() and np.isnan(escaping[6:]).all()
+        assert orbit._retire_table(parse("1/z^2"), p).size == 0
+
+    def test_tables_build_once_across_threads(self):
+        f, p = parse("z*exp(-z^2)"), OrbitParams()
+        builds = []
+        real = orbit._build_table
+
+        def counting(*args):
+            builds.append(1)
+            time.sleep(0.05)
+            return real(*args)
+
+        with mock.patch.object(orbit, "_build_table", counting):
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                tables = list(pool.map(lambda _: orbit._retire_table(f, p), range(4)))
+        assert len(builds) == 1 and all(t is tables[0] for t in tables)
+
+    @pytest.mark.parametrize("text", ["z*exp(-z^2)", "sin(z)", "z^2"])
+    def test_tails_run_every_step(self, text):
+        def refuse(f, params):
+            raise AssertionError("a classification with tails read the table")
+
+        f, p = parse(text), OrbitParams(max_iter=300)
+        seeds = random_points(random.Random(text), 30, 1.0)
+        with mock.patch.object(orbit, "_retire_table", refuse):
+            with_tails = classify_batch(f, seeds, p, want_tail_values=True)
+        plain = classify_batch(f, seeds, p)
+        for name in BATCH_FIELDS:
+            assert getattr(with_tails, name).tobytes() == getattr(plain, name).tobytes()
+
+    def test_no_warnings_while_building(self):
+        # tier-1 turns RuntimeWarning into an error; the tables overflow freely
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for text in ENTIRE_MAPS + ("exp(exp(exp(z)))", "(1e200*z)^64", "1e-300*z"):
+                for bound in (1e4, 30.0, 1e300, 3e-300):
+                    p = OrbitParams(escape_radius=2 * bound, bound_radius=bound)
+                    orbit._retire_table(parse(text), p)
+
+
+class TestRetirementMemory:
+    def test_table_is_capped_at_retire_steps(self):
+        # a table of max_iter entries would take 16 GiB here; capped, the
+        # build holds a few float64 arrays of RETIRE_STEPS entries at
+        # once, and the seeds overflow within a few steps
+        seeds = np.array([3.0, -3.0, 5.0])
+        for text in ("z^2", "z*exp(z^2)"):
+            f, p = parse(text), OrbitParams(max_iter=2**31 - 1)
+            t0 = time.perf_counter()
+            tracemalloc.start()
+            try:
+                b = classify_batch(f, seeds, p)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            elapsed = time.perf_counter() - t0
+            assert (b.term_kind == orbit.TERM_OVERFLOW).all()
+            assert orbit._retire_table(f, p).size == orbit.RETIRE_STEPS
+            assert peak < 96 * orbit.RETIRE_STEPS, (text, peak)
+            assert elapsed < 10, (text, elapsed)
+
+
+def mp_majorant(e, r):
+    """The dominant series M(r) at 50 digits, with no slack."""
+    if isinstance(e, Var):
+        return r
+    if isinstance(e, Const):
+        return abs(mpmath.mpc(e.value))
+    if isinstance(e, (Add, Sub)):
+        return mp_majorant(e.a, r) + mp_majorant(e.b, r)
+    if isinstance(e, Mul):
+        return mp_majorant(e.a, r) * mp_majorant(e.b, r)
+    if isinstance(e, Neg):
+        return mp_majorant(e.a, r)
+    if isinstance(e, Pow):
+        return mp_majorant(e.base, r) ** e.exponent
+    fn = {Exp: mpmath.exp, Sin: mpmath.sinh, Cos: mpmath.cosh}[type(e)]
+    return fn(mp_majorant(e.a, r))
+
+
+def oracle_radii(f, params) -> list[float]:
+    """r*(R) at a few R, bound_radius / 2 and a spread of plain radii."""
+    r_star = table_radii(f, params)
+    picks = [R for R in (0, 1, 2, 10, 100, params.max_iter) if R < r_star.size]
+    radii = [params.bound_radius / 2, 1e-300, 1e-5, 0.5, 1.0, 3.0, 30.0]
+    return radii + [r for r in r_star[picks] if np.isfinite(r)]
+
+
+class TestMajorantOracle:
+    """The inequality the certificate rests on, checked independently.
+
+    The float walk bounds the 50-digit dominant series from above, and
+    bounds every computed |f(z)| on circles of the table's radii.
+    """
+
+    @staticmethod
+    def check(f, params):
+        radii = oracle_radii(f, params)
+        with np.errstate(all="ignore"):
+            walked = orbit.majorant(f, np.array(radii))
+        with mpmath.workdps(50):
+            for r, b in zip(radii, walked):
+                if np.isfinite(b):
+                    assert mpmath.mpf(float(b)) >= mp_majorant(f, mpmath.mpf(r)), (str(f), r)
+        # 64 points on each circle, the axes among them
+        z = (np.array(radii)[:, None] * np.exp(2j * np.pi * np.arange(64) / 64)).ravel()
+        vals, status = eval_array(f, z)
+        with np.errstate(all="ignore"):
+            bound = orbit.majorant(f, np.nextafter(np.abs(z), np.inf))
+        finite = np.isfinite(bound)
+        assert (status[finite] == engine.OK).all(), str(f)
+        assert (np.abs(vals[finite]) <= bound[finite]).all(), str(f)
+
+    @pytest.mark.parametrize("params", [OrbitParams(), FATOU_PARAMS], ids=["default", "fatou"])
+    @pytest.mark.parametrize("text", ENTIRE_MAPS)
+    def test_maps(self, text, params):
+        self.check(parse(text), params)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1e4, 30.0, 2.0]))
+    def test_random_entire_maps(self, seed, bound):
+        f = random_expr(random.Random(seed), 4, entire=True)
+        self.check(f, OrbitParams(max_iter=50, escape_radius=2 * bound, bound_radius=bound))
 
 
 class TestMorePatienceKeepsConfidentVerdicts:
