@@ -523,14 +523,13 @@ def no_table(f, params):
     return orbit._NO_TABLE
 
 
-def assert_retirement_changes_nothing(f, seeds, params, want_tail_values=False):
+def assert_retirement_changes_nothing(f, seeds, params):
     """classify_batch gives the same arrays with f's table and with none."""
     seeds = np.asarray(seeds, dtype=np.complex128)
-    got = classify_batch(f, seeds, params, want_tail_values)
+    got = classify_batch(f, seeds, params)
     with mock.patch.object(orbit, "_retire_table", no_table):
-        want = classify_batch(f, seeds, params, want_tail_values)
-    fields = BATCH_FIELDS + (("tail_values", "tail_last") if want_tail_values else ())
-    for name in fields:
+        want = classify_batch(f, seeds, params)
+    for name in BATCH_FIELDS:
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (str(f), name)
     return got
 
