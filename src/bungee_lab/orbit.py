@@ -6,7 +6,8 @@ Iteration stops early when the map overflows, hits a pole, or lands
 exactly on a fixed point (from there the tail is constant, so the
 remaining magnitudes are filled in without further evaluation).
 classify_batch without tails also retires a seed that is certified to
-stay bounded to the end, as below.
+stay bounded to the end, or to drift away with growing magnitude, as
+below.
 
 Verdicts, in the order the rules are tried:
 
@@ -53,8 +54,29 @@ clear and its oscillation count stays, all_below keeps its value and
 the tail test fails.  So every output array is bit-identical to a run
 of every step.  A table covers at most RETIRE_STEPS remaining steps
 and is built once per map, bound_radius and length, on the first call
-that needs it.  classify_point, which reports the last magnitudes, and
-classify_batch with want_tail_values run every step.
+that needs it.
+
+Drift.  A map whose tree is a sum of one z, constants adding up to c
+with Re c > 0 and terms exp(-z), such as 1+z+exp(-z), moves a point
+with Re z >= DRIFT_X by c, up to an error err: the exp terms are below
+e^-DRIFT_X, and each addition rounds by at most 2^-53 of its result.
+After step n's bookkeeping, _Drift.certifies takes a live seed above
+escape_radius and, with R steps left, bounds |z| up to the end by
+Z = |z| + 2R|c| (err stays below |c|), so err by err(Z).  It retires
+the seed when err(Z) < Re c and 2 Re(z conj c) + |c|^2, less the
+rounding and err(Z) terms, is at least DRIFT_GROWTH Z^2.  Then Re z and
+Re(z conj c) grow at every later step, so the margin holds there too,
+|z|^2 grows by a factor of at least 1 + DRIFT_GROWTH per step, far
+above the rounding of np.log10(np.abs(z)), and |z| stays below the
+finite Z: the computed magnitudes never decrease, never fall back
+below bound_radius and never overflow.  The seed leaves on the frozen
+path with what its remaining steps would give: completed at max_iter,
+its oscillation count and all-below flag as they stand, and a tail test
+that holds, or the tail test so far once the window has begun.  So
+again every output array is bit-identical to a run of every step.
+
+classify_point, which reports the last magnitudes, and classify_batch
+with want_tail_values run every step.
 """
 
 from __future__ import annotations
@@ -505,6 +527,101 @@ def _build_table(f: Expr, top: float, length: int) -> np.ndarray:
     return table
 
 
+# ---------------------------------------------------------------------------
+# Retiring drifting seeds
+
+# a drifting seed has Re z >= DRIFT_X, where |exp(-z)| <= e^-40, about 4e-18
+DRIFT_X = 40.0
+# the least growth of |z|^2 per step, relative to Z^2, that certifies a
+# seed: log10|z| then grows by at least 2.1e-11 per step, over 40 times
+# what np.log10(np.abs(z)) can err by on two steps at |z| <= DRIFT_TOP
+# (4 ulps of a log10 up to 300 each, 5.7e-14 per ulp)
+DRIFT_GROWTH = 1e-10
+# eight times the unit roundoff 2^-53
+ROUND = 2.0**-50
+# the test runs only where |z| and 2R|c| are at most DRIFT_TOP, so that
+# Z and every quantity of the test stay finite
+DRIFT_TOP = 1e300
+_EXP_MINUS_Z = Exp(Neg(Var()))
+
+
+@dataclass(frozen=True)
+class _Drift:
+    """The drift certificate of a map z + c + k exp(-z); see _drift_form."""
+
+    c: complex
+    modulus: float  # |c|
+    # err1 Z + err0 is twice a bound on one step's error anywhere |z| <= Z
+    err1: float
+    err0: float
+    log_top: float  # log10 of the largest |z| with err1 |z| < Re c, at most DRIFT_TOP
+
+    def certifies(self, z: np.ndarray, left: int) -> np.ndarray:
+        """Which points z, each with Re z >= DRIFT_X and left more steps to
+        run, drift with growing magnitude to the end.
+
+        Z = (|z| + 2 left |c|)(1 + ROUND) bounds |z| up to the end, and
+        the test runs on every quantity divided by Z or Z^2, so that
+        nothing overflows.  err below is err(Z) / Z and growth is
+        (2 Re(z conj c) + |c|^2) / Z^2; slack covers twice the rounding
+        of growth and the effect of a step's error on |z|^2.
+        """
+        c = self.c
+        reach = left * 2 * self.modulus
+        if not reach <= DRIFT_TOP:
+            return np.zeros(z.shape, dtype=bool)
+        zb = (np.abs(z) + reach) * (1 + ROUND)
+        cr, ci, cn = c.real / zb, c.imag / zb, self.modulus / zb
+        err = self.err1 + self.err0 / zb
+        growth = 2 * (z.real / zb * cr + z.imag / zb * ci) + cn * cn
+        slack = 2 * err * (1 + cn) + 2 * ROUND * (cn + cn * cn)
+        return (err < cr) & (growth - slack >= DRIFT_GROWTH)
+
+
+def _drift_form(f: Expr) -> _Drift | None:
+    """f's drift certificate, or None unless f is z + c + k exp(-z).
+
+    f's root must be a chain of Add nodes, in any grouping, over exactly
+    one z, constants whose sum c has Re c > 0, and k >= 0 terms exp(-z).
+    A loop flattens the chain, so a long sum needs no recursion.
+
+    The error budget of one step from a point z with Re z >= DRIFT_X
+    and |z| <= Z, against z + c: each exp(-z), numpy's complex exp of
+    an exactly negated z, is within a few ulps per component of
+    e^-Re z (cos, sin), so its modulus is below 2 e^-DRIFT_X; each of
+    the len(terms) - 1 additions rounds each component of its result
+    by at most 2^-53 relative, so its modulus by 2^-53 (Z + s), where s
+    bounds the constants' and exp terms' moduli summed; and the float
+    sum c of the constants is within as much again of the exact one.
+    err1 Z + err0, with ROUND = 2^-50, is at least twice that, which
+    also covers the float arithmetic of the test.  A map whose err0
+    alone reaches Re c can never pass and gets None; so does one whose
+    constants overflow.
+    """
+    if not isinstance(f, Add):
+        return None
+    terms, stack = [], [f]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Add):
+            stack += (e.b, e.a)
+        else:
+            terms.append(e)
+    consts = [t.value for t in terms if isinstance(t, Const)]
+    k = terms.count(_EXP_MINUS_Z)
+    if terms.count(Var()) != 1 or len(consts) + k + 1 != len(terms):
+        return None
+    c = sum(consts, 0j)
+    tiny = math.exp(-DRIFT_X)
+    s = sum(math.hypot(v.real, v.imag) for v in consts) + 2 * k * tiny
+    err1 = (len(terms) - 1) * ROUND
+    err0 = err1 * s + 4 * k * tiny
+    if not (c.real > err0 and math.isfinite(s)):
+        return None
+    log_top = math.log10(min(c.real / err1, DRIFT_TOP))
+    return _Drift(c, math.hypot(c.real, c.imag), err1, err0, log_top)
+
+
 def classify_batch(
     f: Expr,
     seeds: np.ndarray,
@@ -532,6 +649,24 @@ def classify_batch(
     max_iter, its oscillation count and all-below flag as they stand,
     and a failed tail test.  Entries for R >= RETIRE_STEPS, or without a
     certificate, are NaN, and such a step costs no array operation.
+
+    A map of the form z + c + k exp(-z) (see _drift_form) also retires a
+    seed above escape_radius, with Re z >= DRIFT_X, that _Drift.certifies
+    to drift away with growing magnitude to the end.  Its budget: each
+    step errs from z + c by at most twice 2^-53 (Z + s) per addition
+    plus 2 e^-DRIFT_X per exp term, where Z bounds |z| to the end; err(Z)
+    < Re c keeps Re z and Re(z conj c) growing, and a growth margin of
+    DRIFT_GROWTH Z^2 on |z|^2 keeps the computed log-magnitudes
+    increasing, far above the rounding of np.abs and np.log10.  The seed
+    takes the frozen path too: completed at max_iter, its oscillation
+    count and all-below flag as they stand, and a tail test that holds
+    (or, inside the window, the tail test so far).  For other maps the
+    step costs one is-None test.
+
+    So the tail test of a frozen seed is m > log10(escape_radius) before
+    the window starts and the test so far inside it: a fixed point
+    repeats m, a drifting seed keeps growing above escape_radius, and a
+    retired bounded seed fails both.
 
     With want_tail_values, every step runs, since the tails need the
     points; the last tail_window points of the live seeds are kept in
@@ -578,6 +713,7 @@ def classify_batch(
     if want_tail_values:
         ring[0, : alive.size] = z
     retire = _NO_TABLE if want_tail_values else _retire_table(f, params)
+    drift = None if want_tail_values else _drift_form(f)
 
     for n in range(n_total):
         if alive.size == 0:
@@ -611,14 +747,14 @@ def classify_batch(
         m = np.abs(vals)
         with np.errstate(divide="ignore"):
             np.log10(m, out=m)
+        above = m > log_esc
         returned = in_exc & (m < log_bound)
         if returned.any():
             n_osc += returned
             in_exc &= ~returned
-        in_exc |= m > log_esc
+        in_exc |= above
         below &= m <= log_bound
         if n >= first_tail:
-            above = m > log_esc
             tail_ok = above if tail_ok is None else tail_ok & above & (m >= prev)
             prev = m
         if want_tail_values:
@@ -628,13 +764,15 @@ def classify_batch(
         if left < retire.size and not math.isnan(limit := retire[left]):
             # certified to stay at or below bound_radius / 2 to the end
             frozen |= m <= limit
+        if drift is not None and left:
+            drifting = above & (m < drift.log_top) & (vals.real >= DRIFT_X)
+            if drifting.any():
+                frozen[drifting] |= drift.certifies(vals[drifting], left)
         if frozen.any():
             idx = alive[frozen]
-            # constant tail: every later magnitude equals m, so the
-            # window test reduces to a single comparison; a retired
-            # seed's later magnitudes all lie below log_bound, so its
-            # test is False, as m > log_esc is
-            tail_escape[idx] = m[frozen] > log_esc
+            # later magnitudes repeat m, grow above log_esc or stay below
+            # log_bound, so no later step changes the tail test
+            tail_escape[idx] = tail_ok[frozen] if n >= first_tail else m[frozen] > log_esc
             osc[idx] = n_osc[frozen]
             all_below[idx] = below[frozen]
             if want_tail_values:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import random
 import time
@@ -14,12 +15,14 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bungee_lab import engine, orbit
 from bungee_lab.engine import eval_array, evaluate
-from bungee_lab.expr import Add, Const, Cos, Exp, Mul, Neg, Pow, Sin, Sub, Var, Z, derivative, parse
+from bungee_lab.expr import (
+    Add, Const, Cos, Exp, Expr, Mul, Neg, Pow, Sin, Sub, Var, Z, add, derivative, parse,
+)
 from bungee_lab.orbit import (
     CONFIDENT,
     HEURISTIC,
@@ -31,6 +34,7 @@ from bungee_lab.orbit import (
     find_fixed_points,
 )
 from bungee_lab.presets import FATOU_PARAMS, PRESET_FUNCTIONS
+from bungee_lab.verify import SamplerSpec
 
 import orbit_oracle
 from conftest import random_expr, random_points
@@ -437,6 +441,19 @@ class TestBatchAgreement:
         assert Verdict.ESCAPING in verdicts
         assert verdicts - {Verdict.ESCAPING}
 
+    @pytest.mark.parametrize("ulps", [64, 256, 1024])
+    def test_fixed_point_inside_the_tail_window(self, ulps):
+        # the orbit halves its distance to 100 each step and lands on it
+        # inside the last tail_window steps: the window holds decreasing
+        # magnitudes above the escape radius, so its test fails
+        f, z0 = parse("0.5*(z-100)+100"), 100 + ulps * math.ulp(100)
+        p = OrbitParams(max_iter=11, escape_radius=50, bound_radius=30, tail_window=10)
+        batch = classify_batch(f, np.array([z0]), p)
+        c = classify_point(f, z0, p)
+        assert c.verdict == oracle_summary(f, z0, p).verdict == Verdict.UNDECIDED
+        assert int(batch.verdict[0]) == int(c.verdict)
+        assert batch.term_step[0] == c.termination.step == p.max_iter
+
     def test_abs_overflow_seed_matches_scalar(self):
         # |z| overflows to inf although z is finite, so every tail magnitude
         # is inf; inf >= inf keeps the tail nondecreasing in both paths
@@ -674,6 +691,211 @@ class TestRetirementMemory:
             assert orbit._retire_table(f, p).size == orbit.RETIRE_STEPS
             assert peak < 96 * orbit.RETIRE_STEPS, (text, peak)
             assert elapsed < 10, (text, elapsed)
+
+
+FATOU_F, FATOU_G = "1+z+exp(-z)", "1+z+exp(-z)+2*pi*i"
+FATOU_RUNS = [(FATOU_F, "samples"), (FATOU_F, "g"), (FATOU_G, "samples"), (FATOU_G, "f")]
+PARAMS = {"fatou": FATOU_PARAMS, "default": OrbitParams()}
+
+
+def no_drift(f):
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def fatou_seeds(kind: str) -> np.ndarray:
+    """The fatou-pair preset's 4096 samples, or their images under f or g
+    as verify_invariance passes them on (0 where the image is not finite)."""
+    pts = SamplerSpec(Rect(0, 8.0, 8.0), 4096, 42).points()
+    if kind == "samples":
+        return pts
+    vals, status = eval_array(parse(FATOU_G if kind == "g" else FATOU_F), pts)
+    return np.where(status == engine.OK, vals, 0)
+
+
+def drift_runs(f, seeds, params):
+    """classify_batch with the drift certificate and without it, and the
+    seed-steps each evaluated."""
+    seeds = np.asarray(seeds, dtype=np.complex128)
+    steps = []
+    real = orbit.eval_array
+
+    def counting(e, z):
+        steps[-1] += z.size
+        return real(e, z)
+
+    runs = []
+    with mock.patch.object(orbit, "eval_array", counting):
+        for form in (orbit._drift_form, no_drift):
+            steps.append(0)
+            with mock.patch.object(orbit, "_drift_form", form):
+                runs.append(classify_batch(f, seeds, params))
+    for name in BATCH_FIELDS:
+        assert getattr(runs[0], name).tobytes() == getattr(runs[1], name).tobytes(), (str(f), name)
+    return runs[0], steps
+
+
+@functools.lru_cache(maxsize=None)
+def fatou_run(text: str, kind: str, params: str):
+    return drift_runs(parse(text), fatou_seeds(kind), PARAMS[params])
+
+
+def drift_map(c: complex, k: int, order: int) -> Expr:
+    """z + c + k exp(-z), its terms in one of several orders and groupings."""
+    terms = [Z, Const(c), *[Exp(Neg(Z))] * k]
+    random.Random(order).shuffle(terms)
+    if order % 2:
+        return functools.reduce(add, terms)
+    return functools.reduce(lambda acc, t: add(t, acc), terms)
+
+
+def exact_drift_holds(f, z: complex, left: int) -> bool:
+    """What the certificate claims for z, checked at 60 digits.
+
+    From |z| <= Z = |z| + 2 left |c| on, a step errs from z + c by at most
+    e: 2^-53 (Z + s) for each addition and again for the float sum c,
+    plus 2 e^-DRIFT_X for each exp term.  The claim is e < Re c and
+    2 Re(z conj c) + |c|^2 - 2 e (Z + |c|) >= DRIFT_GROWTH Z^2.
+    """
+    terms, stack = [], [f]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Add):
+            stack += (e.a, e.b)
+        else:
+            terms.append(e)
+    d = orbit._drift_form(f)
+    with mpmath.workdps(60):
+        u, tiny = mpmath.mpf(2) ** -53, mpmath.exp(-orbit.DRIFT_X)
+        k = sum(isinstance(t, Exp) for t in terms)
+        adds = len(terms) - 1
+        c, w = mpmath.mpc(d.c), mpmath.mpc(z)
+        zb = abs(w) + 2 * left * abs(c)
+        s = sum(abs(mpmath.mpc(t.value)) for t in terms if isinstance(t, Const)) + 2 * k * tiny
+        e = adds * u * (zb + s) + adds * u * s + 2 * k * tiny
+        growth = 2 * (w * mpmath.conj(c)).real + abs(c) ** 2 - 2 * e * (zb + abs(c))
+        return bool(zb < orbit.DRIFT_TOP * 3 and e < c.real and growth >= orbit.DRIFT_GROWTH * zb**2)
+
+
+class TestDriftRetirement:
+    """Retiring drifting seeds of z + c + k exp(-z) changes no output."""
+
+    @pytest.mark.parametrize("params", sorted(PARAMS))
+    @pytest.mark.parametrize("text, kind", FATOU_RUNS)
+    def test_fatou_inputs(self, text, kind, params):
+        fatou_run(text, kind, params)
+
+    def test_saves_steps_on_f_over_g_samples(self):
+        # the no-tail call of the fatou pair's invariance check
+        _, (on, off) = fatou_run(FATOU_F, "g", "fatou")
+        assert on <= 0.1 * off, (on, off)
+
+    def test_huge_jump_stays_undecided(self):
+        # exp(-z) throws g(sample 1900) far out in one step, where a unit
+        # step is below the rounding of z and |z| no longer grows measurably
+        z1 = evaluate(parse(FATOU_F), fatou_seeds("g")[1900]).value
+        assert abs(z1 - (6.6e15 - 4.8e15j)) < 0.1e15
+        b, _ = fatou_run(FATOU_F, "g", "fatou")
+        assert b.verdict[1900] == Verdict.UNDECIDED
+
+    @pytest.mark.parametrize("params", sorted(PARAMS))
+    def test_g_far_below_the_real_axis(self, params):
+        # g moves by 1 + 2 pi i: from Im z << 0, |z| falls although Re z
+        # grows, and at fatou params the farthest seeds still fall at the end
+        seeds = (np.array([40, 41, 60, 150])[:, None] - 1j * np.geomspace(10, 1e5, 40)).ravel()
+        b, _ = drift_runs(parse(FATOU_G), seeds, PARAMS[params])
+        if params == "fatou":
+            assert (b.verdict == Verdict.UNDECIDED).sum() > 20
+            assert (b.verdict == Verdict.ESCAPING).sum() > 20
+
+    def test_retires_inside_the_window_after_a_dip(self):
+        # from 100 - 170i the magnitude under g falls until about step 23,
+        # inside the last tail_window steps, and grows from there on: the
+        # seed retires with a failed tail test
+        p = OrbitParams(max_iter=30, escape_radius=50, bound_radius=30, tail_window=10)
+        b, (on, off) = drift_runs(parse(FATOU_G), [100 - 170j], p)
+        assert b.verdict[0] == Verdict.UNDECIDED
+        assert p.max_iter - p.tail_window < on < off
+
+    @pytest.mark.parametrize("params", sorted(PARAMS))
+    @pytest.mark.parametrize("text", [FATOU_F, FATOU_G, "z+1e299+exp(-z)", "z+1e306+exp(-z)", "z+1e-13"])
+    def test_edge_seeds(self, text, params):
+        # either side of Re z = DRIFT_X, and near 1e300, where z + 1e306
+        # overflows within the run and z + 1 no longer moves
+        x = orbit.DRIFT_X
+        reals = [np.nextafter(x, 0), x, np.nextafter(x, 99), x - 1e-9, x + 1e-9, 1e300, 1e300 * (1 + 1e-9)]
+        seeds = (np.array(reals)[:, None] + 1j * np.array([0, 1e-300, 60, -60, 3e3, 1e299])).ravel()
+        seeds = np.concatenate([seeds, 1e300 * np.exp(1j * np.linspace(-1.5, 1.5, 7)), [1e299]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            b, _ = drift_runs(parse(text), seeds, PARAMS[params])
+        if text == "z+1e306+exp(-z)":
+            assert b.term_kind[-1] == orbit.TERM_OVERFLOW
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.builds(complex, st.floats(1e-3, 1e3), st.floats(-1e3, 1e3)),
+        st.integers(0, 2),
+        st.integers(0, 5),
+        st.lists(st.builds(complex, st.floats(30, 1e6), st.floats(-1e6, 1e6)), max_size=8),
+        orbit_params(),
+    )
+    def test_random_maps(self, c, k, order, seeds, params):
+        f = drift_map(c, k, order)
+        assert orbit._drift_form(f) is not None
+        drift_runs(f, seeds + [complex(orbit.DRIFT_X, 0), 1e15 + 1e15j], params)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.complex_numbers(min_magnitude=1e-6, max_magnitude=1e6).filter(lambda c: c.real > 0),
+        st.integers(0, 2),
+        st.floats(-1, 1),
+        st.floats(0, 14),
+        st.integers(1, 2**31),
+        st.booleans(),
+    )
+    def test_certificate_implies_the_exact_bound(self, c, k, s, log_t, left, turning):
+        # about the turning point z = i t c + s c / 2 of |z|, where
+        # 2 Re(z conj c) + |c|^2 = (s + 1) |c|^2 is smallest
+        t = 10**log_t
+        z = 1j * t * c + s * c / 2 if turning else complex(t, s * t)
+        f = drift_map(c, k, 0)
+        drift = orbit._drift_form(f)
+        assume(z.real >= orbit.DRIFT_X and drift is not None)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            certified = drift.certifies(np.array([z]), left)[0]
+        if certified:
+            assert exact_drift_holds(f, z, left), (c, z, left)
+
+    @pytest.mark.parametrize("text", [FATOU_F, FATOU_G, "z+1e306", "z+1e-300+1e-290*i"])
+    def test_no_overflow_in_the_test(self, text):
+        # the test runs where |z| <= DRIFT_TOP
+        f = parse(text)
+        z = np.array([1e300, 1e300j + 40, 1e-300 + 40, 40, 7e299 + 7e299j])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for left in (1, 1000, 2**31 - 1):
+                orbit._drift_form(f).certifies(z, left)
+
+    def test_tails_never_consult_the_certificate(self):
+        def refuse(f):
+            raise AssertionError("a classification with tails read the drift form")
+
+        f, seeds = parse(FATOU_F), fatou_seeds("samples")[:300]
+        with mock.patch.object(orbit, "_drift_form", refuse):
+            with_tails = classify_batch(f, seeds, FATOU_PARAMS, want_tail_values=True)
+        plain = classify_batch(f, seeds, FATOU_PARAMS)
+        for name in BATCH_FIELDS:
+            assert getattr(with_tails, name).tobytes() == getattr(plain, name).tobytes()
+
+    def test_drift_form(self):
+        for text in ("z+exp(z)", "z*exp(-z)", "z-1+exp(-z)", "2*z+exp(-z)", "z+exp(-z)",
+                     "z+exp(-z)-1", "1+z+z+exp(-z)", "exp(-z)", "-1+z+exp(-z)", "z^2+1"):
+            assert orbit._drift_form(parse(text)) is None, text
+        for text, c in ((FATOU_F, 1), (FATOU_G, 1 + 2j * math.pi), ("exp(-z)+(z+(2+exp(-z)))", 2), ("z+1", 1)):
+            assert orbit._drift_form(parse(text)).c == c, text
+        # a long sum flattens without recursion
+        long = functools.reduce(add, [Z] + [Const(0.5), Exp(Neg(Z))] * 600)
+        assert orbit._drift_form(long).c == 300
 
 
 def mp_majorant(e, r):
