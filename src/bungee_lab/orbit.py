@@ -5,9 +5,9 @@ and summarized by log10 magnitudes (with -inf standing for |z| = 0).
 Iteration stops early when the map overflows, hits a pole, or lands
 exactly on a fixed point (from there the tail is constant, so the
 remaining magnitudes are filled in without further evaluation).
-classify_batch without tails also retires a seed that is certified to
-stay bounded to the end, or to drift away with growing magnitude, as
-below.
+classify_batch also retires a seed that is certified to drift away with
+growing magnitude and, without tails, one certified to stay bounded to
+the end, as below.
 
 Verdicts, in the order the rules are tried:
 
@@ -75,8 +75,11 @@ its oscillation count and all-below flag as they stand, and a tail test
 that holds, or the tail test so far once the window has begun.  So
 again every output array is bit-identical to a run of every step.
 
-classify_point, which reports the last magnitudes, and classify_batch
-with want_tail_values run every step.
+classify_point, which reports the last magnitudes, runs every step.
+classify_batch with want_tail_values keeps the bounded-seed table off,
+but retires drifting seeds: such a seed's tail row stops at its
+retirement point and is marked drifted, and drift_forwarded bounds the
+points after it for verify_property_a.
 """
 
 from __future__ import annotations
@@ -351,17 +354,25 @@ class BatchClassification:
     term_step: np.ndarray  # int32
     oscillations: np.ndarray  # int32
     # complex ring, (n, tail_window): orbit point t of sample i is in
-    # column t % tail_window if it is among the last tail_window
+    # column t % tail_window if it is among the last tail_window up to
+    # tail_last
     tail_values: np.ndarray | None = None
-    tail_last: np.ndarray | None = None  # int32 index of last finite point
+    # int32 index of the last finite point, or of a drifted row's
+    # retirement point, below max_iter
+    tail_last: np.ndarray | None = None
+    # bool: retired on the drift certificate; its row holds no point
+    # after the retirement point
+    drifted: np.ndarray | None = None
 
     def ordered_tails(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Last finite orbit points of the samples idx, in one gather.
 
         Returns (points, held), both (len(idx), tail_window): row j holds
         sample idx[j]'s points oldest first, ending at column
-        tail_window - 1; held marks the columns that hold a point, all
-        but the first ones of an orbit with fewer than tail_window points.
+        tail_window - 1 with point tail_last; held marks the columns that
+        hold a point, all but the first ones of an orbit with fewer than
+        tail_window points.  A drifted row ends at its retirement point,
+        so its later points, up to max_iter, are not among them.
         """
         if self.tail_values is None:
             raise ValueError("batch was classified without want_tail_values")
@@ -556,21 +567,29 @@ class _Drift:
     err0: float
     log_top: float  # log10 of the largest |z| with err1 |z| < Re c, at most DRIFT_TOP
 
+    def reach(self, z, left):
+        """Z = (|z| + 2 left |c|)(1 + ROUND), a bound on |z| for left more
+        steps from a point that certifies."""
+        return (np.abs(z) + left * 2 * self.modulus) * (1 + ROUND)
+
+    def err(self, zb):
+        """err(Z): twice a bound on one step's error anywhere |z| <= Z."""
+        return self.err1 * zb + self.err0
+
     def certifies(self, z: np.ndarray, left: int) -> np.ndarray:
         """Which points z, each with Re z >= DRIFT_X and left more steps to
         run, drift with growing magnitude to the end.
 
-        Z = (|z| + 2 left |c|)(1 + ROUND) bounds |z| up to the end, and
-        the test runs on every quantity divided by Z or Z^2, so that
-        nothing overflows.  err below is err(Z) / Z and growth is
-        (2 Re(z conj c) + |c|^2) / Z^2; slack covers twice the rounding
-        of growth and the effect of a step's error on |z|^2.
+        Z = reach(z, left) bounds |z| up to the end, and the test runs on
+        every quantity divided by Z or Z^2, so that nothing overflows.
+        err below is err(Z) / Z and growth is (2 Re(z conj c) + |c|^2) /
+        Z^2; slack covers twice the rounding of growth and the effect of a
+        step's error on |z|^2.
         """
         c = self.c
-        reach = left * 2 * self.modulus
-        if not reach <= DRIFT_TOP:
+        if not left * 2 * self.modulus <= DRIFT_TOP:
             return np.zeros(z.shape, dtype=bool)
-        zb = (np.abs(z) + reach) * (1 + ROUND)
+        zb = self.reach(z, left)
         cr, ci, cn = c.real / zb, c.imag / zb, self.modulus / zb
         err = self.err1 + self.err0 / zb
         growth = 2 * (z.real / zb * cr + z.imag / zb * ci) + cn * cn
@@ -622,6 +641,41 @@ def _drift_form(f: Expr) -> _Drift | None:
     return _Drift(c, math.hypot(c.real, c.imag), err1, err0, log_top)
 
 
+def drift_forwarded(
+    f: Expr, g: Expr, z: np.ndarray, last: np.ndarray, params: OrbitParams
+) -> np.ndarray:
+    """Which drift-retired seeds of g have |f(w)| > escape_radius, as
+    eval_array and np.abs compute it, at every tail point w after their
+    retirement point; all False unless f and g are both of the form
+    z + c + k exp(-z).
+
+    z holds the retirement points and last their indices, so L =
+    max_iter - last steps are to go and the tail points after z are
+    w_k = g^k(z) for k0 <= k <= L, k0 = max(1, L - tail_window + 1).
+    g's certificate keeps every w_k in Re w >= DRIFT_X and |w| <= Z =
+    reach(z, L), where a step errs from w + c_g by at most e_g < Re c_g;
+    so Re w_k >= Re z + k0 (Re c_g - e_g).  There f's step errs from
+    w + c_f by at most e_f, so Re f(w_k) >= Re w_k + Re c_f - e_f.  The
+    test takes rho = Re z + k0 (Re c_g - err_g(Z)) and clears a row when
+    rho + Re c_f - err_f(Z) > R (1 + ROUND), R = escape_radius.  Its
+    error budget: with n additions and k exp terms, err(Z) = 8n 2^-53
+    (Z + s) + 4k e^-DRIFT_X and e <= 2n 2^-53 (Z + s) + 2k e^-DRIFT_X
+    (see _drift_form), so each err term exceeds its e by at least
+    6 2^-53 (Z + s), 12 2^-53 Z + 6 2^-53 |c_f| together; the test's
+    own float arithmetic errs by less than 6 2^-53 (Z + |c_f|), since
+    |z| + 2 k0 |c_g| <= Z; and R ROUND covers the rounding of np.abs.
+    f is entire, so it meets no pole either.
+    """
+    dg, df = _drift_form(g), _drift_form(f)
+    if dg is None or df is None:
+        return np.zeros(z.shape, dtype=bool)
+    left = params.max_iter - last
+    zb = dg.reach(z, left)
+    k0 = np.maximum(1, left - params.tail_window + 1)
+    rho = z.real + k0 * (dg.c.real - dg.err(zb))
+    return rho + df.c.real - df.err(zb) > params.escape_radius * (1 + ROUND)
+
+
 def classify_batch(
     f: Expr,
     seeds: np.ndarray,
@@ -668,11 +722,16 @@ def classify_batch(
     repeats m, a drifting seed keeps growing above escape_radius, and a
     retired bounded seed fails both.
 
-    With want_tail_values, every step runs, since the tails need the
-    points; the last tail_window points of the live seeds are kept in
-    live order too, so each step writes its points as one contiguous
-    row of a (tail_window, n) ring.  A seed's tail and last finite
-    index go to the outputs once, when it finishes.
+    With want_tail_values the table stays off, since the tails need
+    the points of bounded seeds, but drifting seeds retire as above.
+    The last tail_window points of the live seeds are kept in live order
+    too, so each step writes its points as one contiguous row of a
+    (tail_window, n) ring.  A seed's tail and last index go to the
+    outputs once, when it finishes.  An exact fixed point repeats its
+    value to max_iter; a drifting seed's row stops at its retirement
+    point z, tail_last is z's index, below max_iter, and drifted marks
+    it.  Its later points are never computed: drift_forwarded bounds
+    them for verify_property_a.  Without tails, drifted is None.
     """
     seeds = np.ascontiguousarray(seeds, dtype=np.complex128).ravel()
     k = seeds.size
@@ -688,6 +747,7 @@ def classify_batch(
     tail_escape = np.zeros(k, dtype=bool)
     tail_values = np.zeros((k, w), dtype=np.complex128) if want_tail_values else None
     tail_last = np.zeros(k, dtype=np.int32) if want_tail_values else None
+    drifted = np.zeros(k, dtype=bool) if want_tail_values else None
     # ring[:, :alive.size]: the tails of the live seeds, aligned with alive;
     # a row not yet written is 0 for every seed, as in tail_values
     ring = np.zeros((w, k), dtype=np.complex128) if want_tail_values else None
@@ -713,7 +773,7 @@ def classify_batch(
     if want_tail_values:
         ring[0, : alive.size] = z
     retire = _NO_TABLE if want_tail_values else _retire_table(f, params)
-    drift = None if want_tail_values else _drift_form(f)
+    drift = _drift_form(f)
 
     for n in range(n_total):
         if alive.size == 0:
@@ -776,12 +836,15 @@ def classify_batch(
             osc[idx] = n_osc[frozen]
             all_below[idx] = below[frozen]
             if want_tail_values:
-                # the ring holds points up to n + 1; later ones repeat it
+                # the ring holds points up to n + 1; a fixed point's later
+                # ones repeat it, and a drifting seed's row stops there
+                fixed = vals[frozen] == z[frozen]
                 later = np.arange(max(n + 2, n_total + 1 - w), n_total + 1)
                 tails = ring[:, : alive.size][:, frozen].T
-                tails[:, later % w] = vals[frozen][:, None]
+                tails[np.ix_(fixed, later % w)] = vals[frozen][fixed, None]
                 tail_values[idx] = tails
-                tail_last[idx] = n_total
+                tail_last[idx] = np.where(fixed, n_total, n + 1)
+                drifted[idx] = ~fixed
                 _compact(ring, ~frozen)
             live = ~frozen
             alive, vals = alive[live], vals[live]
@@ -807,6 +870,7 @@ def classify_batch(
         oscillations=osc,
         tail_values=tail_values,
         tail_last=tail_last,
+        drifted=drifted,
     )
 
 

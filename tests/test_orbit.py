@@ -522,7 +522,7 @@ class TestBatchAgreement:
 
     def test_tail_values_opt_in(self):
         b = classify_batch(parse("z^2"), np.array([0.5 + 0j]), OrbitParams())
-        assert b.tail_values is None
+        assert b.tail_values is None and b.drifted is None
         with pytest.raises(ValueError):
             b.ordered_tail(0)
 
@@ -713,9 +713,9 @@ def fatou_seeds(kind: str) -> np.ndarray:
     return np.where(status == engine.OK, vals, 0)
 
 
-def drift_runs(f, seeds, params):
+def counted_runs(f, seeds, params, want_tail_values=False):
     """classify_batch with the drift certificate and without it, and the
-    seed-steps each evaluated."""
+    seed-steps each evaluated; the five arrays must agree."""
     seeds = np.asarray(seeds, dtype=np.complex128)
     steps = []
     real = orbit.eval_array
@@ -729,15 +729,27 @@ def drift_runs(f, seeds, params):
         for form in (orbit._drift_form, no_drift):
             steps.append(0)
             with mock.patch.object(orbit, "_drift_form", form):
-                runs.append(classify_batch(f, seeds, params))
+                runs.append(classify_batch(f, seeds, params, want_tail_values))
     for name in BATCH_FIELDS:
         assert getattr(runs[0], name).tobytes() == getattr(runs[1], name).tobytes(), (str(f), name)
+    return runs, steps
+
+
+def drift_runs(f, seeds, params):
+    """The run with the drift certificate, and the seed-steps of both runs."""
+    runs, steps = counted_runs(f, seeds, params)
     return runs[0], steps
 
 
 @functools.lru_cache(maxsize=None)
 def fatou_run(text: str, kind: str, params: str):
     return drift_runs(parse(text), fatou_seeds(kind), PARAMS[params])
+
+
+@functools.lru_cache(maxsize=None)
+def fatou_tails_run(text: str):
+    """A fatou-pair property-a call: text with tails on the samples."""
+    return counted_runs(parse(text), fatou_seeds("samples"), FATOU_PARAMS, want_tail_values=True)
 
 
 def drift_map(c: complex, k: int, order: int) -> Expr:
@@ -876,16 +888,45 @@ class TestDriftRetirement:
             for left in (1, 1000, 2**31 - 1):
                 orbit._drift_form(f).certifies(z, left)
 
-    def test_tails_never_consult_the_certificate(self):
-        def refuse(f):
-            raise AssertionError("a classification with tails read the drift form")
-
-        f, seeds = parse(FATOU_F), fatou_seeds("samples")[:300]
-        with mock.patch.object(orbit, "_drift_form", refuse):
-            with_tails = classify_batch(f, seeds, FATOU_PARAMS, want_tail_values=True)
-        plain = classify_batch(f, seeds, FATOU_PARAMS)
+    @pytest.mark.parametrize("text", [FATOU_F, FATOU_G])
+    def test_tails_calls_retire_drifting_seeds(self, text):
+        # the fatou pair's two property-a calls give the arrays of a call
+        # without tails, and every row that did not drift-retire holds
+        # the tail an every-step run holds
+        (on, off), _ = fatou_tails_run(text)
+        plain, _ = fatou_run(text, "samples", "fatou")
         for name in BATCH_FIELDS:
-            assert getattr(with_tails, name).tobytes() == getattr(plain, name).tobytes()
+            assert getattr(on, name).tobytes() == getattr(plain, name).tobytes(), name
+        assert on.drifted.sum() > 3000 and not off.drifted.any()
+        assert (on.tail_last[on.drifted] < FATOU_PARAMS.max_iter).all()
+        rest = np.flatnonzero(~on.drifted)
+        for a, b in zip(on.ordered_tails(rest), off.ordered_tails(rest)):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("text", [FATOU_F, FATOU_G])
+    def test_tails_calls_save_steps(self, text):
+        _, (on, off) = fatou_tails_run(text)
+        assert on <= 0.1 * off, (on, off)
+
+    @pytest.mark.parametrize("max_iter", [30, 40, 50])
+    def test_drifted_rows_end_at_their_retirement_point(self, max_iter):
+        # at fatou radii and a short max_iter many seeds retire inside the
+        # window: a drifted row holds the orbit's points up to and
+        # including its retirement point, the last one at tail_last
+        p = dataclasses.replace(FATOU_PARAMS, max_iter=max_iter)
+        seeds = fatou_seeds("samples")[:1024]
+        for text in (FATOU_F, FATOU_G):
+            (on, off), _ = counted_runs(parse(text), seeds, p, want_tail_values=True)
+            rows = np.flatnonzero(on.drifted)
+            assert rows.size > 50 and (on.tail_last[rows] < max_iter).all()
+            got, held = on.ordered_tails(rows)
+            want, _ = off.ordered_tails(rows)
+            # column j of a drifted row is column j - shift of the every-step one
+            shift = max_iter - on.tail_last[rows, None]
+            assert (shift < p.tail_window).any()
+            cols = np.arange(p.tail_window) - shift
+            both = held & (cols >= 0)
+            assert got[both].tobytes() == want[np.nonzero(both)[0], cols[both]].tobytes()
 
     def test_drift_form(self):
         for text in ("z+exp(z)", "z*exp(-z)", "z-1+exp(-z)", "2*z+exp(-z)", "z+exp(-z)",

@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import multiprocessing
 import os
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from bungee_lab import orbit, presets, verify
+from bungee_lab import engine, orbit, presets, verify
+from bungee_lab.engine import eval_array
 from bungee_lab.expr import parse
 from bungee_lab.grid import MAX_GRID_PIXELS
-from bungee_lab.orbit import OrbitParams, Rect
+from bungee_lab.orbit import OrbitParams, Rect, classify_batch, drift_forwarded
+from bungee_lab.presets import FATOU_PARAMS
 from bungee_lab.verify import (
     SamplerSpec,
     shared_classifications,
@@ -287,6 +291,80 @@ class TestPropertyAAndPartition:
         assert r.detail["entire"] is True
 
 
+FATOU_F, FATOU_G = parse("1+z+exp(-z)"), parse("1+z+exp(-z)+2*pi*i")
+FATOU_RECT = Rect(0, 8.0, 8.0)
+# f = g - 30i sends points near Im w = 30 just past the radius 50 back
+# inside it: a g-orbit there violates until Re w passes about 49.  Written
+# as a difference, f has no drift form and its rows are continued; as a
+# sum it has one, and the bound must not clear those rows
+STEER_G = parse("z+1+exp(-z)")
+STEER_FS = [parse("z+1-30*i+exp(-z)"), parse("z+(1-30*i)+exp(-z)")]
+SHORT = OrbitParams(max_iter=12, escape_radius=50, bound_radius=30, tail_window=10)
+
+
+def property_a_both_ways(f, g, sampler, params):
+    """verify_property_a with the drift certificate and without it; the
+    reports must agree in everything but their runtime."""
+    got = verify_property_a(f, g, sampler, params).to_dict()
+    with mock.patch.object(orbit, "_drift_form", lambda e: None):
+        want = verify_property_a(f, g, sampler, params).to_dict()
+    del got["runtime_ms"], want["runtime_ms"]
+    assert got == want
+    return got
+
+
+class TestPropertyADriftedTails:
+    """Drift-retired g-orbits give verify_property_a the report of an
+    every-step run, whether their later tail points are cleared by the
+    half-plane bound or computed by continuing the orbit."""
+
+    @pytest.mark.parametrize("seed, forward, backward", [(1, 1, 0), (13, 1, 1)])
+    def test_fatou_pair_seeds_that_violate(self, seed, forward, backward):
+        s = SamplerSpec(FATOU_RECT, 4096, seed)
+        assert property_a_both_ways(FATOU_F, FATOU_G, s, FATOU_PARAMS)["violations"] == forward
+        assert property_a_both_ways(FATOU_G, FATOU_F, s, FATOU_PARAMS)["violations"] == backward
+
+    @pytest.mark.parametrize("text, violates", [("1/z", True), ("2*z", False)])
+    def test_maps_without_a_drift_form_continue_the_orbit(self, text, violates):
+        r = property_a_both_ways(parse(text), FATOU_F, SamplerSpec(FATOU_RECT, 512, 42), FATOU_PARAMS)
+        assert (r["violations"] > 0) == violates
+
+    @pytest.mark.parametrize("f", STEER_FS, ids=["difference", "sum"])
+    @pytest.mark.parametrize("rect", [Rect(40 + 31j, 8.0, 8.0), Rect(44 + 30j, 16.0, 16.0)])
+    def test_points_just_past_the_radius_that_violate(self, f, rect):
+        # most seeds retire at once, with 11 steps to go; the bound must
+        # not clear the window's points with Re w below about 49
+        r = property_a_both_ways(f, STEER_G, SamplerSpec(rect, 256, 42), SHORT)
+        assert r["violations"] > 0
+
+    @pytest.mark.parametrize("max_iter", [30, 40, 60])
+    def test_seeds_that_retire_inside_the_window(self, max_iter):
+        p = dataclasses.replace(FATOU_PARAMS, max_iter=max_iter)
+        s = SamplerSpec(FATOU_RECT, 1024, 42)
+        for f, g in ((FATOU_F, FATOU_G), (FATOU_G, FATOU_F), (STEER_FS[1], STEER_G)):
+            property_a_both_ways(f, g, s, p)
+
+    @pytest.mark.parametrize("f, g", [(FATOU_F, FATOU_G), (FATOU_G, FATOU_F)])
+    def test_cleared_rows_are_forwarded(self, f, g):
+        # iterating each cleared seed every step, the tail points after
+        # its retirement point all have f-images beyond the radius
+        p, w = FATOU_PARAMS, FATOU_PARAMS.tail_window
+        pts = SamplerSpec(FATOU_RECT, 512, 42).points()
+        b = classify_batch(g, pts, p, want_tail_values=True)
+        rows = np.flatnonzero(b.drifted)
+        z = b.tail_values[rows, b.tail_last[rows] % w]
+        cleared = rows[drift_forwarded(f, g, z, b.tail_last[rows], p)]
+        assert cleared.size > 400
+        # at max_iter 2000 they all retire before the window, so the whole
+        # tail of an every-step run comes after the retirement point
+        assert (b.tail_last[cleared] <= p.max_iter - w).all()
+        with mock.patch.object(orbit, "_drift_form", lambda e: None):
+            every = classify_batch(g, pts[cleared], p, want_tail_values=True)
+        tails, held = every.ordered_tails(np.arange(cleared.size))
+        fv, fs = eval_array(f, tails[held])
+        assert held.all() and (fs == engine.OK).all() and (np.abs(fv) > p.escape_radius).all()
+
+
 @pytest.fixture
 def counted_batches(monkeypatch):
     """Count the classify_batch calls that verify really makes."""
@@ -341,6 +419,15 @@ class TestSharedClassifications:
         assert cached.tail_values is None and cached.tail_last is None
         with pytest.raises(ValueError):
             cached.verdict[0] = 0
+
+    def test_entries_from_a_tails_call_drop_the_tails(self, counted_batches):
+        pts = sampler(100).points()
+        with shared_classifications():
+            tails = verify._classify(FATOU_F, pts, FATOU_PARAMS, want_tail_values=True)
+            cached = verify._classify(FATOU_F, pts, FATOU_PARAMS)
+        assert counted_batches == [True]
+        assert tails.drifted.any()
+        assert cached.tail_values is None and cached.tail_last is None and cached.drifted is None
 
     def test_nothing_is_reused_outside_a_scope(self, counted_batches):
         pts = sampler(100).points()
