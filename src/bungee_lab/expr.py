@@ -137,37 +137,6 @@ class Expr:
     def __str__(self) -> str:
         return format_expr(self)
 
-    # Operators build through the folding constructors below.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __pow__(self, n):
-        return pow_(self, n)
-
 
 @dataclass(frozen=True)
 class Var(Expr):

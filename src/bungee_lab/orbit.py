@@ -5,9 +5,9 @@ and summarized by log10 magnitudes (with -inf standing for |z| = 0).
 Iteration stops early when the map overflows, hits a pole, or lands
 exactly on a fixed point (from there the tail is constant, so the
 remaining magnitudes are filled in without further evaluation).
-classify_batch also retires a seed that is certified to drift away with
-growing magnitude and, without tails, one certified to stay bounded to
-the end, as below.
+classify_batch also finishes a seed that drifts away under a map of
+the form z + c + k exp(-z) by cheaper exact steps and, without tails,
+retires one certified to stay bounded to the end, as below.
 
 Verdicts, in the order the rules are tried:
 
@@ -56,30 +56,20 @@ of every step.  A table covers at most RETIRE_STEPS remaining steps
 and is built once per map, bound_radius and length, on the first call
 that needs it.
 
-Drift.  A map whose tree is a sum of one z, constants adding up to c
-with Re c > 0 and terms exp(-z), such as 1+z+exp(-z), moves a point
-with Re z >= DRIFT_X by c, up to an error err: the exp terms are below
-e^-DRIFT_X, and each addition rounds by at most 2^-53 of its result.
-After step n's bookkeeping, _Drift.certifies takes a live seed above
-escape_radius and, with R steps left, bounds |z| up to the end by
-Z = |z| + 2R|c| (err stays below |c|), so err by err(Z).  It retires
-the seed when err(Z) < Re c and 2 Re(z conj c) + |c|^2, less the
-rounding and err(Z) terms, is at least DRIFT_GROWTH Z^2.  Then Re z and
-Re(z conj c) grow at every later step, so the margin holds there too,
-|z|^2 grows by a factor of at least 1 + DRIFT_GROWTH per step, far
-above the rounding of np.log10(np.abs(z)), and |z| stays below the
-finite Z: the computed magnitudes never decrease, never fall back
-below bound_radius and never overflow.  The seed leaves on the frozen
-path with what its remaining steps would give: completed at max_iter,
-its oscillation count and all-below flag as they stand, and a tail test
-that holds, or the tail test so far once the window has begun.  So
-again every output array is bit-identical to a run of every step.
+Drift.  A map whose tree is a sum of one z, constants and terms
+exp(-z), such as 1+z+exp(-z), in a form _drift_form accepts, moves a
+point with Re z >= DRIFT_X by a chain of float additions of its
+constants alone: there each exp(-z) is below 2^-54 of the partial sum
+it is added to, in both components, so adding it returns that sum bit
+for bit, and Re z never decreases, so this holds to the end.  Once a
+live seed also has Re z > bound_radius, classify_batch steps it by
+those additions alone, in place, and takes its magnitudes only for the
+last tail_window steps.  Its outputs, tails included, are then those
+of every step of f, by construction.
 
 classify_point, which reports the last magnitudes, runs every step.
 classify_batch with want_tail_values keeps the bounded-seed table off,
-but retires drifting seeds: such a seed's tail row stops at its
-retirement point and is marked drifted, and drift_forwarded bounds the
-points after it for verify_property_a.
+but finishes drifting seeds.
 """
 
 from __future__ import annotations
@@ -357,12 +347,8 @@ class BatchClassification:
     # column t % tail_window if it is among the last tail_window up to
     # tail_last
     tail_values: np.ndarray | None = None
-    # int32 index of the last finite point, or of a drifted row's
-    # retirement point, below max_iter
+    # int32 index of the last finite point, max_iter for a completed orbit
     tail_last: np.ndarray | None = None
-    # bool: retired on the drift certificate; its row holds no point
-    # after the retirement point
-    drifted: np.ndarray | None = None
 
     def ordered_tails(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Last finite orbit points of the samples idx, in one gather.
@@ -371,8 +357,7 @@ class BatchClassification:
         sample idx[j]'s points oldest first, ending at column
         tail_window - 1 with point tail_last; held marks the columns that
         hold a point, all but the first ones of an orbit with fewer than
-        tail_window points.  A drifted row ends at its retirement point,
-        so its later points, up to max_iter, are not among them.
+        tail_window points.
         """
         if self.tail_values is None:
             raise ValueError("batch was classified without want_tail_values")
@@ -380,11 +365,6 @@ class BatchClassification:
         w = self.tail_values.shape[1]
         t = self.tail_last[idx, None] + np.arange(1 - w, 1)
         return self.tail_values[idx[:, None], t % w], t >= 0
-
-    def ordered_tail(self, i: int) -> np.ndarray:
-        """Last finite orbit points of sample i, oldest first."""
-        points, held = self.ordered_tails(np.array([i]))
-        return points[0, held[0]]
 
 
 def _compact(ring: np.ndarray, keep: np.ndarray) -> None:
@@ -539,141 +519,105 @@ def _build_table(f: Expr, top: float, length: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Retiring drifting seeds
+# Finishing drifting seeds
 
-# a drifting seed has Re z >= DRIFT_X, where |exp(-z)| <= e^-40, about 4e-18
+# a drifting seed has Re z >= DRIFT_X, where |exp(-z)| <= e^-40 < 2^-54 DRIFT_X
 DRIFT_X = 40.0
-# the least growth of |z|^2 per step, relative to Z^2, that certifies a
-# seed: log10|z| then grows by at least 2.1e-11 per step, over 40 times
-# what np.log10(np.abs(z)) can err by on two steps at |z| <= DRIFT_TOP
-# (4 ulps of a log10 up to 300 each, 5.7e-14 per ulp)
-DRIFT_GROWTH = 1e-10
-# eight times the unit roundoff 2^-53
-ROUND = 2.0**-50
-# the test runs only where |z| and 2R|c| are at most DRIFT_TOP, so that
-# Z and every quantity of the test stay finite
-DRIFT_TOP = 1e300
+# a finished seed's components stay at or below this to the end, far
+# below the largest double, so none of its remaining steps overflows
+FINISH_MAX = 1e300
 _EXP_MINUS_Z = Exp(Neg(Var()))
+_PATH, _EXP = "path", "exp"
 
 
 @dataclass(frozen=True)
 class _Drift:
-    """The drift certificate of a map z + c + k exp(-z); see _drift_form."""
+    """How z + c + k exp(-z) moves a point with Re z >= DRIFT_X; see _drift_form."""
 
-    c: complex
-    modulus: float  # |c|
-    # err1 Z + err0 is twice a bound on one step's error anywhere |z| <= Z
-    err1: float
-    err0: float
-    log_top: float  # log10 of the largest |z| with err1 |z| < Re c, at most DRIFT_TOP
-
-    def reach(self, z, left):
-        """Z = (|z| + 2 left |c|)(1 + ROUND), a bound on |z| for left more
-        steps from a point that certifies."""
-        return (np.abs(z) + left * 2 * self.modulus) * (1 + ROUND)
-
-    def err(self, zb):
-        """err(Z): twice a bound on one step's error anywhere |z| <= Z."""
-        return self.err1 * zb + self.err0
-
-    def certifies(self, z: np.ndarray, left: int) -> np.ndarray:
-        """Which points z, each with Re z >= DRIFT_X and left more steps to
-        run, drift with growing magnitude to the end.
-
-        Z = reach(z, left) bounds |z| up to the end, and the test runs on
-        every quantity divided by Z or Z^2, so that nothing overflows.
-        err below is err(Z) / Z and growth is (2 Re(z conj c) + |c|^2) /
-        Z^2; slack covers twice the rounding of growth and the effect of a
-        step's error on |z|^2.
-        """
-        c = self.c
-        if not left * 2 * self.modulus <= DRIFT_TOP:
-            return np.zeros(z.shape, dtype=bool)
-        zb = self.reach(z, left)
-        cr, ci, cn = c.real / zb, c.imag / zb, self.modulus / zb
-        err = self.err1 + self.err0 / zb
-        growth = 2 * (z.real / zb * cr + z.imag / zb * ci) + cn * cn
-        slack = 2 * err * (1 + cn) + 2 * ROUND * (cn + cn * cn)
-        return (err < cr) & (growth - slack >= DRIFT_GROWTH)
+    # the constants added to z in turn, complex128: a step is then
+    # (z + steps[0]) + steps[1] + ..., bit for bit
+    steps: tuple
+    re: float  # the sum of |Re| over steps, which bounds a step's move of Re z
+    im: float  # and of |Im|, for Im z
 
 
 def _drift_form(f: Expr) -> _Drift | None:
-    """f's drift certificate, or None unless f is z + c + k exp(-z).
+    """The steps that finish f's drifting seeds, or None.
 
-    f's root must be a chain of Add nodes, in any grouping, over exactly
-    one z, constants whose sum c has Re c > 0, and k >= 0 terms exp(-z).
-    A loop flattens the chain, so a long sum needs no recursion.
+    f's root must be a chain of Add nodes, and Sub nodes a - K with K
+    free of z, over exactly one z, terms exp(-z) and constants, such as
+    1+z+exp(-z).  Every exp(-z) must be added to a partial sum that
+    holds z and no constant with a nonzero imaginary part, and every
+    other z-free part must be a constant whose value (-K for a - K) has
+    Re >= 0.  The chain is walked with a stack, so a long sum needs no
+    recursion.
 
-    The error budget of one step from a point z with Re z >= DRIFT_X
-    and |z| <= Z, against z + c: each exp(-z), numpy's complex exp of
-    an exactly negated z, is within a few ulps per component of
-    e^-Re z (cos, sin), so its modulus is below 2 e^-DRIFT_X; each of
-    the len(terms) - 1 additions rounds each component of its result
-    by at most 2^-53 relative, so its modulus by 2^-53 (Z + s), where s
-    bounds the constants' and exp terms' moduli summed; and the float
-    sum c of the constants is within as much again of the exact one.
-    err1 Z + err0, with ROUND = 2^-50, is at least twice that, which
-    also covers the float arithmetic of the test.  A map whose err0
-    alone reaches Re c can never pass and gets None; so does one whose
-    constants overflow.
+    Then, from a point z that f returned with Re z >= DRIFT_X,
+    eval_array(f, z) equals z plus the steps in turn, each addition
+    rounded as numpy rounds it: the exp terms vanish exactly.  A
+    partial sum S that an exp(-z) is added to has Re S >= Re z >= 40,
+    since the values added before it have Re >= 0, and Im S = y = Im z
+    up to the sign of a zero.  numpy's exp of the exactly negated z is
+    within a few ulps per component of e^-Re z (cos y, -sin y), so its
+    real part is below e^-40 < 2^-54 Re S and, as |sin y| <= |y|, its
+    imaginary part below 2^-54 |y|, or a zero of the sign of -y.  In
+    round-to-nearest a + t returns a whenever |t| < 2^-54 |a|, a
+    nonzero a + (+-0) returns a, and +0 + (+-0) returns +0.  With an exp
+    term, y is never -0: a sum is -0 only when both addends are, and
+    where y was -0 the exp term f added was +0.  Re z never decreases and the steps move
+    Im z alike, so the same holds at every later step, and f's steps
+    are finite exactly where these are, so overflow, too, comes at the
+    same step.  Another tree order can add an exp term to a partial sum
+    whose imaginary part passes 0, where the term does not vanish; it
+    gets None, as does a map whose z-free parts overflow.
     """
-    if not isinstance(f, Add):
+    if not isinstance(f, (Add, Sub)):
         return None
-    terms, stack = [], [f]
+    # post-order over the chain: a finished subtree is _PATH (it holds z,
+    # with the steps so far), _EXP or its constant value
+    steps, imaginary = [], False
+    done: list = []
+    stack = [(f, False)]
     while stack:
-        e = stack.pop()
-        if isinstance(e, Add):
-            stack += (e.b, e.a)
-        else:
-            terms.append(e)
-    consts = [t.value for t in terms if isinstance(t, Const)]
-    k = terms.count(_EXP_MINUS_Z)
-    if terms.count(Var()) != 1 or len(consts) + k + 1 != len(terms):
+        e, joined = stack.pop()
+        if not joined:
+            if isinstance(e, (Add, Sub)):
+                stack += ((e, True), (e.b, False), (e.a, False))
+            elif isinstance(e, Var):
+                done.append(_PATH)
+            elif isinstance(e, Const):
+                done.append(e.value)
+            elif e == _EXP_MINUS_Z:
+                done.append(_EXP)
+            else:
+                return None
+            continue
+        b, a = done.pop(), done.pop()
+        if isinstance(a, complex) and isinstance(b, complex):
+            # Python complex + and - round each component as numpy does
+            done.append(a + b if isinstance(e, Add) else a - b)
+            continue
+        if isinstance(e, Sub):
+            if not (a is _PATH and isinstance(b, complex)):
+                return None
+            b = -b  # a - b is a + (-b), bit for bit
+        elif b is _PATH:
+            a, b = b, a  # numpy's + is commutative, bit for bit
+        if a is not _PATH:
+            return None
+        if isinstance(b, complex):
+            steps.append(b)
+            imaginary = imaginary or b.imag != 0
+        elif b is not _EXP or imaginary:
+            return None
+        done.append(_PATH)
+    if not all(cmath.isfinite(v) and v.real >= 0 for v in steps):
         return None
-    c = sum(consts, 0j)
-    tiny = math.exp(-DRIFT_X)
-    s = sum(math.hypot(v.real, v.imag) for v in consts) + 2 * k * tiny
-    err1 = (len(terms) - 1) * ROUND
-    err0 = err1 * s + 4 * k * tiny
-    if not (c.real > err0 and math.isfinite(s)):
-        return None
-    log_top = math.log10(min(c.real / err1, DRIFT_TOP))
-    return _Drift(c, math.hypot(c.real, c.imag), err1, err0, log_top)
-
-
-def drift_forwarded(
-    f: Expr, g: Expr, z: np.ndarray, last: np.ndarray, params: OrbitParams
-) -> np.ndarray:
-    """Which drift-retired seeds of g have |f(w)| > escape_radius, as
-    eval_array and np.abs compute it, at every tail point w after their
-    retirement point; all False unless f and g are both of the form
-    z + c + k exp(-z).
-
-    z holds the retirement points and last their indices, so L =
-    max_iter - last steps are to go and the tail points after z are
-    w_k = g^k(z) for k0 <= k <= L, k0 = max(1, L - tail_window + 1).
-    g's certificate keeps every w_k in Re w >= DRIFT_X and |w| <= Z =
-    reach(z, L), where a step errs from w + c_g by at most e_g < Re c_g;
-    so Re w_k >= Re z + k0 (Re c_g - e_g).  There f's step errs from
-    w + c_f by at most e_f, so Re f(w_k) >= Re w_k + Re c_f - e_f.  The
-    test takes rho = Re z + k0 (Re c_g - err_g(Z)) and clears a row when
-    rho + Re c_f - err_f(Z) > R (1 + ROUND), R = escape_radius.  Its
-    error budget: with n additions and k exp terms, err(Z) = 8n 2^-53
-    (Z + s) + 4k e^-DRIFT_X and e <= 2n 2^-53 (Z + s) + 2k e^-DRIFT_X
-    (see _drift_form), so each err term exceeds its e by at least
-    6 2^-53 (Z + s), 12 2^-53 Z + 6 2^-53 |c_f| together; the test's
-    own float arithmetic errs by less than 6 2^-53 (Z + |c_f|), since
-    |z| + 2 k0 |c_g| <= Z; and R ROUND covers the rounding of np.abs.
-    f is entire, so it meets no pole either.
-    """
-    dg, df = _drift_form(g), _drift_form(f)
-    if dg is None or df is None:
-        return np.zeros(z.shape, dtype=bool)
-    left = params.max_iter - last
-    zb = dg.reach(z, left)
-    k0 = np.maximum(1, left - params.tail_window + 1)
-    rho = z.real + k0 * (dg.c.real - dg.err(zb))
-    return rho + df.c.real - df.err(zb) > params.escape_radius * (1 + ROUND)
+    return _Drift(
+        tuple(np.complex128(v) for v in steps),
+        sum(abs(v.real) for v in steps),
+        sum(abs(v.imag) for v in steps),
+    )
 
 
 def classify_batch(
@@ -704,34 +648,31 @@ def classify_batch(
     and a failed tail test.  Entries for R >= RETIRE_STEPS, or without a
     certificate, are NaN, and such a step costs no array operation.
 
-    A map of the form z + c + k exp(-z) (see _drift_form) also retires a
-    seed above escape_radius, with Re z >= DRIFT_X, that _Drift.certifies
-    to drift away with growing magnitude to the end.  Its budget: each
-    step errs from z + c by at most twice 2^-53 (Z + s) per addition
-    plus 2 e^-DRIFT_X per exp term, where Z bounds |z| to the end; err(Z)
-    < Re c keeps Re z and Re(z conj c) growing, and a growth margin of
-    DRIFT_GROWTH Z^2 on |z|^2 keeps the computed log-magnitudes
-    increasing, far above the rounding of np.abs and np.log10.  The seed
-    takes the frozen path too: completed at max_iter, its oscillation
-    count and all-below flag as they stand, and a tail test that holds
-    (or, inside the window, the tail test so far).  For other maps the
-    step costs one is-None test.
+    A map of the form z + c + k exp(-z) (see _drift_form) also finishes
+    a seed that reaches Re z >= DRIFT_X and Re z >= bound_radius (1 +
+    1e-9), unless its remaining steps could move a component past
+    FINISH_MAX.  From there the exp terms vanish exactly and Re z never
+    decreases, so the seed's later points are those of adding the
+    steps of _drift_form in turn, done in place on one array of such
+    seeds, in lockstep with the live set; they stay above bound_radius,
+    beyond the rounding of the magnitude, so the oscillation count and
+    the all-below flag (False) stand, and the orbit completes at
+    max_iter.  Only from step first_tail on are magnitudes taken, for
+    the tail test, and points written to the tails.  So every output,
+    tails included, is bit-identical to a run of every step.  For other
+    maps the step costs one is-None test.
 
     So the tail test of a frozen seed is m > log10(escape_radius) before
     the window starts and the test so far inside it: a fixed point
-    repeats m, a drifting seed keeps growing above escape_radius, and a
-    retired bounded seed fails both.
+    repeats m and a retired bounded seed fails both.
 
     With want_tail_values the table stays off, since the tails need
-    the points of bounded seeds, but drifting seeds retire as above.
-    The last tail_window points of the live seeds are kept in live order
-    too, so each step writes its points as one contiguous row of a
-    (tail_window, n) ring.  A seed's tail and last index go to the
-    outputs once, when it finishes.  An exact fixed point repeats its
-    value to max_iter; a drifting seed's row stops at its retirement
-    point z, tail_last is z's index, below max_iter, and drifted marks
-    it.  Its later points are never computed: drift_forwarded bounds
-    them for verify_property_a.  Without tails, drifted is None.
+    the points of bounded seeds.  The last tail_window points of the
+    live seeds are kept in live order too, so each step writes its
+    points as one contiguous row of a (tail_window, n) ring.  A seed's
+    tail and last index go to the outputs once, when it finishes; an
+    exact fixed point repeats its value to max_iter, and a finished
+    drifting seed writes its window points there as it goes.
     """
     seeds = np.ascontiguousarray(seeds, dtype=np.complex128).ravel()
     k = seeds.size
@@ -747,7 +688,6 @@ def classify_batch(
     tail_escape = np.zeros(k, dtype=bool)
     tail_values = np.zeros((k, w), dtype=np.complex128) if want_tail_values else None
     tail_last = np.zeros(k, dtype=np.int32) if want_tail_values else None
-    drifted = np.zeros(k, dtype=bool) if want_tail_values else None
     # ring[:, :alive.size]: the tails of the live seeds, aligned with alive;
     # a row not yet written is 0 for every seed, as in tail_values
     ring = np.zeros((w, k), dtype=np.complex128) if want_tail_values else None
@@ -774,9 +714,35 @@ def classify_batch(
         ring[0, : alive.size] = z
     retire = _NO_TABLE if want_tail_values else _retire_table(f, params)
     drift = _drift_form(f)
+    # the finished drifting seeds, in their first done entries: index,
+    # point and, from step first_tail on, tail test and last magnitude
+    done = 0
+    if drift is not None:
+        entry = max(DRIFT_X, params.bound_radius * (1 + 1e-9))
+        done_idx = np.empty(k, dtype=np.intp)
+        done_z = np.empty(k, dtype=np.complex128)
+        done_ok = np.empty(k, dtype=bool)
+        done_prev = np.empty(k)
 
     for n in range(n_total):
+        if done:
+            zd = done_z[:done]
+            for c in drift.steps:
+                np.add(zd, c, out=zd)
+            if n >= first_tail:
+                md = np.abs(zd)
+                np.log10(md, out=md)
+                okd = done_ok[:done]
+                if n == first_tail:
+                    np.greater(md, log_esc, out=okd)
+                else:
+                    okd &= (md > log_esc) & (md >= done_prev[:done])
+                done_prev[:done] = md
+                if want_tail_values:
+                    tail_values[done_idx[:done], (n + 1) % w] = zd
         if alive.size == 0:
+            if done:
+                continue
             break
         vals, status = eval_array(f, z)
         ok = status == engine.OK
@@ -791,19 +757,19 @@ def classify_batch(
                 idx = alive[over]
                 term_kind[idx] = TERM_OVERFLOW
                 term_step[idx] = n + 1
-            done = ~ok
-            osc[alive[done]] = n_osc[done]
-            all_below[alive[done]] = below[done]
+            failed = ~ok
+            osc[alive[failed]] = n_osc[failed]
+            all_below[alive[failed]] = below[failed]
             if want_tail_values:
-                tail_last[alive[done]] = n
-                tail_values[alive[done]] = ring[:, : alive.size][:, done].T
+                tail_last[alive[failed]] = n
+                tail_values[alive[failed]] = ring[:, : alive.size][:, failed].T
                 _compact(ring, ok)
             alive, vals, z = alive[ok], vals[ok], z[ok]
             in_exc, below, n_osc = in_exc[ok], below[ok], n_osc[ok]
             if tail_ok is not None:
                 tail_ok, prev = tail_ok[ok], prev[ok]
             if alive.size == 0:
-                break
+                continue
         m = np.abs(vals)
         with np.errstate(divide="ignore"):
             np.log10(m, out=m)
@@ -824,28 +790,39 @@ def classify_batch(
         if left < retire.size and not math.isnan(limit := retire[left]):
             # certified to stay at or below bound_radius / 2 to the end
             frozen |= m <= limit
+        going = None
         if drift is not None and left:
-            drifting = above & (m < drift.log_top) & (vals.real >= DRIFT_X)
-            if drifting.any():
-                frozen[drifting] |= drift.certifies(vals[drifting], left)
+            going = vals.real >= entry
+            if going.any():
+                x, y = vals.real[going], np.abs(vals.imag[going])
+                going[going] = (x + left * drift.re <= FINISH_MAX) & (y + left * drift.im <= FINISH_MAX)
+                frozen |= going
         if frozen.any():
             idx = alive[frozen]
-            # later magnitudes repeat m, grow above log_esc or stay below
-            # log_bound, so no later step changes the tail test
+            # later magnitudes repeat m or stay below log_bound, so no
+            # later step changes the tail test; a finished drifting seed's
+            # is written at the end
             tail_escape[idx] = tail_ok[frozen] if n >= first_tail else m[frozen] > log_esc
             osc[idx] = n_osc[frozen]
             all_below[idx] = below[frozen]
             if want_tail_values:
                 # the ring holds points up to n + 1; a fixed point's later
-                # ones repeat it, and a drifting seed's row stops there
+                # ones repeat it, and a finished seed writes its own
                 fixed = vals[frozen] == z[frozen]
                 later = np.arange(max(n + 2, n_total + 1 - w), n_total + 1)
                 tails = ring[:, : alive.size][:, frozen].T
                 tails[np.ix_(fixed, later % w)] = vals[frozen][fixed, None]
                 tail_values[idx] = tails
-                tail_last[idx] = np.where(fixed, n_total, n + 1)
-                drifted[idx] = ~fixed
+                tail_last[idx] = n_total
                 _compact(ring, ~frozen)
+            if going is not None and going.any():
+                new = slice(done, done + int(np.count_nonzero(going)))
+                done_idx[new] = alive[going]
+                done_z[new] = vals[going]
+                if tail_ok is not None:
+                    done_ok[new] = tail_ok[going]
+                    done_prev[new] = m[going]
+                done = new.stop
             live = ~frozen
             alive, vals = alive[live], vals[live]
             in_exc, below, n_osc = in_exc[live], below[live], n_osc[live]
@@ -860,6 +837,8 @@ def classify_batch(
         if want_tail_values:
             tail_values[alive] = ring[:, : alive.size].T
             tail_last[alive] = n_total
+    if done:
+        tail_escape[done_idx[:done]] = done_ok[:done]
 
     verdict, confident = _verdicts(term_kind, osc, all_below, tail_escape, params)
     return BatchClassification(
@@ -870,7 +849,6 @@ def classify_batch(
         oscillations=osc,
         tail_values=tail_values,
         tail_last=tail_last,
-        drifted=drifted,
     )
 
 

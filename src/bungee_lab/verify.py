@@ -41,14 +41,7 @@ from . import engine
 from .engine import eval_array
 from .expr import Expr, compose, derivative, format_expr, translate
 from .grid import MAX_GRID_PIXELS
-from .orbit import (
-    BatchClassification,
-    OrbitParams,
-    Rect,
-    Verdict,
-    classify_batch,
-    drift_forwarded,
-)
+from .orbit import BatchClassification, OrbitParams, Rect, Verdict, classify_batch
 
 MAX_VIOLATION_EXAMPLES = 20
 # A check with fewer usable samples than this is inconclusive, never a pass.
@@ -181,7 +174,7 @@ def _finish_report(
 
 
 # (canonical map text, sha256 of the complex128 samples, params) ->
-# BatchClassification without tails or drifted; None outside
+# BatchClassification without tails; None outside
 # shared_classifications().
 _MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
     "bungee_lab_classifications", default=None
@@ -210,8 +203,8 @@ def _classify(
 ) -> BatchClassification:
     """classify_batch, served from the open memo when it can be.
 
-    Stored entries drop their tails (tail_values, tail_last and drifted)
-    and have read-only arrays, so a request for tail values is always
+    Stored entries drop their tails (tail_values and tail_last) and
+    have read-only arrays, so a request for tail values is always
     classified afresh.
     """
     memo = _MEMO.get()
@@ -223,7 +216,7 @@ def _classify(
         return memo[key]
     batch = classify_batch(f, pts, params, want_tail_values=want_tail_values)
     if key not in memo:
-        entry = dataclasses.replace(batch, tail_values=None, tail_last=None, drifted=None)
+        entry = dataclasses.replace(batch, tail_values=None, tail_last=None)
         for a in (entry.verdict, entry.confident, entry.term_kind,
                   entry.term_step, entry.oscillations):
             a.flags.writeable = False
@@ -675,43 +668,6 @@ def verify_value_identity(
 # Escaping-orbit forwarding
 
 
-def _finish_drifted_tails(f, g, batch, idx, tails, held, params: OrbitParams) -> None:
-    """Give the drifted rows of batch.ordered_tails(idx), in tails and
-    held, what an every-step run of g holds.
-
-    A drifted row ends at its retirement point z.  Its points inside the
-    window (index > max_iter - tail_window) move to the columns an
-    every-step run puts them in, and are tested as any other.  The later
-    points are left out (held False) where drift_forwarded proves every
-    one forwarded, and are computed by continuing g's orbit from z where
-    it cannot.
-    """
-    rows = np.flatnonzero(batch.drifted[idx])
-    if rows.size == 0:
-        return
-    w = params.tail_window
-    last = batch.tail_last[idx[rows]]
-    z = tails[rows, w - 1]
-    left = params.max_iter - last
-    # new column c holds old column c + left, if there is one
-    old = np.arange(w) + left[:, None]
-    inside = old < w
-    old = np.minimum(old, w - 1)
-    tails[rows] = np.where(inside, tails[rows[:, None], old], 0)
-    held[rows] = inside & held[rows[:, None], old]
-    open_ = ~drift_forwarded(f, g, z, last, params)
-    rows, z, left = rows[open_], z[open_], left[open_]
-    for k in range(1, int(left.max(initial=0)) + 1):
-        going = left >= k
-        if not going.all():
-            rows, z, left = rows[going], z[going], left[going]
-        z, _ = eval_array(g, z)
-        col = k - left + w - 1  # point k after the retirement point
-        put = col >= 0
-        tails[rows[put], col[put]] = z[put]
-        held[rows[put], col[put]] = True
-
-
 def verify_property_a(
     f: Expr,
     g: Expr,
@@ -727,11 +683,8 @@ def verify_property_a(
     out of the bounded region records pre-escape points in its tail,
     and the claim is about the far part of the orbit.
 
-    A g-orbit that classify_batch retired on the drift certificate has
-    no tail points after its retirement point.  Where drift_forwarded
-    proves all of them forwarded they are not evaluated; elsewhere they
-    come from continuing the orbit.  So the report is that of a run of
-    every step.
+    The tails of g-orbits that classify_batch finishes by drift are its
+    exact points (see orbit._drift_form), so every row is tested alike.
     """
     t0 = time.perf_counter()
     pts = sampler.points()
@@ -741,7 +694,6 @@ def verify_property_a(
 
     # row j: sample idx[j]'s tail; far marks its points beyond the radius
     tails, held = batch.ordered_tails(idx)
-    _finish_drifted_tails(f, g, batch, idx, tails, held, params)
     far = held & (np.abs(tails) > params.escape_radius)
     fv = np.zeros(tails.shape, dtype=np.complex128)
     fs = np.zeros(tails.shape, dtype=np.uint8)

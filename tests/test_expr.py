@@ -289,8 +289,3 @@ class TestSurgery:
         assert e.var_count == 2
         assert Const(5).var_count == 0
 
-    def test_operator_overloads(self):
-        assert Z**2 == parse("z^2")
-        assert (1 + Z) == parse("1+z")
-        assert (Z / 2) == parse("z/2")
-        assert -Z == parse("-z")

@@ -15,7 +15,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bungee_lab import engine, orbit
@@ -33,6 +33,7 @@ from bungee_lab.orbit import (
     classify_point,
     find_fixed_points,
 )
+from bungee_lab.grid import GridSpec, classify_grid
 from bungee_lab.presets import FATOU_PARAMS, PRESET_FUNCTIONS
 from bungee_lab.verify import SamplerSpec
 
@@ -467,8 +468,8 @@ class TestBatchAgreement:
     def test_tail_values_window(self):
         b = classify_batch(parse("z^2"), np.array([0.5 + 0j]), OrbitParams(max_iter=20),
                            want_tail_values=True)
-        tail = b.ordered_tail(0)
-        assert tail.shape == (10,)
+        tail, held = b.ordered_tails([0])
+        assert tail.shape == (1, 10) and held.all()
         # orbit of 0.5 under squaring collapses toward 0
         assert np.all(np.abs(tail) <= 0.5**2)
 
@@ -515,16 +516,15 @@ class TestBatchAgreement:
                 # a frozen orbit repeats its last point up to max_iter
                 points += [points[-1]] * (p.max_iter + 1 - len(points))
             want = np.array(points[-p.tail_window:], dtype=np.complex128).tobytes()
-            assert b.ordered_tail(i).tobytes() == want, (text, z0)
             assert rows[i, held[i]].tobytes() == want, (text, z0)
             # a short tail is missing its oldest points, not its newest
             assert held[i, -1] and np.all(np.diff(held[i].astype(int)) >= 0)
 
     def test_tail_values_opt_in(self):
         b = classify_batch(parse("z^2"), np.array([0.5 + 0j]), OrbitParams())
-        assert b.tail_values is None and b.drifted is None
+        assert b.tail_values is None and b.tail_last is None
         with pytest.raises(ValueError):
-            b.ordered_tail(0)
+            b.ordered_tails([0])
 
 
 BATCH_FIELDS = ("verdict", "confident", "term_kind", "term_step", "oscillations")
@@ -692,6 +692,30 @@ class TestRetirementMemory:
             assert peak < 96 * orbit.RETIRE_STEPS, (text, peak)
             assert elapsed < 10, (text, elapsed)
 
+    def test_drift_finish_holds_no_path(self):
+        # finished seeds of 1+z+exp(-z) step in place: a million steps
+        # run in seconds, and memory is a few arrays of the seeds, not of
+        # the steps left (2^16 of them take 1 MiB as complex128); with
+        # tails, so that no retirement table is built.  tracemalloc slows
+        # each step about twentyfold, so it watches the shorter run
+        seeds = np.concatenate([np.linspace(40, 60, 48) + 1j, 1j * np.linspace(-3, 3, 16)])
+        f = parse(FATOU_F)
+        for max_iter, traced in ((2**20, False), (2**16, True)):
+            p = dataclasses.replace(FATOU_PARAMS, max_iter=max_iter)
+            t0 = time.perf_counter()
+            if traced:
+                tracemalloc.start()
+            try:
+                b = classify_batch(f, seeds, p, want_tail_values=True)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            elapsed = time.perf_counter() - t0
+            assert (b.verdict == Verdict.ESCAPING).all()
+            assert (b.tail_last == max_iter).all()
+            assert peak < 64 * 1024, (max_iter, peak)
+            assert traced or elapsed < 10, elapsed
+
 
 FATOU_F, FATOU_G = "1+z+exp(-z)", "1+z+exp(-z)+2*pi*i"
 FATOU_RUNS = [(FATOU_F, "samples"), (FATOU_F, "g"), (FATOU_G, "samples"), (FATOU_G, "f")]
@@ -713,9 +737,13 @@ def fatou_seeds(kind: str) -> np.ndarray:
     return np.where(status == engine.OK, vals, 0)
 
 
+TAIL_FIELDS = BATCH_FIELDS + ("tail_values", "tail_last")
+
+
 def counted_runs(f, seeds, params, want_tail_values=False):
-    """classify_batch with the drift certificate and without it, and the
-    seed-steps each evaluated; the five arrays must agree."""
+    """classify_batch with the drift finish and without it, and the
+    seed-steps of f each evaluated; every output array must agree, bit
+    for bit, the tails included."""
     seeds = np.asarray(seeds, dtype=np.complex128)
     steps = []
     real = orbit.eval_array
@@ -730,13 +758,15 @@ def counted_runs(f, seeds, params, want_tail_values=False):
             steps.append(0)
             with mock.patch.object(orbit, "_drift_form", form):
                 runs.append(classify_batch(f, seeds, params, want_tail_values))
-    for name in BATCH_FIELDS:
+    for name in TAIL_FIELDS if want_tail_values else BATCH_FIELDS:
         assert getattr(runs[0], name).tobytes() == getattr(runs[1], name).tobytes(), (str(f), name)
     return runs, steps
 
 
 def drift_runs(f, seeds, params):
-    """The run with the drift certificate, and the seed-steps of both runs."""
+    """The run with the drift finish, without tails, and the seed-steps
+    of both runs; the runs with tails must agree too."""
+    counted_runs(f, seeds, params, want_tail_values=True)
     runs, steps = counted_runs(f, seeds, params)
     return runs[0], steps
 
@@ -761,41 +791,40 @@ def drift_map(c: complex, k: int, order: int) -> Expr:
     return functools.reduce(lambda acc, t: add(t, acc), terms)
 
 
-def exact_drift_holds(f, z: complex, left: int) -> bool:
-    """What the certificate claims for z, checked at 60 digits.
-
-    From |z| <= Z = |z| + 2 left |c| on, a step errs from z + c by at most
-    e: 2^-53 (Z + s) for each addition and again for the float sum c,
-    plus 2 e^-DRIFT_X for each exp term.  The claim is e < Re c and
-    2 Re(z conj c) + |c|^2 - 2 e (Z + |c|) >= DRIFT_GROWTH Z^2.
-    """
-    terms, stack = [], [f]
-    while stack:
-        e = stack.pop()
-        if isinstance(e, Add):
-            stack += (e.a, e.b)
-        else:
-            terms.append(e)
-    d = orbit._drift_form(f)
-    with mpmath.workdps(60):
-        u, tiny = mpmath.mpf(2) ** -53, mpmath.exp(-orbit.DRIFT_X)
-        k = sum(isinstance(t, Exp) for t in terms)
-        adds = len(terms) - 1
-        c, w = mpmath.mpc(d.c), mpmath.mpc(z)
-        zb = abs(w) + 2 * left * abs(c)
-        s = sum(abs(mpmath.mpc(t.value)) for t in terms if isinstance(t, Const)) + 2 * k * tiny
-        e = adds * u * (zb + s) + adds * u * s + 2 * k * tiny
-        growth = 2 * (w * mpmath.conj(c)).real + abs(c) ** 2 - 2 * e * (zb + abs(c))
-        return bool(zb < orbit.DRIFT_TOP * 3 and e < c.real and growth >= orbit.DRIFT_GROWTH * zb**2)
+def forced_runs(text, steps, seeds, params):
+    """The tails of classify_batch on text with a drift finish by steps,
+    whatever _drift_form says, and without one."""
+    steps = [complex(c) for c in steps]
+    form = orbit._Drift(
+        tuple(map(np.complex128, steps)),
+        sum(abs(c.real) for c in steps),
+        sum(abs(c.imag) for c in steps),
+    )
+    runs = []
+    for d in (form, None):
+        with mock.patch.object(orbit, "_drift_form", lambda e: d):
+            runs.append(classify_batch(parse(text), np.array(seeds, dtype=np.complex128), params, True))
+    return runs
 
 
 class TestDriftRetirement:
-    """Retiring drifting seeds of z + c + k exp(-z) changes no output."""
+    """Finishing drifting seeds of z + c + k exp(-z) changes no output."""
 
     @pytest.mark.parametrize("params", sorted(PARAMS))
     @pytest.mark.parametrize("text, kind", FATOU_RUNS)
     def test_fatou_inputs(self, text, kind, params):
         fatou_run(text, kind, params)
+
+    @pytest.mark.parametrize("params", sorted(PARAMS))
+    def test_drift_map_grid(self, params):
+        # the drift-map of the gallery, at 128x128 and two workers
+        f, p = parse(FATOU_F), PARAMS[params]
+        spec = GridSpec(0j, 12.0, 12.0, 128, 128)
+        got = classify_grid(f, spec, p, workers=2)
+        with mock.patch.object(orbit, "_drift_form", no_drift):
+            want = classify_grid(f, spec, p, workers=2)
+        for name in BATCH_FIELDS:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
     def test_saves_steps_on_f_over_g_samples(self):
         # the no-tail call of the fatou pair's invariance check
@@ -823,20 +852,21 @@ class TestDriftRetirement:
     def test_retires_inside_the_window_after_a_dip(self):
         # from 100 - 170i the magnitude under g falls until about step 23,
         # inside the last tail_window steps, and grows from there on: the
-        # seed retires with a failed tail test
+        # seed is finished after its first step and fails the tail test
         p = OrbitParams(max_iter=30, escape_radius=50, bound_radius=30, tail_window=10)
         b, (on, off) = drift_runs(parse(FATOU_G), [100 - 170j], p)
         assert b.verdict[0] == Verdict.UNDECIDED
-        assert p.max_iter - p.tail_window < on < off
+        assert on == 1 and off == p.max_iter
 
     @pytest.mark.parametrize("params", sorted(PARAMS))
     @pytest.mark.parametrize("text", [FATOU_F, FATOU_G, "z+1e299+exp(-z)", "z+1e306+exp(-z)", "z+1e-13"])
     def test_edge_seeds(self, text, params):
-        # either side of Re z = DRIFT_X, and near 1e300, where z + 1e306
-        # overflows within the run and z + 1 no longer moves
+        # either side of Re z = DRIFT_X, with Im z = +-0, and near 1e300,
+        # where z + 1e306 overflows within the run and z + 1 no longer moves
         x = orbit.DRIFT_X
         reals = [np.nextafter(x, 0), x, np.nextafter(x, 99), x - 1e-9, x + 1e-9, 1e300, 1e300 * (1 + 1e-9)]
-        seeds = (np.array(reals)[:, None] + 1j * np.array([0, 1e-300, 60, -60, 3e3, 1e299])).ravel()
+        imags = np.array([0, -0.0, 1e-300, 60, -60, 3e3, 1e299])
+        seeds = (np.array(reals)[:, None] + 1j * imags).ravel()
         seeds = np.concatenate([seeds, 1e300 * np.exp(1j * np.linspace(-1.5, 1.5, 7)), [1e299]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -853,90 +883,81 @@ class TestDriftRetirement:
         orbit_params(),
     )
     def test_random_maps(self, c, k, order, seeds, params):
+        # every order and grouping, finished or not
         f = drift_map(c, k, order)
-        assert orbit._drift_form(f) is not None
-        drift_runs(f, seeds + [complex(orbit.DRIFT_X, 0), 1e15 + 1e15j], params)
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        st.complex_numbers(min_magnitude=1e-6, max_magnitude=1e6).filter(lambda c: c.real > 0),
-        st.integers(0, 2),
-        st.floats(-1, 1),
-        st.floats(0, 14),
-        st.integers(1, 2**31),
-        st.booleans(),
-    )
-    def test_certificate_implies_the_exact_bound(self, c, k, s, log_t, left, turning):
-        # about the turning point z = i t c + s c / 2 of |z|, where
-        # 2 Re(z conj c) + |c|^2 = (s + 1) |c|^2 is smallest
-        t = 10**log_t
-        z = 1j * t * c + s * c / 2 if turning else complex(t, s * t)
-        f = drift_map(c, k, 0)
-        drift = orbit._drift_form(f)
-        assume(z.real >= orbit.DRIFT_X and drift is not None)
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            certified = drift.certifies(np.array([z]), left)[0]
-        if certified:
-            assert exact_drift_holds(f, z, left), (c, z, left)
-
-    @pytest.mark.parametrize("text", [FATOU_F, FATOU_G, "z+1e306", "z+1e-300+1e-290*i"])
-    def test_no_overflow_in_the_test(self, text):
-        # the test runs where |z| <= DRIFT_TOP
-        f = parse(text)
-        z = np.array([1e300, 1e300j + 40, 1e-300 + 40, 40, 7e299 + 7e299j])
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            for left in (1, 1000, 2**31 - 1):
-                orbit._drift_form(f).certifies(z, left)
+        drift_runs(f, seeds + [complex(orbit.DRIFT_X, 0), complex(orbit.DRIFT_X, -0.0), 1e15 + 1e15j], params)
 
     @pytest.mark.parametrize("text", [FATOU_F, FATOU_G])
-    def test_tails_calls_retire_drifting_seeds(self, text):
+    def test_tails_calls_finish_drifting_seeds(self, text):
         # the fatou pair's two property-a calls give the arrays of a call
-        # without tails, and every row that did not drift-retire holds
-        # the tail an every-step run holds
+        # without tails, and tails bit for bit those of every step
         (on, off), _ = fatou_tails_run(text)
         plain, _ = fatou_run(text, "samples", "fatou")
         for name in BATCH_FIELDS:
             assert getattr(on, name).tobytes() == getattr(plain, name).tobytes(), name
-        assert on.drifted.sum() > 3000 and not off.drifted.any()
-        assert (on.tail_last[on.drifted] < FATOU_PARAMS.max_iter).all()
-        rest = np.flatnonzero(~on.drifted)
-        for a, b in zip(on.ordered_tails(rest), off.ordered_tails(rest)):
-            assert a.tobytes() == b.tobytes()
+        assert (on.tail_last == FATOU_PARAMS.max_iter).sum() > 3000
 
     @pytest.mark.parametrize("text", [FATOU_F, FATOU_G])
     def test_tails_calls_save_steps(self, text):
         _, (on, off) = fatou_tails_run(text)
         assert on <= 0.1 * off, (on, off)
 
-    @pytest.mark.parametrize("max_iter", [30, 40, 50])
-    def test_drifted_rows_end_at_their_retirement_point(self, max_iter):
-        # at fatou radii and a short max_iter many seeds retire inside the
-        # window: a drifted row holds the orbit's points up to and
-        # including its retirement point, the last one at tail_last
+    @pytest.mark.parametrize("max_iter", [44, 48, 52])
+    def test_seeds_finished_inside_the_window(self, max_iter):
+        # the fatou samples reach Re z = 40 after about 36 to 44 steps: at
+        # these lengths many are finished inside the window, and their
+        # tails hold points from before
         p = dataclasses.replace(FATOU_PARAMS, max_iter=max_iter)
         seeds = fatou_seeds("samples")[:1024]
         for text in (FATOU_F, FATOU_G):
-            (on, off), _ = counted_runs(parse(text), seeds, p, want_tail_values=True)
-            rows = np.flatnonzero(on.drifted)
-            assert rows.size > 50 and (on.tail_last[rows] < max_iter).all()
-            got, held = on.ordered_tails(rows)
-            want, _ = off.ordered_tails(rows)
-            # column j of a drifted row is column j - shift of the every-step one
-            shift = max_iter - on.tail_last[rows, None]
-            assert (shift < p.tail_window).any()
-            cols = np.arange(p.tail_window) - shift
-            both = held & (cols >= 0)
-            assert got[both].tobytes() == want[np.nonzero(both)[0], cols[both]].tobytes()
+            _, (on, off) = counted_runs(parse(text), seeds, p, want_tail_values=True)
+            assert on < 0.95 * off, (on, off)
+
+    def test_subtracted_constants(self):
+        # a - K is a + (-K): z+1+exp(-z)-30*i is finished; in
+        # z+1-30*i+exp(-z) the exp term is added to a sum that holds
+        # -30i, so its seeds run every step
+        seeds = fatou_seeds("samples")[:1024]
+        assert orbit._drift_form(parse("z+1+exp(-z)-30*i")).steps == (1, -30j)
+        assert orbit._drift_form(parse("z-(-1)+exp(-z)")).steps == (1,)
+        assert orbit._drift_form(parse("z+1-30*i+exp(-z)")) is None
+        for text in ("z+1+exp(-z)-30*i", "z+1-30*i+exp(-z)"):
+            drift_runs(parse(text), seeds, FATOU_PARAMS)
+
+    @pytest.mark.parametrize(
+        "text, steps, seeds",
+        [
+            # the exp term is added to a sum whose imaginary part is 0 at
+            # point 36, where it does not vanish
+            ("z+(1+i)+exp(-z)", [1 + 1j], [40.5 - 36j, 41 - 35j]),
+            ("z+(1-30*i)+exp(-z)", [1 - 30j], [40.5 + 930j, 40.5 + 960j]),
+            # Re z falls to where the exp term no longer vanishes
+            ("z-1+exp(-z)", [-1], [41 + 0.5j, 45 + 1j]),
+        ],
+    )
+    def test_rejected_forms_need_every_step(self, text, steps, seeds):
+        p = OrbitParams(max_iter=40, escape_radius=50, bound_radius=30, tail_window=10)
+        assert orbit._drift_form(parse(text)) is None
+        drift_runs(parse(text), seeds, p)
+        forced, every = forced_runs(text, steps, seeds, p)
+        assert forced.tail_values.tobytes() != every.tail_values.tobytes()
 
     def test_drift_form(self):
-        for text in ("z+exp(z)", "z*exp(-z)", "z-1+exp(-z)", "2*z+exp(-z)", "z+exp(-z)",
-                     "z+exp(-z)-1", "1+z+z+exp(-z)", "exp(-z)", "-1+z+exp(-z)", "z^2+1"):
+        for text in ("z+exp(z)", "z*exp(-z)", "z-1+exp(-z)", "2*z+exp(-z)", "z+exp(-z)-1",
+                     "1+z+z+exp(-z)", "exp(-z)", "-1+z+exp(-z)", "z^2+1", "1-z+exp(-z)",
+                     "exp(-z)+(z+(2+exp(-z)))", "z+exp(-z)+exp(-z)*2", "z"):
             assert orbit._drift_form(parse(text)) is None, text
-        for text, c in ((FATOU_F, 1), (FATOU_G, 1 + 2j * math.pi), ("exp(-z)+(z+(2+exp(-z)))", 2), ("z+1", 1)):
-            assert orbit._drift_form(parse(text)).c == c, text
+        for text, steps in ((FATOU_F, (1,)), (FATOU_G, (1, 2j * math.pi)), ("z+1", (1,)),
+                            ("exp(-z)+(z+2)+exp(-z)", (2,)), ("1+(z+exp(-z))", (1,)),
+                            ("z+exp(-z)", ()), ("z+(1+2)+exp(-z)+i", (3, 1j))):
+            assert orbit._drift_form(parse(text)).steps == steps, text
         # a long sum flattens without recursion
         long = functools.reduce(add, [Z] + [Const(0.5), Exp(Neg(Z))] * 600)
-        assert orbit._drift_form(long).c == 300
+        assert orbit._drift_form(long).steps == (0.5,) * 600
+        # the orders drift_map draws: an exp term added to a sum without
+        # z or with an imaginary constant makes the map run every step
+        forms = [orbit._drift_form(drift_map(1 + 1j, 2, order)) for order in range(6)]
+        assert 0 < sum(d is None for d in forms) < 6
 
 
 def mp_majorant(e, r):

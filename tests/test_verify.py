@@ -12,11 +12,10 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from bungee_lab import engine, orbit, presets, verify
-from bungee_lab.engine import eval_array
+from bungee_lab import orbit, presets, verify
 from bungee_lab.expr import parse
 from bungee_lab.grid import MAX_GRID_PIXELS
-from bungee_lab.orbit import OrbitParams, Rect, classify_batch, drift_forwarded
+from bungee_lab.orbit import OrbitParams, Rect
 from bungee_lab.presets import FATOU_PARAMS
 from bungee_lab.verify import (
     SamplerSpec,
@@ -294,16 +293,14 @@ class TestPropertyAAndPartition:
 FATOU_F, FATOU_G = parse("1+z+exp(-z)"), parse("1+z+exp(-z)+2*pi*i")
 FATOU_RECT = Rect(0, 8.0, 8.0)
 # f = g - 30i sends points near Im w = 30 just past the radius 50 back
-# inside it: a g-orbit there violates until Re w passes about 49.  Written
-# as a difference, f has no drift form and its rows are continued; as a
-# sum it has one, and the bound must not clear those rows
+# inside it: a g-orbit there violates until Re w passes about 49
 STEER_G = parse("z+1+exp(-z)")
 STEER_FS = [parse("z+1-30*i+exp(-z)"), parse("z+(1-30*i)+exp(-z)")]
 SHORT = OrbitParams(max_iter=12, escape_radius=50, bound_radius=30, tail_window=10)
 
 
 def property_a_both_ways(f, g, sampler, params):
-    """verify_property_a with the drift certificate and without it; the
+    """verify_property_a with the drift finish and without it; the
     reports must agree in everything but their runtime."""
     got = verify_property_a(f, g, sampler, params).to_dict()
     with mock.patch.object(orbit, "_drift_form", lambda e: None):
@@ -314,9 +311,8 @@ def property_a_both_ways(f, g, sampler, params):
 
 
 class TestPropertyADriftedTails:
-    """Drift-retired g-orbits give verify_property_a the report of an
-    every-step run, whether their later tail points are cleared by the
-    half-plane bound or computed by continuing the orbit."""
+    """g-orbits that classify_batch finishes by drift give
+    verify_property_a the report of an every-step run."""
 
     @pytest.mark.parametrize("seed, forward, backward", [(1, 1, 0), (13, 1, 1)])
     def test_fatou_pair_seeds_that_violate(self, seed, forward, backward):
@@ -326,14 +322,15 @@ class TestPropertyADriftedTails:
 
     @pytest.mark.parametrize("text, violates", [("1/z", True), ("2*z", False)])
     def test_maps_without_a_drift_form_continue_the_orbit(self, text, violates):
+        # f has no drift form; g's finished tails are tested as any other
         r = property_a_both_ways(parse(text), FATOU_F, SamplerSpec(FATOU_RECT, 512, 42), FATOU_PARAMS)
         assert (r["violations"] > 0) == violates
 
     @pytest.mark.parametrize("f", STEER_FS, ids=["difference", "sum"])
     @pytest.mark.parametrize("rect", [Rect(40 + 31j, 8.0, 8.0), Rect(44 + 30j, 16.0, 16.0)])
     def test_points_just_past_the_radius_that_violate(self, f, rect):
-        # most seeds retire at once, with 11 steps to go; the bound must
-        # not clear the window's points with Re w below about 49
+        # most seeds are finished at once, with 11 steps to go, and the
+        # window's points with Re w below about 49 still violate
         r = property_a_both_ways(f, STEER_G, SamplerSpec(rect, 256, 42), SHORT)
         assert r["violations"] > 0
 
@@ -343,26 +340,6 @@ class TestPropertyADriftedTails:
         s = SamplerSpec(FATOU_RECT, 1024, 42)
         for f, g in ((FATOU_F, FATOU_G), (FATOU_G, FATOU_F), (STEER_FS[1], STEER_G)):
             property_a_both_ways(f, g, s, p)
-
-    @pytest.mark.parametrize("f, g", [(FATOU_F, FATOU_G), (FATOU_G, FATOU_F)])
-    def test_cleared_rows_are_forwarded(self, f, g):
-        # iterating each cleared seed every step, the tail points after
-        # its retirement point all have f-images beyond the radius
-        p, w = FATOU_PARAMS, FATOU_PARAMS.tail_window
-        pts = SamplerSpec(FATOU_RECT, 512, 42).points()
-        b = classify_batch(g, pts, p, want_tail_values=True)
-        rows = np.flatnonzero(b.drifted)
-        z = b.tail_values[rows, b.tail_last[rows] % w]
-        cleared = rows[drift_forwarded(f, g, z, b.tail_last[rows], p)]
-        assert cleared.size > 400
-        # at max_iter 2000 they all retire before the window, so the whole
-        # tail of an every-step run comes after the retirement point
-        assert (b.tail_last[cleared] <= p.max_iter - w).all()
-        with mock.patch.object(orbit, "_drift_form", lambda e: None):
-            every = classify_batch(g, pts[cleared], p, want_tail_values=True)
-        tails, held = every.ordered_tails(np.arange(cleared.size))
-        fv, fs = eval_array(f, tails[held])
-        assert held.all() and (fs == engine.OK).all() and (np.abs(fv) > p.escape_radius).all()
 
 
 @pytest.fixture
@@ -409,7 +386,7 @@ class TestSharedClassifications:
             verify._classify(self.F, pts, self.P)
         assert counted_batches == [False, True]
         assert tails.tail_values is not None
-        assert tails.ordered_tail(0).size > 0
+        assert tails.ordered_tails([0])[1].any()
 
     def test_cached_arrays_are_read_only(self):
         pts = sampler(100).points()
@@ -420,14 +397,15 @@ class TestSharedClassifications:
         with pytest.raises(ValueError):
             cached.verdict[0] = 0
 
-    def test_entries_from_a_tails_call_drop_the_tails(self, counted_batches):
+    def test_entries_from_a_tails_call_hold_no_tails(self, counted_batches):
         pts = sampler(100).points()
         with shared_classifications():
             tails = verify._classify(FATOU_F, pts, FATOU_PARAMS, want_tail_values=True)
             cached = verify._classify(FATOU_F, pts, FATOU_PARAMS)
         assert counted_batches == [True]
-        assert tails.drifted.any()
-        assert cached.tail_values is None and cached.tail_last is None and cached.drifted is None
+        assert tails.tail_values is not None
+        assert cached.tail_values is None and cached.tail_last is None
+        assert cached.verdict.tobytes() == tails.verdict.tobytes()
 
     def test_nothing_is_reused_outside_a_scope(self, counted_batches):
         pts = sampler(100).points()
@@ -487,6 +465,26 @@ class TestAllPaperWorkers:
         results = presets.run_preset("all-paper", samples=512)
         assert len(results) == 26
         assert calls.value == 18
+
+    def test_start_order_is_a_permutation_of_presets(self):
+        assert sorted(presets.START_ORDER) == sorted(presets.PRESETS)
+        assert len(presets.START_ORDER) == len(presets.PRESETS)
+
+    @needs_fork
+    def test_checks_come_back_in_presets_order(self, monkeypatch):
+        # the workers start the heaviest presets first; the checks come
+        # back in PRESETS order, the same whatever the start order
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        runs = []
+        for order in (presets.START_ORDER, presets.START_ORDER[::-1]):
+            monkeypatch.setattr(presets, "START_ORDER", order)
+            checks = [c.to_dict() for c in presets.run_preset("all-paper", samples=128)]
+            for c in checks:
+                c["report"].pop("runtime_ms", None)
+            runs.append(checks)
+        names = [c["name"].split(":")[0] for c in runs[0]]
+        assert list(dict.fromkeys(names)) == list(presets.PRESETS)
+        assert runs[0] == runs[1]
 
     @needs_fork
     def test_worker_error_reaches_caller(self, monkeypatch):
