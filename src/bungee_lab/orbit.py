@@ -56,6 +56,24 @@ of every step.  A table covers at most RETIRE_STEPS remaining steps
 and is built once per map, bound_radius and length, on the first call
 that needs it.
 
+Petals.  The radial table must allow for the repelling directions of a
+parabolic fixed point, so a seed creeping into one along an attracting
+direction reaches r*(R) only about halfway through its steps.  For a
+map with f(0) = 0, f'(0) = lam in {1, -1, i, -i} and f(z) = lam z (1 +
+a z^k + ...) with lam^k = 1, the Leau-Fatou flower theorem gives a
+region that is invariant instead: with u = -1/(k a z^k), one step adds
+about 1 to u.  _build_petal proves, from f's exact Taylor coefficients
+at 0, the majorant's bounds on the rest and on the rounding, that one
+step of f as eval_array computes it adds at least 1/2 to Re u wherever
+Re u >= sigma and floor <= |z|; such a point has |z| <= radius <=
+bound_radius / 2.  So its orbit stays in that region until it falls
+below floor, which is at or below the table's last radius, and there
+the table takes over.  A live seed in the petal takes the frozen path
+with the same outputs as above, at the step where it enters the
+petal.  A petal is built once per map and bound_radius, and read only
+where the table is finite to its last entry, at steps the table
+covers.
+
 Drift.  A map whose tree is a sum of one z, constants and terms
 exp(-z), such as 1+z+exp(-z), in a form _drift_form accepts, moves a
 point with Re z >= DRIFT_X by a chain of float additions of its
@@ -68,8 +86,8 @@ last tail_window steps.  Its outputs, tails included, are then those
 of every step of f, by construction.
 
 classify_point, which reports the last magnitudes, runs every step.
-classify_batch with want_tail_values keeps the bounded-seed table off,
-but finishes drifting seeds.
+classify_batch with want_tail_values keeps the bounded-seed table and
+petal off, but finishes drifting seeds.
 """
 
 from __future__ import annotations
@@ -397,7 +415,7 @@ _NO_TABLE = np.empty(0)
 _tables_lock = threading.Lock()
 
 
-def majorant(e: Expr, r: np.ndarray) -> np.ndarray:
+def majorant(e: Expr, r: np.ndarray, lower: bool = False) -> np.ndarray:
     """B(r): a bound on |f(z)| as eval_array computes it, for all |z| <= r.
 
     e must be entire (no division and no negative power).  The walk
@@ -426,6 +444,18 @@ def majorant(e: Expr, r: np.ndarray) -> np.ndarray:
     monotone, not the float ones.  Where B(r) is finite, every node is,
     so the map neither overflows there nor, being entire, meets a pole.
 
+    The same induction bounds the error of the computed map: with M_e
+    the exact dominant series of a node e and e(z) its exact value,
+    |computed e(z) - e(z)| <= B_e(r) - M_e(r).  At z and a constant the
+    error is 0.  For +, - and *, the errors of the operands propagate to
+    at most B_a + B_b - (M_a + M_b) and B_a B_b - M_a M_b, and for a
+    power, exp, sin or cos, whose dominant series g has nonnegative
+    coefficients, to at most g(M_a + d) - g(M_a) <= g(B_a) - g(M_a),
+    where d <= B_a - M_a is the operand's error; the node's own
+    rounding is within the SLACK and TINY that B_e adds.  With lower,
+    the walk rounds every node inward instead, by 1 - SLACK and TINY,
+    and gives L(r) <= M(r), so B(r) - L(r) bounds |computed f - f|.
+
     r is a float64 array; run under np.errstate(all="ignore").
     """
     if isinstance(e, Var):
@@ -433,15 +463,17 @@ def majorant(e: Expr, r: np.ndarray) -> np.ndarray:
     elif isinstance(e, Const):
         v = np.full(r.shape, abs(e.value))
     elif isinstance(e, Neg):
-        return majorant(e.a, r)
+        return majorant(e.a, r, lower)
     elif isinstance(e, Pow):
-        v = majorant(e.base, r) ** e.exponent
+        v = majorant(e.base, r, lower) ** e.exponent
     elif isinstance(e, (Add, Sub)):
-        v = majorant(e.a, r) + majorant(e.b, r)
+        v = majorant(e.a, r, lower) + majorant(e.b, r, lower)
     elif isinstance(e, Mul):
-        v = majorant(e.a, r) * majorant(e.b, r)
+        v = majorant(e.a, r, lower) * majorant(e.b, r, lower)
     else:
-        v = _DOMINANT[type(e)](majorant(e.a, r))
+        v = _DOMINANT[type(e)](majorant(e.a, r, lower))
+    if lower:
+        return np.maximum(v * (1 - SLACK) - TINY, 0)
     return v * (1 + SLACK) + TINY
 
 
@@ -516,6 +548,275 @@ def _build_table(f: Expr, top: float, length: int) -> np.ndarray:
         table[k:] = table[k - 1]
         table[valid:] = np.nan
     return table
+
+
+# ---------------------------------------------------------------------------
+# Parabolic petals
+
+# the Taylor coefficients c_0..c_(PETAL_TERMS-1) a petal is computed from,
+# and the radius of the circle on which the majorant bounds the rest
+PETAL_TERMS = 10
+PETAL_RHO = 1.0
+# the log grid of cells on which the one-step bound is checked, from
+# PETAL_LOW up to min(PETAL_RHO, bound_radius / 2)
+PETAL_CELLS = 1024
+PETAL_LOW = 1e-15
+# the least lower bound of Re u' - Re u a petal needs; far above the
+# rounding of the bound's own float arithmetic
+PETAL_STEP = 0.5
+# a bound on the relative error of w = k a z^k as classify_batch computes
+# it, far above the few ulps of its k + 1 complex products
+PETAL_ROUND = 1e-12
+# f'(0) as quarter turns, for the units a petal accepts
+_QUARTER_TURNS = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}
+
+
+@dataclass(frozen=True)
+class _Petal:
+    """An attracting petal of a parabolic fixed point at 0; see _build_petal.
+
+    f(z) = lam z (1 + a z^k + ...), with u = -1/w and w = k a z^k.  A
+    point with Re u >= sigma and |z| >= floor has |z| <= radius, and so
+    does every later point until one falls below floor.
+    """
+
+    lam: complex  # f'(0), a fourth root of unity with lam^k = 1
+    k: int
+    a: complex  # rounded to float
+    ka: complex  # k a, rounded to float
+    sigma: float
+    floor: float
+    radius: float
+
+
+class _Rational:
+    """An exact complex rational: components are ints or Fractions."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im=0):
+        self.re, self.im = re, im
+
+    def __add__(self, o):
+        return _Rational(self.re + o.re, self.im + o.im)
+
+    def __sub__(self, o):
+        return _Rational(self.re - o.re, self.im - o.im)
+
+    def __neg__(self):
+        return _Rational(-self.re, -self.im)
+
+    def __mul__(self, o):
+        if not (self.im or o.im):  # most maps' coefficients are real
+            return _Rational(self.re * o.re)
+        return _Rational(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    def __truediv__(self, n: int):
+        from fractions import Fraction  # loaded by the first exact petal
+
+        return _Rational(Fraction(self.re, n), Fraction(self.im, n) if self.im else 0)
+
+    def __bool__(self):
+        return bool(self.re or self.im)
+
+    def __complex__(self):
+        return complex(float(self.re), float(self.im))
+
+
+def _series_mul(p: list, q: list) -> list:
+    """The product of two truncated power series, skipping zero terms."""
+    n = len(p)
+    out = [p[0] - p[0]] * n
+    for i, x in enumerate(p):
+        if x:
+            for j in range(n - i):
+                if q[j]:
+                    out[i + j] = out[i + j] + x * q[j]
+    return out
+
+
+def _taylor(e: Expr, n: int, number) -> list | None:
+    """c_0..c_(n-1), the Taylor coefficients of e at 0, or None.
+
+    number turns a constant's value into the coefficient type: complex
+    for a float screen, _Rational for exact coefficients.  exp, sin and
+    cos are summed from their power series, so e gets None unless every
+    argument of one vanishes at 0; e must be entire.
+    """
+    zero, one = number(0j), number(1 + 0j)
+    if isinstance(e, Var):
+        return [zero, one] + [zero] * (n - 2)
+    if isinstance(e, Const):
+        return [number(e.value)] + [zero] * (n - 1)
+    if isinstance(e, Pow):
+        base = _taylor(e.base, n, number)
+        if base is None:
+            return None
+        out, m = [one] + [zero] * (n - 1), e.exponent
+        while True:  # square and multiply
+            if m & 1:
+                out = _series_mul(out, base)
+            m >>= 1
+            if not m:
+                return out
+            base = _series_mul(base, base)
+    parts = [_taylor(k, n, number) for k in e.children()]
+    if any(p is None for p in parts):
+        return None
+    if isinstance(e, Neg):
+        return [-x for x in parts[0]]
+    if isinstance(e, Add):
+        return [x + y for x, y in zip(*parts)]
+    if isinstance(e, Sub):
+        return [x - y for x, y in zip(*parts)]
+    if isinstance(e, Mul):
+        return _series_mul(*parts)
+    (arg,) = parts
+    if arg[0]:
+        return None
+    # the sign of arg^j / j! in exp, sin and cos, by j mod 4
+    signs = {Exp: (1, 1, 1, 1), Sin: (0, 1, 0, -1), Cos: (1, 0, -1, 0)}[type(e)]
+    out = [one if signs[0] else zero] + [zero] * (n - 1)
+    power = [one] + [zero] * (n - 1)
+    for j in range(1, n):
+        power = [x / j if x else x for x in _series_mul(power, arg)]
+        if not any(power):
+            break
+        if signs[j % 4]:
+            out = [x + y if signs[j % 4] > 0 else x - y for x, y in zip(out, power)]
+    return out
+
+
+def _petal(f: Expr, params: OrbitParams) -> _Petal | None:
+    """f's petal below bound_radius / 2, built on first use and cached on f."""
+    with _tables_lock:
+        petals = f.__dict__.setdefault("_petals", {})
+        top = params.bound_radius / 2
+        if top not in petals:
+            petals[top] = _build_petal(f, top)
+        return petals[top]
+
+
+def _build_petal(f: Expr, top: float) -> _Petal | None:
+    """A certified attracting petal of f at 0, within radius top, or None.
+
+    The map must be entire, with exact Taylor coefficients c_j at 0
+    (see _taylor) such that c_0 = 0, lam = c_1 is 1, -1, i or -i, and,
+    with c_(k+1) the first nonzero c_j for j >= 2, lam^k = 1.  A float
+    screen of c_0 and c_1 comes first, so other maps build no Fraction.
+    Then f(z) = lam z (1 + a z^k + eta(z)), a = c_(k+1) / lam, where
+    eta(z) lam z holds the terms from z^(k+2) on and the rounding of f
+    as eval_array computes it: for |z| <= r,
+
+        |eta| r <= sum_(j=k+2)^(N-1) |c_j| r^j
+                   + B(rho) (r/rho)^N / (1 - r/rho) + B(r) - L(r),
+
+    N = PETAL_TERMS and rho = PETAL_RHO: Cauchy's estimate, as B(rho)
+    bounds |f| on |z| = rho, bounds the terms from z^N on, and B - L the
+    rounding (see majorant).  With u = -1/(k a z^k) and lam^k = 1,
+    u' = u (1 + t)^-k for z' = f(z), t = a z^k + eta, so
+
+        u' - u = 1 + eta / (a z^k) + u [(1 + t)^-k - 1 + k t],
+
+    and with e = |a| r^k + |eta| < 1 the bracket is at most
+    g(e) = (1 - e)^-k - 1 - k e, whose series has nonnegative
+    coefficients.  So Re u' - Re u >= D(r) = 1 - |eta| / (|a| r^k) -
+    g(e) / (k |a| r^k).  On each cell [r0, r1] of a log grid, D is
+    bounded below from monotone pieces: the bound on |eta| r at r1
+    (B(r1) - L(r1) covers the whole disk |z| <= r1), the divisions by r
+    at r0; below e = 1e-3, g(e) <= k (k + 1) / 2 e^2 (1 - e)^-(k+2)
+    replaces the cancelling formula.  floor and radius span the first
+    run of cells where that bound is at least PETAL_STEP.  Each of its
+    two terms is then at most 1/2, and k |a| r^k at least 2e/3, so the
+    float rounding of the bound is far below that margin.
+
+    Take sigma0 = 1 / (k |a| radius^k), rounded up.  A point with Re u
+    >= sigma0 has |z|^k = 1 / (k |a| |u|) <= radius^k.  If also |z| >=
+    floor, Re u' >= Re u + 1/2 >= sigma0, and so |z'| <= radius, until
+    a point falls below floor.  Since B(radius) is finite, no step
+    overflows.  sigma adds PETAL_ROUND (k |a| floor^k)^-1, the most the
+    rounding of w can move Re u, so that a float test -Re w >= sigma
+    (1 + 1e-9) |w|^2 of classify_batch's w implies Re u >= sigma0.
+    """
+    if not (f.entire and top > PETAL_LOW):
+        return None
+    screen = _taylor(f, 2, complex)
+    if screen is None or screen[0] != 0 or abs(screen[1]) != 1:
+        return None
+
+    from fractions import Fraction
+
+    def number(v: complex) -> _Rational:
+        # ints where they are exact, which keeps most products cheap
+        return _Rational(*(int(x) if x.is_integer() else Fraction(x) for x in (v.real, v.imag)))
+
+    c = _taylor(f, PETAL_TERMS, number)
+    if c is None or c[0]:
+        return None
+    turns = _QUARTER_TURNS.get((c[1].re, c[1].im))
+    nonzero = [j for j in range(2, PETAL_TERMS) if c[j]]
+    if turns is None or not nonzero:
+        return None
+    k = nonzero[0] - 1
+    if turns * k % 4:
+        return None
+    lam = complex(c[1])
+    a = complex(c[k + 1] * _Rational(c[1].re, -c[1].im))
+    alpha = abs(a)
+    higher = [(j, abs(complex(c[j]))) for j in range(k + 2, PETAL_TERMS)]
+
+    n = PETAL_TERMS
+    radii = np.geomspace(PETAL_LOW, min(PETAL_RHO, top), PETAL_CELLS + 1)
+    r0, r1 = radii[:-1], radii[1:]
+    with np.errstate(all="ignore"):
+        cauchy = majorant(f, np.array([PETAL_RHO]))[0] * (r1 / PETAL_RHO) ** n / (1 - r1 / PETAL_RHO)
+        eta_r = cauchy + (majorant(f, r1) - majorant(f, r1, lower=True))
+        for j, cj in higher:
+            eta_r += cj * r1**j
+        e = alpha * r1**k + eta_r / r0
+        g = np.where(
+            e < 1e-3,
+            k * (k + 1) / 2 * e**2 * (1 - e) ** -(k + 2),
+            (1 - e) ** -k - 1 - k * e,
+        )
+        step = 1 - eta_r / (alpha * r0 ** (k + 1)) - g / (k * alpha * r0**k)
+        good = (e < 1) & (step >= PETAL_STEP)
+    first = np.flatnonzero(good)
+    if not first.size:
+        return None
+    j0 = first[0]
+    ends = np.flatnonzero(~good[j0:])
+    j1 = j0 + ends[0] if ends.size else good.size
+    floor, radius = float(r0[j0]), float(r1[j1 - 1])
+    sigma0 = (1 + 1e-12) / (k * alpha * radius**k)
+    sigma = (sigma0 + PETAL_ROUND / (k * alpha * floor**k)) * (1 + 1e-12)
+    return _Petal(lam, k, a, k * a, sigma, floor, radius)
+
+
+def _in_petal(petal: _Petal, z: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Which points z, of log10 magnitudes m, petal certifies.
+
+    A point passes with -Re w >= sigma (1 + 1e-9) |w|^2 for w = k a z^k
+    as computed here, which the 1e-9 and PETAL_ROUND in sigma turn into
+    Re u >= sigma0 for the exact w (see _build_petal), and with m at
+    least LOG10_MARGIN above log10 floor, which absorbs the rounding of
+    m.  Run on the live set only, after the table's test.
+    """
+    with np.errstate(all="ignore"):
+        w = z * petal.ka
+        for _ in range(petal.k - 1):
+            w *= z
+        q = np.abs(w)
+        q *= q
+        q *= petal.sigma * (1 + 1e-9)
+        # q + Re w has the sign of the exact sum: q <= -Re w, bit for bit
+        q += w.real
+        inside = q <= 0
+    # the band holds every point of the petal at or above floor, and
+    # keeps w far from overflow, where inf <= inf would pass
+    inside &= m >= math.log10(petal.floor) + LOG10_MARGIN
+    inside &= m <= math.log10(petal.radius)
+    return inside
 
 
 # ---------------------------------------------------------------------------
@@ -648,6 +949,17 @@ def classify_batch(
     and a failed tail test.  Entries for R >= RETIRE_STEPS, or without a
     certificate, are NaN, and such a step costs no array operation.
 
+    Where f has a petal at 0 (see _build_petal) whose floor is at or
+    below the last entry of a table finite to its end, a step the table
+    covers also retires every live seed that _in_petal takes.  Such a
+    seed stays within radius <= bound_radius / 2 for as long as it
+    stays at or above floor, moving Re u up by 1/2 or more per step, so
+    the petal holds it; once below floor, it has fewer steps left than
+    the table has entries, and the table's last radius, at least floor,
+    holds it to the end.  So it, too, takes the frozen path with
+    bit-identical outputs.  Patching _retire_table to return _NO_TABLE
+    turns both certificates off.
+
     A map of the form z + c + k exp(-z) (see _drift_form) also finishes
     a seed that reaches Re z >= DRIFT_X and Re z >= bound_radius (1 +
     1e-9), unless its remaining steps could move a component past
@@ -666,8 +978,8 @@ def classify_batch(
     the window starts and the test so far inside it: a fixed point
     repeats m and a retired bounded seed fails both.
 
-    With want_tail_values the table stays off, since the tails need
-    the points of bounded seeds.  The last tail_window points of the
+    With want_tail_values the table and the petal stay off, since the
+    tails need the points of bounded seeds.  The last tail_window points of the
     live seeds are kept in live order too, so each step writes its
     points as one contiguous row of a (tail_window, n) ring.  A seed's
     tail and last index go to the outputs once, when it finishes; an
@@ -713,6 +1025,11 @@ def classify_batch(
     if want_tail_values:
         ring[0, : alive.size] = z
     retire = _NO_TABLE if want_tail_values else _retire_table(f, params)
+    petal = None
+    if retire.size and not math.isnan(retire[-1]):
+        petal = _petal(f, params)
+        if petal is not None and math.log10(petal.floor) > retire[-1]:
+            petal = None  # a seed falling below floor would outrun the table
     drift = _drift_form(f)
     # the finished drifting seeds, in their first done entries: index,
     # point and, from step first_tail on, tail test and last magnitude
@@ -790,6 +1107,8 @@ def classify_batch(
         if left < retire.size and not math.isnan(limit := retire[left]):
             # certified to stay at or below bound_radius / 2 to the end
             frozen |= m <= limit
+            if petal is not None:
+                frozen |= _in_petal(petal, vals, m)
         going = None
         if drift is not None and left:
             going = vals.real >= entry

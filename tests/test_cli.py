@@ -555,19 +555,27 @@ class TestUsage:
 
 
 class TestSetUp:
-    def test_import_leaves_process_pool_unloaded(self):
-        # all-paper imports its process pool only when it forks workers
+    @staticmethod
+    def loaded_after_import(modules) -> str:
+        """Which of modules a fresh `import bungee_lab, bungee_lab.cli` loads."""
         code = (
             "import sys, bungee_lab, bungee_lab.cli; "
-            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+            f"print(sorted({set(modules)!r} & set(sys.modules)))"
         )
         src = str(Path(cli.__file__).resolve().parents[1])
         path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
         env = {**os.environ, "PYTHONPATH": path}
-        out = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         ).stdout
-        assert out == "[]\n"
+
+    def test_import_leaves_process_pool_unloaded(self):
+        # all-paper imports its process pool only when it forks workers
+        assert self.loaded_after_import({"multiprocessing", "concurrent.futures.process"}) == "[]\n"
+
+    def test_import_leaves_fractions_unloaded(self):
+        # exact Taylor coefficients are built only for a map with a petal
+        assert self.loaded_after_import({"fractions", "decimal"}) == "[]\n"
 
 
 class TestParser:

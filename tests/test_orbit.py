@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import math
@@ -531,13 +532,40 @@ BATCH_FIELDS = ("verdict", "confident", "term_kind", "term_step", "oscillations"
 # entire maps beyond the presets: a parabolic point off 0 (z^2+0.25),
 # attracting cycles (z^2-0.75) and orbits through 0 that escape from
 # there (z^2-4 from 2, 5*z-5 from 1), where a 0 or -inf in place of
-# "no certificate" would retire the seed at z = 0
-EXTRA_ENTIRE_MAPS = ("z^2-0.75", "z^2+0.25", "z^2-4", "5*z-5", "cos(z)-z", "z^3-z")
+# "no certificate" would retire the seed at z = 0; and parabolic points
+# at 0 with petals of k = 2 (z-z^3, and z^3-z at multiplier -1), k = 1
+# (z+z^2) and k = 4 (z*exp(z^4)), and none at i*z*exp(z^2), where
+# f'(0)^2 = -1 (-z*exp(z^2) is a preset)
+EXTRA_ENTIRE_MAPS = (
+    "z^2-0.75", "z^2+0.25", "z^2-4", "5*z-5", "cos(z)-z", "z^3-z",
+    "z-z^3", "z+z^2", "z*exp(z^4)", "i*z*exp(z^2)",
+)
 ENTIRE_MAPS = tuple(t for t in PRESET_FUNCTIONS if parse(t).entire) + EXTRA_ENTIRE_MAPS
 
 
 def no_table(f, params):
     return orbit._NO_TABLE
+
+
+def no_petal(f, params):
+    return None
+
+
+def seed_steps(f, seeds, params, patches) -> list[int]:
+    """Seed-steps of classify_batch under each dict of orbit patches."""
+    steps = []
+    real = orbit.eval_array
+
+    def counting(e, z):
+        steps[-1] += z.size
+        return real(e, z)
+
+    with mock.patch.object(orbit, "eval_array", counting):
+        for patch in patches:
+            steps.append(0)
+            with mock.patch.multiple(orbit, **patch) if patch else contextlib.nullcontext():
+                classify_batch(f, seeds, params)
+    return steps
 
 
 def assert_retirement_changes_nothing(f, seeds, params):
@@ -558,12 +586,14 @@ def table_radii(f, params):
 
 
 def adversarial_seeds(f, params) -> np.ndarray:
-    """Seeds at the edges of f's table and of the bound disk.
+    """Seeds at the edges of f's table, of its petal and of the bound disk.
 
     Signed zeros and subnormals; radii just inside and outside r*(R) at
     R = 0, 1, 2, max_iter - 1 and max_iter (a seed at r*(max_iter) is
     retired, if at all, right after its first step) and around
-    bound_radius / 2 and bound_radius; each on eight rays.
+    bound_radius / 2 and bound_radius; each on eight rays.  For a map
+    with a petal, points on each of its k attracting axes at Re u just
+    inside and outside sigma and at |z| just inside and outside floor.
     """
     r_star = table_radii(f, params)
     picks = sorted({0, 1, 2, params.max_iter - 1, params.max_iter} & set(range(r_star.size)))
@@ -572,7 +602,22 @@ def adversarial_seeds(f, params) -> np.ndarray:
     rays = np.exp(1j * np.pi * np.arange(8) / 4)
     ring = [r * s for r in radii for s in (1 - 1e-9, 1, 1 + 1e-9)]
     zeros = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 5e-324j]
-    return np.concatenate([zeros, (np.array(ring)[:, None] * rays).ravel()])
+    return np.concatenate([zeros, (np.array(ring)[:, None] * rays).ravel(), petal_edges(f, params)])
+
+
+def petal_edges(f, params) -> np.ndarray:
+    """Points on the petal's attracting axes, at the edges of its certificate.
+
+    On an axis, a z^k = -t for some t > 0, and there u = 1 / (k t).
+    """
+    petal = orbit._petal(f, params) if f.entire else None
+    if petal is None:
+        return np.empty(0, dtype=np.complex128)
+    k, a = petal.k, petal.a
+    ts = [1 / (k * petal.sigma * s) for s in (1 - 1e-9, 1 + 1e-9)]
+    ts += [abs(a) * (petal.floor * s) ** k for s in (1 - 1e-9, 1 + 1e-9)]
+    axes = (-1 / a) ** (1 / k) * np.exp(2j * np.pi * np.arange(k) / k)
+    return (np.array(ts)[:, None] ** (1 / k) * axes).ravel()
 
 
 class TestRetirement:
@@ -601,22 +646,129 @@ class TestRetirement:
         assert b.verdict[0] == Verdict.ESCAPING
 
     def test_retirement_saves_steps(self):
-        # the parabolic seeds of z*exp(z^2) retire about halfway
+        # the parabolic seeds of z*exp(z^2) retire on entering the petal,
+        # and about halfway on the table alone
         f, p = parse("z*exp(z^2)"), OrbitParams()
         seeds = random_points(random.Random(3), 200, 0.3)
-        steps = []
-        real = orbit.eval_array
-
-        def counting(e, z):
-            steps[-1] += z.size
-            return real(e, z)
-
-        with mock.patch.object(orbit, "eval_array", counting):
-            for table in (orbit._retire_table, no_table):
-                steps.append(0)
-                with mock.patch.object(orbit, "_retire_table", table):
-                    classify_batch(f, seeds, p)
+        steps = seed_steps(f, seeds, p, [{}, {"_retire_table": no_table}])
         assert steps[0] < 0.6 * steps[1], steps
+
+    def test_petal_saves_steps(self):
+        f, p = parse("z*exp(z^2)"), OrbitParams()
+        seeds = random_points(random.Random(3), 200, 0.3)
+        steps = seed_steps(f, seeds, p, [{}, {"_petal": no_petal}])
+        assert steps[0] < 0.2 * steps[1], steps
+        assert_retirement_changes_nothing(f, seeds, p)
+
+    # the parabolic preset maps, two compositions of them, and maps with
+    # other k and f'(0): text, f'(0), k, a
+    PETALS = [
+        ("z*exp(z^2)", 1, 2, 1),
+        ("z*exp(-z^2)", 1, 2, -1),
+        ("-z*exp(z^2)", -1, 2, 1),
+        ("sin(z)", 1, 2, -1 / 6),
+        ("sin(sin(z))", 1, 2, -1 / 3),
+        ("(-z*exp(z^2))*exp((-z*exp(z^2))^2)", -1, 2, 2),
+        ("z-z^3", 1, 2, -1),
+        ("z^3-z", -1, 2, -1),
+        ("z+z^2", 1, 1, 1),
+        ("z*exp(z^4)", 1, 4, 1),
+        ("-i*z*exp(i*z^4)", -1j, 4, 1j),
+    ]
+
+    @pytest.mark.parametrize("params", [OrbitParams(), FATOU_PARAMS], ids=["default", "fatou"])
+    @pytest.mark.parametrize("text, lam, k, a", PETALS)
+    def test_petal_parameters(self, text, lam, k, a, params):
+        f = parse(text)
+        petal = orbit._petal(f, params)
+        assert (petal.lam, petal.k) == (lam, k)
+        assert petal.a == pytest.approx(a, rel=1e-15)
+        assert petal.ka == k * petal.a
+        assert 1 < petal.sigma <= 50
+        # the petal's edge on an axis lies just inside radius; sigma's
+        # allowance for the rounding of w moves it by about 1e-5
+        assert petal.radius == pytest.approx((k * abs(a) * petal.sigma) ** (-1 / k), rel=1e-4)
+        assert 0.2 < petal.radius <= min(orbit.PETAL_RHO, params.bound_radius / 2)
+        assert petal.floor <= table_radii(f, params)[params.max_iter - 1]
+
+    @pytest.mark.parametrize("text", [case[0] for case in PETALS])
+    def test_in_petal_edges(self, text):
+        # classify_batch's float test takes what the certificate covers
+        # and no more: Re u >= sigma and floor <= |z| <= radius
+        petal = orbit._petal(parse(text), OrbitParams())
+        k, a, sigma = petal.k, petal.a, petal.sigma
+        s = np.concatenate([[0], np.geomspace(1e-2, 10 * sigma, 20)])
+        u = np.concatenate([sigma * (1 + 1e-6) + 1j * s, sigma * (1 - 1e-6) - 1j * s])
+        roots = np.exp(2j * np.pi * np.arange(k) / k)
+        z = (((-1 / (k * a * u)) ** (1 / k))[:, None] * roots).ravel()
+        inside = np.repeat(u.real > sigma, k)
+        # on an axis, around floor, and far out where w overflows
+        for r, want in ((petal.floor * (1 + 1e-6), True), (petal.floor * (1 - 1e-6), False),
+                         (1e200, False)):
+            axis = (r * np.abs(a) ** (1 / k)) * (-1 / a) ** (1 / k) * roots
+            z = np.concatenate([z, axis])
+            inside = np.concatenate([inside, np.full(k, want)])
+        got = orbit._in_petal(petal, z, np.log10(np.abs(z)))
+        assert (got == inside).all(), z[got != inside]
+
+    @pytest.mark.parametrize("text, sigma", [("z*exp(z^2)", 3.31), ("sin(z)", 10.11)])
+    def test_petal_sizes(self, text, sigma):
+        petal = orbit._petal(parse(text), OrbitParams())
+        assert petal.sigma == pytest.approx(sigma, abs=0.01)
+        assert 5e-5 < petal.floor < 5e-4
+
+    @pytest.mark.parametrize("text", [
+        "z^2", "z+sin(z)", "1+z+exp(-z)", "sin(z)+2*pi", "0.5*z*exp(z^2)", "i*z*exp(z^2)",
+        "z", "-z", "z*exp(z^10)", "1/z^2", "z*exp(z^2)+1e-300", "z*exp(z^2+1e-300)",
+        "z*exp(1e6*z^2)",
+    ])
+    def test_no_petal(self, text):
+        # no parabolic point at 0 with lam^k = 1 and k + 1 < PETAL_TERMS,
+        # an exp argument that is not exactly 0 at 0, or no bound below 1/2
+        assert orbit._petal(parse(text), OrbitParams()) is None
+
+    def test_petal_needs_room_below_the_bound(self):
+        f = parse("z*exp(z^2)")
+        assert orbit._petal(f, OrbitParams(escape_radius=1.0, bound_radius=0.5)).radius <= 0.25
+        assert orbit._petal(f, OrbitParams(escape_radius=1e-20, bound_radius=1e-30)) is None
+
+    def test_petals_build_once_across_threads(self):
+        f, p = parse("z*exp(-z^2)"), OrbitParams()
+        builds = []
+        real = orbit._build_petal
+
+        def counting(*args):
+            builds.append(1)
+            time.sleep(0.05)
+            return real(*args)
+
+        with mock.patch.object(orbit, "_build_petal", counting):
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                petals = list(pool.map(lambda _: orbit._petal(f, p), range(4)))
+        assert len(builds) == 1 and all(q is petals[0] for q in petals)
+        assert petals[0] is not None
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([1, -1, 1j, -1j]),
+        st.integers(1, 4),
+        st.tuples(st.integers(-40, 40), st.integers(-40, 40)).filter(any),
+        orbit_params(),
+        st.lists(oracle_seeds, max_size=6),
+    )
+    def test_random_parabolic_maps(self, lam, k, c, params, drawn):
+        # lam z exp(c z^k), c off the binary grid: a petal exactly where
+        # lam^k = 1, with a = c
+        c = complex(*c) / 7
+        z = Var()
+        f = Mul(Const(lam), Mul(z, Exp(Mul(Const(c), Pow(z, k) if k > 1 else z))))
+        petal = orbit._petal(f, params)
+        if lam**k != 1:
+            assert petal is None
+        elif petal is not None:
+            assert petal.a == pytest.approx(c, rel=1e-15)
+        seeds = np.concatenate([adversarial_seeds(f, params), np.array(drawn, dtype=np.complex128)])
+        assert_retirement_changes_nothing(f, seeds, params)
 
     def test_table_entries(self):
         f, p = parse("z*exp(z^2)"), OrbitParams()
@@ -651,15 +803,17 @@ class TestRetirement:
     @pytest.mark.parametrize("text", ["z*exp(-z^2)", "sin(z)", "z^2"])
     def test_tails_run_every_step(self, text):
         def refuse(f, params):
-            raise AssertionError("a classification with tails read the table")
+            raise AssertionError("a classification with tails read the table or the petal")
 
         f, p = parse(text), OrbitParams(max_iter=300)
         seeds = random_points(random.Random(text), 30, 1.0)
-        with mock.patch.object(orbit, "_retire_table", refuse):
+        with mock.patch.multiple(orbit, _retire_table=refuse, _petal=refuse):
             with_tails = classify_batch(f, seeds, p, want_tail_values=True)
         plain = classify_batch(f, seeds, p)
         for name in BATCH_FIELDS:
             assert getattr(with_tails, name).tobytes() == getattr(plain, name).tobytes()
+        # with the table and the petal built, tails still hold the last points
+        TestBatchAgreement.assert_tails_match_oracle(text, seeds[:6], p)
 
     def test_no_warnings_while_building(self):
         # tier-1 turns RuntimeWarning into an error; the tables overflow freely
@@ -669,6 +823,7 @@ class TestRetirement:
                 for bound in (1e4, 30.0, 1e300, 3e-300):
                     p = OrbitParams(escape_radius=2 * bound, bound_radius=bound)
                     orbit._retire_table(parse(text), p)
+                    orbit._petal(parse(text), p)
 
 
 class TestRetirementMemory:
@@ -1021,6 +1176,38 @@ class TestMajorantOracle:
     def test_random_entire_maps(self, seed, bound):
         f = random_expr(random.Random(seed), 4, entire=True)
         self.check(f, OrbitParams(max_iter=50, escape_radius=2 * bound, bound_radius=bound))
+
+
+class TestPetalOracle:
+    """The step the petal rests on, checked at 50 digits.
+
+    On the edge Re u = sigma of the petal, from its axes out to where
+    |z| = floor, f as eval_array computes it moves Re u up by more than
+    1/2, with u = -1/(k a z^k) evaluated exactly from the float points.
+    """
+
+    @pytest.mark.parametrize("text", [case[0] for case in TestRetirement.PETALS])
+    def test_edge_steps_inward(self, text):
+        f = parse(text)
+        petal = orbit._petal(f, OrbitParams())
+        k, a, sigma = petal.k, petal.a, petal.sigma
+        # u = sigma + i s up to |u| = 1 / (k |a| floor^k), on both sides
+        top = math.sqrt((k * abs(a) * petal.floor**k) ** -2 - sigma**2)
+        s = np.geomspace(1e-3, top, 200)
+        u = sigma + 1j * np.concatenate([-s, [0], s])
+        roots = np.exp(2j * np.pi * np.arange(k) / k)
+        z = (((-1 / (k * a * u)) ** (1 / k))[:, None] * roots).ravel()
+        vals, status = eval_array(f, z)
+        assert (status == engine.OK).all()
+        with mpmath.workdps(50):
+            ka = k * mpmath.mpc(a)
+
+            def re_u(w):
+                return (-1 / (ka * mpmath.mpc(w) ** k)).real
+
+            for z0, z1 in zip(z.tolist(), vals.tolist()):
+                assert abs(z0) >= petal.floor * (1 - 1e-6) and abs(z0) <= petal.radius
+                assert re_u(z1) - re_u(z0) > 0.5, (text, z0)
 
 
 class TestMorePatienceKeepsConfidentVerdicts:
