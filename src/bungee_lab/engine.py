@@ -19,12 +19,13 @@ propagating the divisor's failure.  Negative Pow exponents share the
 division rules.
 
 Plans.  An Expr is compiled once into a plan, cached on the node the
-way node_count is.  The compiler emits Python source for two
-straight-line functions, one for one-element input and one for every
-other size, and eval_array picks one per call.  A third function, the
-scalar orbit loop that orbit_loop returns, runs the one-element lines
-inside a loop; it is built from the plan on first use, so plans that
-only see arrays never compile it.  The array function calls the same
+way node_count is.  The compiler emits Python source for a
+straight-line array function, which eval_array runs on every size but
+one element, and the one-element lines of each step of the scalar
+orbit loop that orbit_loop returns.  eval_array runs one step of that
+loop on one element, so single points and orbits share one generated
+function; it is built from the plan on first use, so plans that only
+see longer arrays never compile it.  The array function calls the same
 numpy ufuncs in the same order as a node-by-node evaluation (Pow is
 square-and-multiply with *, constants are full arrays), so values are
 bit-identical to it.  The source holds only register numbers and names
@@ -52,10 +53,9 @@ there.  A value crosses between the two kinds once: .item() or
 buffer an array.  Each constant is bound twice, as a read-only
 one-element array and as a Python complex taken from it with .item(),
 never as a float: under C99 mixed-mode rules (Python 3.14) float +
-complex keeps a -0.0 imaginary part where np.add gives +0.0.  A
-one-element call returns a fresh value array unless its root is the
-input or a constant.  Registers and buffers are locals of one call, so
-threads can share a plan.
+complex keeps a -0.0 imaginary part where np.add gives +0.0.  Every
+call returns fresh arrays.  Registers and buffers are locals of one
+call, so threads can share a plan.
 
 The orbit loop keeps each step's status a Python int and its value a
 Python complex z: there is no eval_array call, no status array and
@@ -90,9 +90,7 @@ mask; a status array is built only at a division and at the root.
 
 On one element masks are Python bools, from cmath.isfinite on the
 scalar values, and statuses Python ints, under the same rules, and the
-division rules run inline.  The root status is
-then one of three shared read-only one-element uint8 arrays, so
-statuses stay shaped like z.
+division rules run inline.
 """
 
 from __future__ import annotations
@@ -116,15 +114,14 @@ STATUS_NAMES = ("finite", "overflow", "pole")
 
 @dataclass
 class _Plan:
-    one: Callable  # for one-element input
-    many: Callable  # for every other size
+    many: Callable  # for every size but one element
     body: str  # the one-element lines before the return
     value: str  # the one-element value as a Python complex, after body
     status: int | None  # register of the one-element status; None: always OK
     kept: bool  # an OK status means body left the value in z
     alloc: list  # lines that allocate the one-element buffers body writes
     carry: str | None  # after a step, makes r0 the new point; None: body never reads r0
-    names: dict  # the functions' globals
+    names: dict  # the globals of many and orbit
     orbit: Callable | None = None  # the scalar orbit loop, made on first use
 
 
@@ -151,11 +148,11 @@ _PYTHON_OPS = {"add": "{} + {}", "subtract": "{} - {}", "negative": "-{}"}
 
 
 class _Compiler:
-    """Emits the lines of both plan functions; register k is local rk."""
+    """Emits the array function and the one-element lines; register k is local rk."""
 
     def __init__(self):
-        self.one: list[str] = []  # body of the one-element function
-        self.many: list[str] = []  # body of the function for every other size
+        self.one: list[str] = []  # the one-element lines of an orbit step
+        self.many: list[str] = []  # body of the array function
         self.consts: dict[str, object] = {}  # globals named after registers
         self.n_regs = 1
         self.n_locals = 0  # locals of the one-element body only
@@ -361,10 +358,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# the root status of a one-element call, indexed by status
-_STATUS_ARRAYS = tuple(_read_only(np.full(1, s, np.uint8)) for s in (OK, OVERFLOW, POLE))
-
-
 def _divide_status(vq: np.ndarray, a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray:
     """Status of the quotient vq; rescued quotients become 0.
 
@@ -417,9 +410,7 @@ _NAMES = {
     "complex128": np.complex128,
     "uint8": np.uint8,
     "OK": OK,
-    "STATUS": _STATUS_ARRAYS,
     "scalar_isfinite": cmath.isfinite,
-    "array": np.array,
     "range": range,
     "divide_status": _divide_status,
 }
@@ -449,28 +440,19 @@ def _compile(e: Expr) -> _Plan:
     kept = root.pending
     status = c.status(root, keep="z := ")
     body = "\n".join(c.one)
-    # a root without a Python value (a quotient) has an array; the value
-    # array of a one-element call is the caller's, a fresh one or a shared
-    # read-only constant
+    # a root without a Python value (a quotient) has an array
     value = root.val or f"{root.arr}.item()"
-    vals = root.arr or f"array(({root.val},))"
-    if status is None:
-        c.emit(f"return {vals}, STATUS[0]", f"return r{root.reg}, zeros(r0.shape, uint8)")
-    else:
-        c.emit(f"return {vals}, STATUS[r{status}]", f"return r{root.reg}, r{status}")
+    statuses = "zeros(r0.shape, uint8)" if status is None else f"r{status}"
+    c.many.append(f"return r{root.reg}, {statuses}")
     carry = None
     if "r0" in c.reads:
         # a root array is fresh at every step, so the next step may read it
         carry = f"r0 = {root.arr}" if root.arr else "r0[0] = z"
     # the buffers, like the registers, are locals of one call
     alloc = [f"{b} = empty(1, complex128)" for b in c.buffers]
-    setup = ["z = r0.item()"] if "z" in c.reads else []
-    # each function compiled on its own: compile() holds about 4 KB per
-    # line until it returns
     names = {**_NAMES, **c.consts}
-    one = _function("one(r0)", setup + alloc + c.one, names)
     many = _function("many(r0)", c.many, names)
-    return _Plan(one, many, body, value, status, kept, alloc, carry, names)
+    return _Plan(many, body, value, status, kept, alloc, carry, names)
 
 
 def _plan(e: Expr) -> _Plan:
@@ -487,11 +469,12 @@ def orbit_loop(e: Expr) -> Callable:
     orbit(n_total, buf, fold, k) iterates e from the Python complex
     buf[0] for at most n_total steps.  It appends each new point to buf
     as a Python complex and calls fold(buf) after every k steps and
-    after the last; fold must empty buf.  It returns (steps, status):
-    the number of evaluations and the status of the last one as an int.
-    An exact fixed point ends the loop with status OK after fewer than
-    n_total steps.  Run it under np.errstate(all="ignore"), as
-    eval_array runs a plan.
+    after the last; a fold that empties buf bounds the loop's memory by
+    k points.  A failed step appends nothing.  It returns (steps,
+    status): the number of evaluations and the status of the last one
+    as an int.  An exact fixed point ends the loop with status OK after
+    fewer than n_total steps.  Run it under np.errstate(all="ignore"),
+    as eval_array runs it.
     """
     plan = _plan(e)
     if plan.orbit is None:
@@ -530,21 +513,24 @@ _COMPLEX128 = np.dtype(np.complex128)
 def eval_array(e: Expr, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate e at every point of z.
 
-    Returns (values, status), both shaped like z.  values entries are
-    meaningful only where status == OK; elsewhere they are whatever the
-    hardware produced.  For one-element input the returned arrays may be
-    shared between calls and read-only: the status always, the values
-    when e is a constant.
+    Returns (values, status), both shaped like z and fresh arrays of
+    the caller's.  values entries are meaningful only where status ==
+    OK; elsewhere they are whatever the hardware produced, or on one
+    element the input.  One element runs one step of orbit_loop(e).
     """
-    plan = _plan(e)
     flat = type(z) is np.ndarray and z.ndim == 1 and z.dtype is _COMPLEX128
     if not flat:
         z = np.asarray(z, dtype=np.complex128)
         shape = z.shape
         z = z.reshape(-1)
-    run = plan.one if z.size == 1 else plan.many
     with np.errstate(all="ignore"):
-        vals, status = run(z)
+        if z.size == 1:
+            # len as the fold keeps the seed and the new point in buf
+            buf = [z.item()]
+            _, s = orbit_loop(e)(1, buf, len, 1)
+            vals, status = np.array(buf[-1:], np.complex128), np.array([s], np.uint8)
+        else:
+            vals, status = _plan(e).many(z)
     if flat:
         return vals, status
     return vals.reshape(shape), status.reshape(shape)

@@ -27,14 +27,15 @@ engine and one rule table, so a single seed classifies identically no
 matter which path ran it.
 
 classify_point runs one seed in the scalar orbit loop that the engine
-generates from the map's one-element plan.  It streams: the loop
-buffers at most CHUNK + 1 points, and every CHUNK steps one numpy pass
-takes their magnitudes and folds them into the oscillation count, the
-all-below flag and the length of the current run of magnitudes above
-log10(escape_radius) that never decrease (the tail test is that run
-reaching tail_window).  Per orbit it keeps only these, the step count
-and the first and last SUMMARY_MAGNITUDES magnitudes, so its memory
-does not grow with max_iter.  classify_batch streams per seed as well.
+generates from the map's plan, the function a one-element eval_array
+runs for one step.  It streams: the loop buffers at most CHUNK + 1
+points, and every CHUNK steps one numpy pass takes their magnitudes
+and folds them into the oscillation count, the all-below flag and the
+length of the current run of magnitudes above log10(escape_radius)
+that never decrease (the tail test is that run reaching tail_window).
+Per orbit it keeps only these, the step count and the first and last
+SUMMARY_MAGNITUDES magnitudes, so its memory does not grow with
+max_iter.  classify_batch streams per seed as well.
 
 Retirement.  For an entire map (no division, no negative power),
 majorant walks the dominant series M, with |f(z)| <= M(|z|), each node
@@ -87,7 +88,8 @@ of every step of f, by construction.
 
 classify_point, which reports the last magnitudes, runs every step.
 classify_batch with want_tail_values keeps the bounded-seed table and
-petal off, but finishes drifting seeds.
+petal off, but finishes drifting seeds, and writes each seed's tail
+points into its own output row as it goes.
 """
 
 from __future__ import annotations
@@ -361,12 +363,19 @@ class BatchClassification:
     term_kind: np.ndarray  # uint8, TERM_* values
     term_step: np.ndarray  # int32
     oscillations: np.ndarray  # int32
-    # complex ring, (n, tail_window): orbit point t of sample i is in
-    # column t % tail_window if it is among the last tail_window up to
-    # tail_last
+    # complex, (n, tail_window): orbit point t of sample i is in column
+    # t % tail_window if it is among the last tail_window up to tail_last
     tail_values: np.ndarray | None = None
-    # int32 index of the last finite point, max_iter for a completed orbit
-    tail_last: np.ndarray | None = None
+
+    @property
+    def tail_last(self) -> np.ndarray:
+        """Index of each sample's last finite orbit point, as int32.
+
+        max_iter for a completed orbit, the point the map failed at for
+        a pole, the one before the bad point for an overflow, and -1 for
+        a non-finite seed.
+        """
+        return self.term_step - (self.term_kind == TERM_OVERFLOW)
 
     def ordered_tails(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Last finite orbit points of the samples idx, in one gather.
@@ -383,11 +392,6 @@ class BatchClassification:
         w = self.tail_values.shape[1]
         t = self.tail_last[idx, None] + np.arange(1 - w, 1)
         return self.tail_values[idx[:, None], t % w], t >= 0
-
-
-def _compact(ring: np.ndarray, keep: np.ndarray) -> None:
-    """Move the kept columns of ring[:, :keep.size] to its front, in order."""
-    ring[:, : np.count_nonzero(keep)] = ring[:, : keep.size][:, keep]
 
 
 # ---------------------------------------------------------------------------
@@ -979,12 +983,11 @@ def classify_batch(
     repeats m and a retired bounded seed fails both.
 
     With want_tail_values the table and the petal stay off, since the
-    tails need the points of bounded seeds.  The last tail_window points of the
-    live seeds are kept in live order too, so each step writes its
-    points as one contiguous row of a (tail_window, n) ring.  A seed's
-    tail and last index go to the outputs once, when it finishes; an
-    exact fixed point repeats its value to max_iter, and a finished
-    drifting seed writes its window points there as it goes.
+    tails need the points of bounded seeds.  Each step writes the points
+    of the seeds still live after it, those that did not fail, straight
+    into their tail_values rows, as a finished drifting seed writes its
+    window points; an exact fixed point's later columns are filled with
+    its value when it freezes.  tail_last follows from the termination.
     """
     seeds = np.ascontiguousarray(seeds, dtype=np.complex128).ravel()
     k = seeds.size
@@ -999,10 +1002,6 @@ def classify_batch(
     all_below = np.zeros(k, dtype=bool)
     tail_escape = np.zeros(k, dtype=bool)
     tail_values = np.zeros((k, w), dtype=np.complex128) if want_tail_values else None
-    tail_last = np.zeros(k, dtype=np.int32) if want_tail_values else None
-    # ring[:, :alive.size]: the tails of the live seeds, aligned with alive;
-    # a row not yet written is 0 for every seed, as in tail_values
-    ring = np.zeros((w, k), dtype=np.complex128) if want_tail_values else None
 
     finite0 = np.isfinite(seeds)
     bad0 = ~finite0
@@ -1023,7 +1022,7 @@ def classify_batch(
     first_tail = n_total - w
     tail_ok = prev = None
     if want_tail_values:
-        ring[0, : alive.size] = z
+        tail_values[alive, 0] = z
     retire = _NO_TABLE if want_tail_values else _retire_table(f, params)
     petal = None
     if retire.size and not math.isnan(retire[-1]):
@@ -1077,16 +1076,14 @@ def classify_batch(
             failed = ~ok
             osc[alive[failed]] = n_osc[failed]
             all_below[alive[failed]] = below[failed]
-            if want_tail_values:
-                tail_last[alive[failed]] = n
-                tail_values[alive[failed]] = ring[:, : alive.size][:, failed].T
-                _compact(ring, ok)
             alive, vals, z = alive[ok], vals[ok], z[ok]
             in_exc, below, n_osc = in_exc[ok], below[ok], n_osc[ok]
             if tail_ok is not None:
                 tail_ok, prev = tail_ok[ok], prev[ok]
             if alive.size == 0:
                 continue
+        if want_tail_values:
+            tail_values[alive, (n + 1) % w] = vals
         m = np.abs(vals)
         with np.errstate(divide="ignore"):
             np.log10(m, out=m)
@@ -1100,8 +1097,6 @@ def classify_batch(
         if n >= first_tail:
             tail_ok = above if tail_ok is None else tail_ok & above & (m >= prev)
             prev = m
-        if want_tail_values:
-            ring[(n + 1) % w, : alive.size] = vals
         frozen = vals == z
         left = n_total - n - 1
         if left < retire.size and not math.isnan(limit := retire[left]):
@@ -1125,15 +1120,11 @@ def classify_batch(
             osc[idx] = n_osc[frozen]
             all_below[idx] = below[frozen]
             if want_tail_values:
-                # the ring holds points up to n + 1; a fixed point's later
+                # the tails hold points up to n + 1; a fixed point's later
                 # ones repeat it, and a finished seed writes its own
-                fixed = vals[frozen] == z[frozen]
+                fixed = vals == z
                 later = np.arange(max(n + 2, n_total + 1 - w), n_total + 1)
-                tails = ring[:, : alive.size][:, frozen].T
-                tails[np.ix_(fixed, later % w)] = vals[frozen][fixed, None]
-                tail_values[idx] = tails
-                tail_last[idx] = n_total
-                _compact(ring, ~frozen)
+                tail_values[np.ix_(alive[fixed], later % w)] = vals[fixed, None]
             if going is not None and going.any():
                 new = slice(done, done + int(np.count_nonzero(going)))
                 done_idx[new] = alive[going]
@@ -1153,9 +1144,6 @@ def classify_batch(
         osc[alive] = n_osc
         all_below[alive] = below
         tail_escape[alive] = tail_ok
-        if want_tail_values:
-            tail_values[alive] = ring[:, : alive.size].T
-            tail_last[alive] = n_total
     if done:
         tail_escape[done_idx[:done]] = done_ok[:done]
 
@@ -1167,7 +1155,6 @@ def classify_batch(
         term_step=term_step,
         oscillations=osc,
         tail_values=tail_values,
-        tail_last=tail_last,
     )
 
 

@@ -355,9 +355,11 @@ def _run_in_worker(name: str, samples: int, seed: int) -> list[CheckResult]:
 
 
 # the order in which _run_all_paper starts the presets on its workers:
-# the four slow ones first (0.1-0.6 s each serially at 4096 samples on a
-# 2-vCPU VM, the others under 0.02 s), so that no slow preset starts
-# late and runs alone while the other workers idle
+# the four slow ones first (serially at 4096 samples on a 2-vCPU VM,
+# sine-periodic-translate about 0.23 s, sine-drift-pair 0.12,
+# sec4-expfamily 0.10 and fatou-pair 0.08; the others under 0.02 s), so
+# that no slow preset starts late and runs alone while the other
+# workers idle
 START_ORDER = (
     "sine-periodic-translate",
     "sec4-expfamily",

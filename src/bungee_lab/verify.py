@@ -203,9 +203,8 @@ def _classify(
 ) -> BatchClassification:
     """classify_batch, served from the open memo when it can be.
 
-    Stored entries drop their tails (tail_values and tail_last) and
-    have read-only arrays, so a request for tail values is always
-    classified afresh.
+    Stored entries drop their tail_values and have read-only arrays, so
+    a request for tail values is always classified afresh.
     """
     memo = _MEMO.get()
     if memo is None:
@@ -216,7 +215,7 @@ def _classify(
         return memo[key]
     batch = classify_batch(f, pts, params, want_tail_values=want_tail_values)
     if key not in memo:
-        entry = dataclasses.replace(batch, tail_values=None, tail_last=None)
+        entry = dataclasses.replace(batch, tail_values=None)
         for a in (entry.verdict, entry.confident, entry.term_kind,
                   entry.term_step, entry.oscillations):
             a.flags.writeable = False

@@ -300,22 +300,18 @@ class TestOneElement:
             z = np.array([z0], dtype=np.complex128)
             want_vals, want_status = (a.copy() for a in eval_array(e, z))
             vals, status = eval_array(e, z)
-            # shared results (every status, constant values) are
-            # read-only; the rest belong to the caller
-            with pytest.raises(ValueError):
-                status[0] = engine.POLE
-            if text == "2":
-                with pytest.raises(ValueError):
-                    vals[0] = 7
-            elif vals.flags.writeable:
-                vals[0] = 7
+            # every result, a constant's value and every status included,
+            # belongs to the caller
+            assert vals.flags.writeable and status.flags.writeable, (text, z0)
+            status[0] = engine.POLE
+            vals[0] = 7
             again_vals, again_status = eval_array(e, z)
             assert again_status.tobytes() == want_status.tobytes(), (text, z0)
             assert again_vals.tobytes() == want_vals.tobytes(), (text, z0)
 
 
 class TestSizeSplit:
-    """One-element input and every other size take different plan bodies."""
+    """One-element input runs the orbit loop, every other size the array function."""
 
     @pytest.mark.parametrize("shape", [(0,), (0, 3), (1, 1), (2, 3)])
     @pytest.mark.parametrize("text", ["1/z", "z*exp(-z^2)", "2", "z+1"])
@@ -350,22 +346,28 @@ class TestSizeSplit:
                     if s1[0] == engine.OK:
                         assert v1.tobytes() == want_vals[k : k + 1].tobytes(), (str(e), pts[k])
         plans = [e.__dict__["_plan"] for e in exprs]
-        assert plans[0].one.__code__ is plans[1].one.__code__ is plans[3].one.__code__
         assert plans[0].many.__code__ is plans[1].many.__code__ is plans[3].many.__code__
+        loops = [engine.orbit_loop(e) for e in exprs]
+        assert loops[0].__code__ is loops[1].__code__ is loops[3].__code__
+        assert loops[0] is not loops[1]
 
 
 class TestOrbitLoop:
     def test_made_on_first_scalar_use_and_cached_on_its_source(self):
         # z+1 and z+2 share one source, so their loops share one code
-        # object; an array evaluation or a batch never builds a loop
+        # object; a multi-element evaluation or a batch that never thins
+        # to one seed builds no loop, and the first one-element call does
         exprs = [parse("z+1"), parse("z+2")]
         for e in exprs:
             eval_array(e, SHAPE_POINTS)
-            eval_array(e, SHAPE_POINTS[:1])
+            eval_array(e, SHAPE_POINTS[:2])
         classify_batch(exprs[0], SHAPE_POINTS, OrbitParams(max_iter=5, tail_window=1))
         assert [e.__dict__["_plan"].orbit for e in exprs] == [None, None]
+        eval_array(exprs[0], SHAPE_POINTS[:1])
+        loop = exprs[0].__dict__["_plan"].orbit
+        assert loop is not None and exprs[1].__dict__["_plan"].orbit is None
         loops = [engine.orbit_loop(e) for e in exprs]
-        assert loops[0].__code__ is loops[1].__code__
+        assert loops[0] is loop and loops[0].__code__ is loops[1].__code__
         assert engine.orbit_loop(exprs[0]) is loops[0]
 
     @pytest.mark.parametrize(
@@ -373,9 +375,10 @@ class TestOrbitLoop:
         ["z*exp(-z^2)", "1/z^2", "2", "z", "(z-1)/(z^2-1e300)", "1+z+exp(-z)+2*pi*i", *MIXED_TREES],
     )
     def test_steps_like_the_one_element_plan(self, text):
-        # the loop runs the one-element lines: each point is what the
-        # one-element plan gives for the previous one, and what the
-        # oracle gives on the whole orbit at once
+        # the loop is the one-element plan: one-element eval_array runs
+        # it, so it cannot be its own reference.  Each point is what the
+        # array function gives for the previous one, as the first of two
+        # elements, and what the oracle gives on the whole orbit at once
         e = parse(text)
         seeds = np.concatenate([np.array([0.5 + 0.1j, 1e200, 1]), ADVERSARIAL, SHAPE_POINTS])
         for z0 in seeds.tolist():
@@ -384,11 +387,11 @@ class TestOrbitLoop:
                 steps, status = engine.orbit_loop(e)(20, points, lambda buf: None, 10**6)
             assert all(type(p) is complex for p in points)
             for a, b in zip(points, points[1:]):
-                vals, st = eval_array(e, np.array([a]))
-                assert st[0] == engine.OK and vals.tobytes() == np.array([b]).tobytes()
+                vals, st = eval_array(e, np.array([a, 0.5]))
+                assert st[0] == engine.OK and vals[:1].tobytes() == np.array([b]).tobytes()
             want_vals, want_stats = oracle_eval(e, np.array(points))
             if status != engine.OK:
-                _, st = eval_array(e, np.array([points[-1]]))
+                _, st = eval_array(e, np.array([points[-1], 0.5]))
                 assert st[0] == status == want_stats[-1] and steps == len(points)
             else:
                 assert steps == len(points) - 1

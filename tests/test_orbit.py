@@ -344,10 +344,11 @@ class TestOneErrstatePerOrbit:
                 classify_point(parse("z^2"), 0.5, OrbitParams())
             assert np.geterr() == before
         assert seen == [{"divide": "ignore", "over": "ignore", "under": "ignore", "invalid": "ignore"}]
-        # the block is closed: a bare eval_array opens its own errstate again
+        # the block is closed: a bare eval_array opens its own errstate
+        # again; two elements, since one would run the patched loop
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            _, status = eval_array(parse("z^2"), np.array([1e300], dtype=np.complex128))
+            _, status = eval_array(parse("z^2"), np.array([1e300, 1], dtype=np.complex128))
         assert status[0] == engine.OVERFLOW
 
 
@@ -466,6 +467,31 @@ class TestBatchAgreement:
         assert int(batch.verdict[0]) == int(c.verdict)
         assert bool(batch.confident[0])
 
+    def test_failed_step_with_a_finite_value_is_no_orbit_point(self):
+        # the seed lies above the escape radius and the map gives 0 there
+        # with status POLE; counted as a point, that 0 would be a return
+        # and make the verdict bungee
+        f, z, p = parse("z*exp(-1/(z-1e9))"), 1e9 + 0j, OrbitParams()
+        vals, status = eval_array(f, np.array([z, z]))
+        assert status[0] == engine.POLE and vals[0] == 0
+        c = classify_point(f, z, p)
+        assert c.verdict == Verdict.POLE and c.oscillation_count == 0
+        assert c.termination.step == 0
+        for tails in (False, True):
+            b = classify_batch(f, np.array([z]), p, want_tail_values=tails)
+            assert int(b.verdict[0]) == int(Verdict.POLE), tails
+            assert b.oscillations[0] == 0 and b.term_step[0] == 0, tails
+        rows, held = b.ordered_tails([0])
+        assert held[0].tolist() == [False] * (p.tail_window - 1) + [True]
+        assert rows[0, held[0]].tolist() == [z]
+
+    def test_nonfinite_seeds_hold_no_tail_point(self):
+        b = classify_batch(parse("z^2"), np.array([np.inf, np.nan]), OrbitParams(),
+                           want_tail_values=True)
+        assert b.tail_last.tolist() == [-1, -1]
+        _, held = b.ordered_tails([0, 1])
+        assert not held.any()
+
     def test_tail_values_window(self):
         b = classify_batch(parse("z^2"), np.array([0.5 + 0j]), OrbitParams(max_iter=20),
                            want_tail_values=True)
@@ -523,7 +549,7 @@ class TestBatchAgreement:
 
     def test_tail_values_opt_in(self):
         b = classify_batch(parse("z^2"), np.array([0.5 + 0j]), OrbitParams())
-        assert b.tail_values is None and b.tail_last is None
+        assert b.tail_values is None
         with pytest.raises(ValueError):
             b.ordered_tails([0])
 

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,3 +134,29 @@ LONG_ORBIT_GOLDEN = (
 def test_long_orbit_golden_digests(text, width, params, digest):
     grid = classify_grid(parse(text), GridSpec(0j, width, width, 64, 64), params)
     assert hashlib.sha256(render_ppm(grid)).hexdigest() == digest
+
+
+# sha256 of each PPM that scripts/render_gallery.py writes at --size 8
+GALLERY_DIGESTS = {
+    "squaring": "61da0e1166d5c106ea2433595fb1954aee47ae3ea73adfeb804994f230c7b59b",
+    "reciprocal-square": "ea95c772dff7c25262eab08b2f23b2bbc652408cf3c7443b0e0c1e3ae30b0d10",
+    "reciprocal-fourth": "ea95c772dff7c25262eab08b2f23b2bbc652408cf3c7443b0e0c1e3ae30b0d10",
+    "exp-cigar": "cbd16e7922c1b4e0cf3c4ca9e43d787eb990dc440ca118526d7d1974ba0605da",
+    "gaussian-spiral": "a370ceff0373358377cc0960f82fc35908857bb6e4f3f4f48408316970860198",
+    "drift-map": "c50a153c5e5bc07d02866a7498c7079a57c366074f3727ff5a1ac60c21dedca6",
+    "sine-displacement": "3998a7b0c35d773c60350b8cf9a29383dfcba4e613ff0d179d14d00552efd029",
+}
+
+
+def test_gallery_script_smoke(tmp_path):
+    # the README's gallery script, run as a user runs it
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "render_gallery.py"),
+         "--size", "8", "--workers", "1", "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    digests = {p.stem: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.ppm")}
+    assert digests == GALLERY_DIGESTS

@@ -393,7 +393,7 @@ class TestSharedClassifications:
         with shared_classifications():
             verify._classify(self.F, pts, self.P)
             cached = verify._classify(self.F, pts, self.P)
-        assert cached.tail_values is None and cached.tail_last is None
+        assert cached.tail_values is None
         with pytest.raises(ValueError):
             cached.verdict[0] = 0
 
@@ -404,7 +404,7 @@ class TestSharedClassifications:
             cached = verify._classify(FATOU_F, pts, FATOU_PARAMS)
         assert counted_batches == [True]
         assert tails.tail_values is not None
-        assert cached.tail_values is None and cached.tail_last is None
+        assert cached.tail_values is None
         assert cached.verdict.tobytes() == tails.verdict.tobytes()
 
     def test_nothing_is_reused_outside_a_scope(self, counted_batches):
