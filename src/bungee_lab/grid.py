@@ -11,12 +11,19 @@ Chunks.  The pixels to classify form a block of rows r0.. and columns
 c0.. (the whole grid unless a symmetry below applies).  It is cut into
 chunks of at most CHUNK_PIXELS pixels that deal rows round-robin: chunk
 c of C takes rows r0 + c, r0 + C + c, ..., so the long orbits that
-crowd near an axis spread evenly over the chunks and the workers finish
-together.  C depends only on the block size and CHUNK_PIXELS, never on
-the worker count, which keeps the output bit-identical across thread
-settings.  A row wider than CHUNK_PIXELS is split into column ranges.
-Each chunk builds its own pixel centers, so memory follows the chunk
-size rather than the grid size.
+crowd near an axis spread evenly over the chunks.  C depends only on
+the block size and CHUNK_PIXELS, never on the worker count.  A row
+wider than CHUNK_PIXELS is split into column ranges.  Each chunk builds
+its own pixel centers and steps them as one classify_batch state
+(orbit._BatchRun), on the worker threads, until fewer than PARK of its
+seeds are live or finished drifting; then it parks.  Most orbits are
+short, so each chunk would otherwise run its own long tail of steps
+over a handful of seeds.  The calling thread takes the parked states in
+order of their step, steps the merged set on to the next one's step
+and merges it in, and runs the whole set to the end once.  Seeds never
+interact, so the output is bit-identical to one classify_batch over the
+block, whatever the worker count, and memory follows the chunk size and
+the parked seeds rather than the grid size.
 
 Symmetric grids.  Two symmetries of a map fill pixels without
 classifying them.  Both are exact, not approximations, because the
@@ -57,10 +64,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import Expr, format_expr
-from .orbit import OrbitParams, Verdict, classify_batch
+from .orbit import OrbitParams, Verdict, _BatchRun, _outputs, _verdicts
+# bench/tracer.py wraps grid.classify_batch by name, so the name stays
+# here; classify_grid itself no longer calls it
+from .orbit import classify_batch  # noqa: F401
 
 MAX_GRID_PIXELS = 2**26
 CHUNK_PIXELS = 2**15
+# a chunk parks once fewer seeds than this are live or finished drifting;
+# on the six gallery grids at 2 threads, 2048 and 4096 ran 5% faster than
+# 1024 and 8192, and 64 and 256 gained half as much or less
+PARK = 2**12
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -180,29 +194,46 @@ def classify_grid(
     flip = f.parity != 0 and spec.point_symmetric
     r0 = spec.ny // 2 if conj or flip else 0
     c0 = spec.nx // 2 if conj and flip else 0
+    nx, ny, max_iter = spec.nx, spec.ny, params.max_iter
     xs, ys = spec._axes()
-    # verdict, confident, term_kind, term_step, oscillations; row k, column j
-    grids = [
-        np.empty((spec.ny, spec.nx), dtype=t)
-        for t in (np.uint8, bool, np.uint8, np.int32, np.int32)
-    ]
+    # term_kind, term_step, oscillations, all_below, tail_escape; flat index
+    out = _outputs(spec.pixel_count, params)
 
-    def run(rows: np.ndarray, lo: int, hi: int) -> None:
+    def start(rows: np.ndarray, lo: int, hi: int) -> _BatchRun | None:
+        """The chunk's state, parked, or None once it has run to the end."""
         # the same bits as spec.points() at these pixels
-        batch = classify_batch(f, (xs[lo:hi] + 1j * ys[rows, None]).ravel(), params)
-        outputs = (batch.verdict, batch.confident, batch.term_kind,
-                   batch.term_step, batch.oscillations)
-        for g, b in zip(grids, outputs):
-            g[rows, lo:hi] = b.reshape(rows.size, hi - lo)
+        seeds = (xs[lo:hi] + 1j * ys[rows, None]).ravel()
+        state = _BatchRun(f, params, out, (rows[:, None] * nx + np.arange(lo, hi)).ravel(), seeds)
+        state.run(max_iter, PARK)
+        if state.n < max_iter:
+            return state
+        state.finish()
+        return None
 
-    chunks = _deal(spec.nx, spec.ny, r0, c0)
+    chunks = _deal(nx, ny, r0, c0)
     n_workers = resolve_workers(workers)
     if n_workers <= 1 or len(chunks) <= 1:
-        for chunk in chunks:
-            run(*chunk)
+        states = [start(*chunk) for chunk in chunks]
     else:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(lambda c: run(*c), chunks))
+            states = list(pool.map(lambda c: start(*c), chunks))
+    parked = sorted((s for s in states if s is not None), key=lambda s: s.n)
+    if parked:
+        merged = parked[0]
+        for state in parked[1:]:
+            merged.run(state.n)
+            merged.absorb(state)
+        merged.run(max_iter)
+        merged.finish()
+
+    term_kind, term_step, osc, all_below, tail_escape = (a.reshape(ny, nx) for a in out[:5])
+    block = np.s_[r0:, c0:]
+    verdict = np.empty((ny, nx), dtype=np.uint8)
+    confident = np.empty((ny, nx), dtype=bool)
+    verdict[block], confident[block] = _verdicts(
+        term_kind[block], osc[block], all_below[block], tail_escape[block], params
+    )
+    grids = (verdict, confident, term_kind, term_step, osc)
     for g in grids:
         g[r0:, :c0] = g[r0:, ::-1][:, :c0]
         g[:r0] = (g[::-1] if conj else g[::-1, ::-1])[:r0]

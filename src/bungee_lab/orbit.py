@@ -591,6 +591,9 @@ class _Petal:
     sigma: float
     floor: float
     radius: float
+    # _in_petal's band on log10 |z|: floor raised by LOG10_MARGIN, and radius
+    log_floor: float
+    log_radius: float
 
 
 class _Rational:
@@ -794,7 +797,8 @@ def _build_petal(f: Expr, top: float) -> _Petal | None:
     floor, radius = float(r0[j0]), float(r1[j1 - 1])
     sigma0 = (1 + 1e-12) / (k * alpha * radius**k)
     sigma = (sigma0 + PETAL_ROUND / (k * alpha * floor**k)) * (1 + 1e-12)
-    return _Petal(lam, k, a, k * a, sigma, floor, radius)
+    return _Petal(lam, k, a, k * a, sigma, floor, radius,
+                  math.log10(floor) + LOG10_MARGIN, math.log10(radius))
 
 
 def _in_petal(petal: _Petal, z: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -804,22 +808,22 @@ def _in_petal(petal: _Petal, z: np.ndarray, m: np.ndarray) -> np.ndarray:
     as computed here, which the 1e-9 and PETAL_ROUND in sigma turn into
     Re u >= sigma0 for the exact w (see _build_petal), and with m at
     least LOG10_MARGIN above log10 floor, which absorbs the rounding of
-    m.  Run on the live set only, after the table's test.
+    m.  Run on the live set only, after the table's test, under
+    np.errstate(all="ignore").
     """
-    with np.errstate(all="ignore"):
-        w = z * petal.ka
-        for _ in range(petal.k - 1):
-            w *= z
-        q = np.abs(w)
-        q *= q
-        q *= petal.sigma * (1 + 1e-9)
-        # q + Re w has the sign of the exact sum: q <= -Re w, bit for bit
-        q += w.real
-        inside = q <= 0
+    w = z * petal.ka
+    for _ in range(petal.k - 1):
+        w *= z
+    q = np.abs(w)
+    q *= q
+    q *= petal.sigma * (1 + 1e-9)
+    # q + Re w has the sign of the exact sum: q <= -Re w, bit for bit
+    q += w.real
+    inside = q <= 0
     # the band holds every point of the petal at or above floor, and
     # keeps w far from overflow, where inf <= inf would pass
-    inside &= m >= math.log10(petal.floor) + LOG10_MARGIN
-    inside &= m <= math.log10(petal.radius)
+    inside &= m >= petal.log_floor
+    inside &= m <= petal.log_radius
     return inside
 
 
@@ -925,6 +929,258 @@ def _drift_form(f: Expr) -> _Drift | None:
     )
 
 
+def _outputs(k: int, params: OrbitParams, want_tail_values: bool = False) -> tuple:
+    """Output arrays for k seeds, as a seed that completes leaves them.
+
+    term_kind, term_step, oscillations, all_below, tail_escape and, with
+    want_tail_values, tail_values (else None); _BatchRun writes into them.
+    """
+    return (
+        np.full(k, TERM_COMPLETED, dtype=np.uint8),
+        np.full(k, params.max_iter, dtype=np.int32),
+        np.zeros(k, dtype=np.int32),
+        np.zeros(k, dtype=bool),
+        np.zeros(k, dtype=bool),
+        np.zeros((k, params.tail_window), dtype=np.complex128) if want_tail_values else None,
+    )
+
+
+class _BatchRun:
+    """classify_batch's loop state for a set of seeds, at the start of step n.
+
+    Seeds are named by flat indices into output arrays the caller owns
+    (see _outputs); a seed writes its outputs there as it finishes.  The
+    state holds the live seeds (index, point z_n, excursion and
+    all-below flags, oscillation count and, from step first_tail on,
+    tail test and last magnitude) and the finished drifting seeds,
+    whose buffers always have room for every live seed as well.
+
+    run steps the state on to a given step, or parks it once fewer than
+    a given number of seeds are live or finished drifting.  absorb
+    merges another state that stands at the same step, and finish
+    writes the outputs of the seeds still held at max_iter.  Seeds never
+    interact, so states run apart and merged at common steps give every
+    output bit for bit as one state over all their seeds would.
+    """
+
+    def __init__(
+        self, f: Expr, params: OrbitParams, out: tuple, idx: np.ndarray, seeds: np.ndarray
+    ):
+        self.f, self.params, self.out = f, params, out
+        term_kind, term_step, tail_values = out[0], out[1], out[5]
+        retire = _NO_TABLE if tail_values is not None else _retire_table(f, params)
+        petal = None
+        if retire.size and not math.isnan(retire[-1]):
+            petal = _petal(f, params)
+            if petal is not None and math.log10(petal.floor) > retire[-1]:
+                petal = None  # a seed falling below floor would outrun the table
+        self.retire, self.petal, self.drift = retire, petal, _drift_form(f)
+
+        finite = np.isfinite(seeds)
+        if not finite.all():
+            bad = idx[~finite]
+            term_kind[bad] = TERM_OVERFLOW
+            term_step[bad] = 0
+        self.alive = idx[finite]
+        self.z = seeds[finite]
+        with np.errstate(divide="ignore"):
+            m = np.log10(np.abs(self.z))
+        self.in_exc = m > params.log_escape
+        self.below = m <= params.log_bound
+        self.n_osc = np.zeros(self.alive.size, dtype=np.int32)
+        # from step first_tail on: every magnitude so far above log_esc and
+        # nondecreasing (m >= prev holds for inf >= inf); None before, and
+        # for an empty live set
+        self.tail_ok = self.prev = None
+        if tail_values is not None:
+            tail_values[self.alive, 0] = self.z
+        # the finished drifting seeds, in the first done entries: index,
+        # point and, from step first_tail on, tail test and last magnitude
+        self.done = 0
+        self.finished = None
+        if self.drift is not None:
+            self._regroup()
+        self.n = 0
+
+    def _regroup(self, *others: _BatchRun) -> None:
+        """Gather the finished drifting seeds of self and others into
+        fresh buffers, with room for every live seed of self too."""
+        states = (self, *others)
+        done = sum(s.done for s in states)
+        size = done + self.alive.size
+        dtypes = (np.intp, np.complex128, bool, np.float64)
+        buffers = [np.empty(size, dtype=t) for t in dtypes]
+        if done:
+            for j, b in enumerate(buffers):
+                np.concatenate([s.finished[j][: s.done] for s in states], out=b[:done])
+        self.finished, self.done = buffers, done
+
+    def run(self, stop: int, park: int = 0) -> None:
+        """Step on to n = stop, or park once fewer than park seeds are
+        live or finished drifting.
+
+        Every step works on locals, under one errstate, so a step costs
+        the same in a state of any origin.  A parked state trims its
+        buffers to the seeds it holds.
+        """
+        params = self.params
+        f, retire, petal, drift = self.f, self.retire, self.petal, self.drift
+        term_kind, term_step, osc, all_below, tail_escape, tail_values = self.out
+        want_tail_values = tail_values is not None
+        w = params.tail_window
+        n_total = params.max_iter
+        log_esc = params.log_escape
+        log_bound = params.log_bound
+        first_tail = n_total - w
+        alive, z, in_exc, below, n_osc = self.alive, self.z, self.in_exc, self.below, self.n_osc
+        tail_ok, prev, done = self.tail_ok, self.prev, self.done
+        if drift is not None:
+            entry = max(DRIFT_X, params.bound_radius * (1 + 1e-9))
+            done_idx, done_z, done_ok, done_prev = self.finished
+
+        n = self.n
+        with np.errstate(all="ignore"):
+            for n in range(self.n, stop):
+                if alive.size + done < park:
+                    break
+                if done:
+                    zd = done_z[:done]
+                    for c in drift.steps:
+                        np.add(zd, c, out=zd)
+                    if n >= first_tail:
+                        md = np.abs(zd)
+                        np.log10(md, out=md)
+                        okd = done_ok[:done]
+                        if n == first_tail:
+                            np.greater(md, log_esc, out=okd)
+                        else:
+                            okd &= (md > log_esc) & (md >= done_prev[:done])
+                        done_prev[:done] = md
+                        if want_tail_values:
+                            tail_values[done_idx[:done], (n + 1) % w] = zd
+                if alive.size == 0:
+                    if done:
+                        continue
+                    break
+                vals, status = eval_array(f, z)
+                ok = status == engine.OK
+                if not ok.all():
+                    pole = status == engine.POLE
+                    if pole.any():
+                        idx = alive[pole]
+                        term_kind[idx] = TERM_POLE
+                        term_step[idx] = n
+                    over = ~ok & ~pole
+                    if over.any():
+                        idx = alive[over]
+                        term_kind[idx] = TERM_OVERFLOW
+                        term_step[idx] = n + 1
+                    failed = ~ok
+                    osc[alive[failed]] = n_osc[failed]
+                    all_below[alive[failed]] = below[failed]
+                    alive, vals, z = alive[ok], vals[ok], z[ok]
+                    in_exc, below, n_osc = in_exc[ok], below[ok], n_osc[ok]
+                    if tail_ok is not None:
+                        tail_ok, prev = tail_ok[ok], prev[ok]
+                    if alive.size == 0:
+                        continue
+                if want_tail_values:
+                    tail_values[alive, (n + 1) % w] = vals
+                m = np.abs(vals)
+                np.log10(m, out=m)
+                above = m > log_esc
+                returned = in_exc & (m < log_bound)
+                if returned.any():
+                    n_osc += returned
+                    in_exc &= ~returned
+                in_exc |= above
+                below &= m <= log_bound
+                if n >= first_tail:
+                    tail_ok = above if tail_ok is None else tail_ok & above & (m >= prev)
+                    prev = m
+                frozen = vals == z
+                left = n_total - n - 1
+                if left < retire.size and not math.isnan(limit := retire[left]):
+                    # certified to stay at or below bound_radius / 2 to the end
+                    frozen |= m <= limit
+                    if petal is not None:
+                        frozen |= _in_petal(petal, vals, m)
+                going = None
+                if drift is not None and left:
+                    going = vals.real >= entry
+                    if going.any():
+                        x, y = vals.real[going], np.abs(vals.imag[going])
+                        going[going] = (x + left * drift.re <= FINISH_MAX) & (
+                            y + left * drift.im <= FINISH_MAX
+                        )
+                        frozen |= going
+                if frozen.any():
+                    idx = alive[frozen]
+                    # later magnitudes repeat m or stay below log_bound, so no
+                    # later step changes the tail test; a finished drifting
+                    # seed's is written at the end
+                    tail_escape[idx] = tail_ok[frozen] if n >= first_tail else m[frozen] > log_esc
+                    osc[idx] = n_osc[frozen]
+                    all_below[idx] = below[frozen]
+                    if want_tail_values:
+                        # the tails hold points up to n + 1; a fixed point's later
+                        # ones repeat it, and a finished seed writes its own
+                        fixed = vals == z
+                        later = np.arange(max(n + 2, n_total + 1 - w), n_total + 1)
+                        tail_values[np.ix_(alive[fixed], later % w)] = vals[fixed, None]
+                    if going is not None and going.any():
+                        new = slice(done, done + int(np.count_nonzero(going)))
+                        done_idx[new] = alive[going]
+                        done_z[new] = vals[going]
+                        if tail_ok is not None:
+                            done_ok[new] = tail_ok[going]
+                            done_prev[new] = m[going]
+                        done = new.stop
+                    live = ~frozen
+                    alive, vals = alive[live], vals[live]
+                    in_exc, below, n_osc = in_exc[live], below[live], n_osc[live]
+                    if tail_ok is not None:
+                        tail_ok, prev = tail_ok[live], prev[live]
+                z = vals
+            else:
+                n = stop
+        if not (alive.size or done):
+            n = stop  # an empty state stands at every step
+
+        self.alive, self.z, self.in_exc, self.below, self.n_osc = alive, z, in_exc, below, n_osc
+        self.tail_ok, self.prev, self.done, self.n = tail_ok, prev, done, n
+        if n < stop and drift is not None:
+            self._regroup()
+
+    def absorb(self, other: _BatchRun) -> None:
+        """Take over the seeds of other, which stands at the same step."""
+        if other.n != self.n:
+            raise ValueError(f"a state at step {other.n} cannot merge into one at step {self.n}")
+        self.alive = np.concatenate((self.alive, other.alive))
+        self.z = np.concatenate((self.z, other.z))
+        self.in_exc = np.concatenate((self.in_exc, other.in_exc))
+        self.below = np.concatenate((self.below, other.below))
+        self.n_osc = np.concatenate((self.n_osc, other.n_osc))
+        # past first_tail, only a state whose live set emptied has no tail test
+        held = [s for s in (self, other) if s.tail_ok is not None]
+        if held:
+            self.tail_ok = np.concatenate([s.tail_ok for s in held])
+            self.prev = np.concatenate([s.prev for s in held])
+        if self.drift is not None:
+            self._regroup(other)
+
+    def finish(self) -> None:
+        """Write the outputs of the seeds held at max_iter, which completed."""
+        _, _, osc, all_below, tail_escape, _ = self.out
+        if self.alive.size:
+            osc[self.alive] = self.n_osc
+            all_below[self.alive] = self.below
+            tail_escape[self.alive] = self.tail_ok
+        if self.done:
+            done_idx, _, done_ok, _ = self.finished
+            tail_escape[done_idx[: self.done]] = done_ok[: self.done]
+
+
 def classify_batch(
     f: Expr,
     seeds: np.ndarray,
@@ -939,6 +1195,11 @@ def classify_batch(
     count) is kept compact, in the order of the live set, and written
     to the outputs when a seed finishes.  The tail test runs only over
     the last tail_window magnitudes, since only completed orbits read it.
+    That state is a _BatchRun, run here from step 0 to max_iter.
+    classify_grid instead runs one per chunk and parks it once few seeds
+    are left, then merges the parked states at common steps and runs
+    them to the end as one; seeds never interact, so every output is the
+    same bit for bit.
 
     A seed finishes early by overflow, pole, exact fixed point or, for
     an entire f, retirement: after step n, with R = max_iter - n - 1
@@ -990,163 +1251,11 @@ def classify_batch(
     its value when it freezes.  tail_last follows from the termination.
     """
     seeds = np.ascontiguousarray(seeds, dtype=np.complex128).ravel()
-    k = seeds.size
-    w = params.tail_window
-    n_total = params.max_iter
-    log_esc = params.log_escape
-    log_bound = params.log_bound
-
-    term_kind = np.full(k, TERM_COMPLETED, dtype=np.uint8)
-    term_step = np.full(k, n_total, dtype=np.int32)
-    osc = np.zeros(k, dtype=np.int32)
-    all_below = np.zeros(k, dtype=bool)
-    tail_escape = np.zeros(k, dtype=bool)
-    tail_values = np.zeros((k, w), dtype=np.complex128) if want_tail_values else None
-
-    finite0 = np.isfinite(seeds)
-    bad0 = ~finite0
-    if bad0.any():
-        term_kind[bad0] = TERM_OVERFLOW
-        term_step[bad0] = 0
-    alive = np.nonzero(finite0)[0]
-    z = seeds[alive]
-
-    with np.errstate(divide="ignore"):
-        m = np.log10(np.abs(z))
-    # live-set state, aligned with alive
-    in_exc = m > log_esc
-    below = m <= log_bound
-    n_osc = np.zeros(alive.size, dtype=np.int32)
-    # from step first_tail on: every magnitude so far above log_esc and
-    # nondecreasing (m >= prev holds for inf >= inf)
-    first_tail = n_total - w
-    tail_ok = prev = None
-    if want_tail_values:
-        tail_values[alive, 0] = z
-    retire = _NO_TABLE if want_tail_values else _retire_table(f, params)
-    petal = None
-    if retire.size and not math.isnan(retire[-1]):
-        petal = _petal(f, params)
-        if petal is not None and math.log10(petal.floor) > retire[-1]:
-            petal = None  # a seed falling below floor would outrun the table
-    drift = _drift_form(f)
-    # the finished drifting seeds, in their first done entries: index,
-    # point and, from step first_tail on, tail test and last magnitude
-    done = 0
-    if drift is not None:
-        entry = max(DRIFT_X, params.bound_radius * (1 + 1e-9))
-        done_idx = np.empty(k, dtype=np.intp)
-        done_z = np.empty(k, dtype=np.complex128)
-        done_ok = np.empty(k, dtype=bool)
-        done_prev = np.empty(k)
-
-    for n in range(n_total):
-        if done:
-            zd = done_z[:done]
-            for c in drift.steps:
-                np.add(zd, c, out=zd)
-            if n >= first_tail:
-                md = np.abs(zd)
-                np.log10(md, out=md)
-                okd = done_ok[:done]
-                if n == first_tail:
-                    np.greater(md, log_esc, out=okd)
-                else:
-                    okd &= (md > log_esc) & (md >= done_prev[:done])
-                done_prev[:done] = md
-                if want_tail_values:
-                    tail_values[done_idx[:done], (n + 1) % w] = zd
-        if alive.size == 0:
-            if done:
-                continue
-            break
-        vals, status = eval_array(f, z)
-        ok = status == engine.OK
-        if not ok.all():
-            pole = status == engine.POLE
-            if pole.any():
-                idx = alive[pole]
-                term_kind[idx] = TERM_POLE
-                term_step[idx] = n
-            over = ~ok & ~pole
-            if over.any():
-                idx = alive[over]
-                term_kind[idx] = TERM_OVERFLOW
-                term_step[idx] = n + 1
-            failed = ~ok
-            osc[alive[failed]] = n_osc[failed]
-            all_below[alive[failed]] = below[failed]
-            alive, vals, z = alive[ok], vals[ok], z[ok]
-            in_exc, below, n_osc = in_exc[ok], below[ok], n_osc[ok]
-            if tail_ok is not None:
-                tail_ok, prev = tail_ok[ok], prev[ok]
-            if alive.size == 0:
-                continue
-        if want_tail_values:
-            tail_values[alive, (n + 1) % w] = vals
-        m = np.abs(vals)
-        with np.errstate(divide="ignore"):
-            np.log10(m, out=m)
-        above = m > log_esc
-        returned = in_exc & (m < log_bound)
-        if returned.any():
-            n_osc += returned
-            in_exc &= ~returned
-        in_exc |= above
-        below &= m <= log_bound
-        if n >= first_tail:
-            tail_ok = above if tail_ok is None else tail_ok & above & (m >= prev)
-            prev = m
-        frozen = vals == z
-        left = n_total - n - 1
-        if left < retire.size and not math.isnan(limit := retire[left]):
-            # certified to stay at or below bound_radius / 2 to the end
-            frozen |= m <= limit
-            if petal is not None:
-                frozen |= _in_petal(petal, vals, m)
-        going = None
-        if drift is not None and left:
-            going = vals.real >= entry
-            if going.any():
-                x, y = vals.real[going], np.abs(vals.imag[going])
-                going[going] = (x + left * drift.re <= FINISH_MAX) & (y + left * drift.im <= FINISH_MAX)
-                frozen |= going
-        if frozen.any():
-            idx = alive[frozen]
-            # later magnitudes repeat m or stay below log_bound, so no
-            # later step changes the tail test; a finished drifting seed's
-            # is written at the end
-            tail_escape[idx] = tail_ok[frozen] if n >= first_tail else m[frozen] > log_esc
-            osc[idx] = n_osc[frozen]
-            all_below[idx] = below[frozen]
-            if want_tail_values:
-                # the tails hold points up to n + 1; a fixed point's later
-                # ones repeat it, and a finished seed writes its own
-                fixed = vals == z
-                later = np.arange(max(n + 2, n_total + 1 - w), n_total + 1)
-                tail_values[np.ix_(alive[fixed], later % w)] = vals[fixed, None]
-            if going is not None and going.any():
-                new = slice(done, done + int(np.count_nonzero(going)))
-                done_idx[new] = alive[going]
-                done_z[new] = vals[going]
-                if tail_ok is not None:
-                    done_ok[new] = tail_ok[going]
-                    done_prev[new] = m[going]
-                done = new.stop
-            live = ~frozen
-            alive, vals = alive[live], vals[live]
-            in_exc, below, n_osc = in_exc[live], below[live], n_osc[live]
-            if tail_ok is not None:
-                tail_ok, prev = tail_ok[live], prev[live]
-        z = vals
-
-    if alive.size:
-        osc[alive] = n_osc
-        all_below[alive] = below
-        tail_escape[alive] = tail_ok
-    if done:
-        tail_escape[done_idx[:done]] = done_ok[:done]
-
+    out = _outputs(seeds.size, params, want_tail_values)
+    state = _BatchRun(f, params, out, np.arange(seeds.size), seeds)
+    state.run(params.max_iter)
+    state.finish()
+    term_kind, term_step, osc, all_below, tail_escape, tail_values = out
     verdict, confident = _verdicts(term_kind, osc, all_below, tail_escape, params)
     return BatchClassification(
         verdict=verdict,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from bungee_lab.grid import (
     mask_stats,
     resolve_workers,
 )
-from bungee_lab.orbit import OrbitParams, classify_batch
+from bungee_lab.orbit import OrbitParams, Verdict, classify_batch
 from bungee_lab.presets import FATOU_PARAMS, PRESET_FUNCTIONS
 
 FIELDS = ("verdict", "confident", "term_kind", "term_step", "oscillations")
@@ -63,14 +65,14 @@ def assert_equals_whole_grid(f, spec, text):
 
 
 def count_classified(monkeypatch) -> list:
-    """Record the seed count of every classify_batch call classify_grid makes."""
+    """Record the seed count of every chunk state classify_grid starts."""
     sizes = []
 
-    def counting(f, seeds, params):
+    def counting(f, params, out, idx, seeds):
         sizes.append(seeds.size)
-        return orbit.classify_batch(f, seeds, params)
+        return orbit._BatchRun(f, params, out, idx, seeds)
 
-    monkeypatch.setattr(grid, "classify_batch", counting)
+    monkeypatch.setattr(grid, "_BatchRun", counting)
     return sizes
 
 
@@ -284,11 +286,11 @@ class TestChunks:
         ys = spec.points()[:: spec.nx].imag
         calls = []
 
-        def recording(f, seeds, params):
+        def recording(f, params, out, idx, seeds):
             calls.append(sorted({int(np.nonzero(ys == y)[0][0]) for y in seeds.imag}))
-            return orbit.classify_batch(f, seeds, params)
+            return orbit._BatchRun(f, params, out, idx, seeds)
 
-        monkeypatch.setattr(grid, "classify_batch", recording)
+        monkeypatch.setattr(grid, "_BatchRun", recording)
         return calls
 
     def test_rows_are_dealt(self, monkeypatch):
@@ -350,6 +352,133 @@ class TestRetirement:
                 for name in FIELDS:
                     got, want = getattr(cg, name), getattr(whole, name)
                     assert got.tobytes() == want.tobytes(), (text, spec, workers, name)
+
+
+class TestParking:
+    @pytest.mark.parametrize("park", [1, 5, 7])
+    @pytest.mark.parametrize("text, width, params", RETIRE_CASES + [("1/z^2", 4.0, OrbitParams())])
+    def test_parked_grids_equal_one_batch(self, text, width, params, park, monkeypatch):
+        # chunks of at most 7: at PARK 1 none parks, at 5 the small ones
+        # park at once and the others later, at 7 a chunk parks when its
+        # first seed leaves, which parks finished drifting seeds of
+        # 1+z+exp(-z) too
+        monkeypatch.setattr(grid, "CHUNK_PIXELS", 7)
+        monkeypatch.setattr(grid, "PARK", park)
+        f = parse(text)
+        for spec in (GridSpec(0j, width, width, 8, 8), GridSpec(0.1 + 0.2j, width, width, 7, 5)):
+            whole = classify_batch(f, spec.points(), params)
+            for workers in (1, 2, 4):
+                cg = classify_grid(f, spec, params, workers=workers)
+                for name in FIELDS:
+                    got, want = getattr(cg, name), getattr(whole, name)
+                    assert got.tobytes() == want.tobytes(), (text, spec, park, workers, name)
+
+    @pytest.mark.parametrize("tails", [False, True])
+    @pytest.mark.parametrize("order", ["emptied-first", "live-first"])
+    def test_merge_past_first_tail_with_an_emptied_live_set(self, order, tails):
+        # one state's live set empties at step 0, when its seeds finish
+        # drifting, so it has no tail test; the other's seeds stay live
+        # past first_tail = 20.  Point 21 of 10+37i, 31+37i, fails the
+        # tail test (|z| < 50) before the merge at step 25, and points 26
+        # to 30 would pass it; 5+48i passes throughout
+        f = parse("1+z+exp(-z)")
+        params = OrbitParams(max_iter=30, escape_radius=50.0, bound_radius=30.0)
+        drifting = np.array([45 + 1j, 60 - 2j, 41 + 0j])
+        live = np.array([10 + 37j, 5 + 48j, 1 + 0.5j, 2 - 0.5j])
+        out = orbit._outputs(7, params, tails)
+        emptied = orbit._BatchRun(f, params, out, np.arange(3), drifting)
+        held = orbit._BatchRun(f, params, out, np.arange(3, 7), live)
+        for state in (emptied, held):
+            state.run(25)
+        assert emptied.alive.size == 0 and emptied.done == 3 and emptied.tail_ok is None
+        assert held.alive.size == 4 and held.tail_ok is not None
+        merged, other = (emptied, held) if order == "emptied-first" else (held, emptied)
+        merged.absorb(other)
+        merged.run(params.max_iter)
+        merged.finish()
+        want = classify_batch(f, np.concatenate([drifting, live]), params, tails)
+        term_kind, term_step, osc, all_below, tail_escape, tail_values = out
+        verdict, confident = orbit._verdicts(term_kind, osc, all_below, tail_escape, params)
+        got = dict(verdict=verdict, confident=confident, term_kind=term_kind,
+                   term_step=term_step, oscillations=osc)
+        for name in FIELDS:
+            assert got[name].tobytes() == getattr(want, name).tobytes(), name
+        e, u = Verdict.ESCAPING, Verdict.UNDECIDED
+        assert want.verdict.tolist() == [e, e, e, u, e, u, u]
+        if tails:
+            assert tail_values.tobytes() == want.tail_values.tobytes()
+
+    def test_states_merge_only_at_one_step(self):
+        f, params = parse("z^2"), OrbitParams(max_iter=20)
+        out = orbit._outputs(2, params)
+        a = orbit._BatchRun(f, params, out, np.arange(1), np.array([0.9 + 0j]))
+        b = orbit._BatchRun(f, params, out, np.arange(1, 2), np.array([0.99 + 0j]))
+        a.run(3)
+        with pytest.raises(ValueError, match="step"):
+            a.absorb(b)
+
+    def test_one_straggler_tail(self, monkeypatch):
+        # a 256 x 256 grid of z*exp(z^2) classifies its 128 x 128
+        # quadrant in four chunks of PARK pixels; each used to run its own
+        # tail of hundreds of steps over fewer than PARK seeds, and the
+        # merged set runs one
+        monkeypatch.setattr(grid, "CHUNK_PIXELS", grid.PARK)
+        spec = GridSpec(0j, 4.0, 4.0, 256, 256)
+        assert len(grid._deal(256, 256, 128, 128)) == 4
+        params = OrbitParams()
+        small = []
+        real = orbit.eval_array
+
+        def counting(e, z):
+            if z.size < grid.PARK:
+                small.append(z.size)
+            return real(e, z)
+
+        monkeypatch.setattr(orbit, "eval_array", counting)
+        for workers in (1, 2):
+            small.clear()
+            cg = classify_grid(parse("z*exp(z^2)"), spec, params, workers=workers)
+            assert 0 < len(small) <= params.max_iter
+        monkeypatch.undo()
+        whole = classify_batch(parse("z*exp(z^2)"), spec.points(), params)
+        assert cg.verdict.tobytes() == whole.verdict.tobytes()
+
+    def test_parked_states_hold_no_chunk_buffers(self, monkeypatch):
+        # 64 chunks of 16 x 32 pixels of 1+z+exp(-z) in the left
+        # half-plane: nearly every seed overflows at step 2, and the top
+        # rows, one or two in each chunk, where cos(Im z) > 0, finish
+        # drifting.  So every chunk parks, at step 2, holding under PARK
+        # seeds; buffers of chunk size kept by each would add 64 x 512 x
+        # 33 bytes, more than twice the output
+        monkeypatch.setattr(grid, "CHUNK_PIXELS", 512)
+        monkeypatch.setattr(grid, "PARK", 64)
+        spec = GridSpec(complex(-10, np.pi + 0.81), 4.0, 1.62, 16, 2048)
+        assert len(grid._deal(16, 2048, 0, 0)) == 64 and not spec.mirrored
+        f = parse("1+z+exp(-z)")
+        params = OrbitParams(max_iter=100, escape_radius=50.0, bound_radius=30.0)
+        parked = []
+        real_absorb = orbit._BatchRun.absorb
+
+        def absorb(self, other):
+            parked.append(other.alive.size + other.done)
+            return real_absorb(self, other)
+
+        monkeypatch.setattr(orbit._BatchRun, "absorb", absorb)
+        classify_grid(f, spec, params, workers=1)  # tables and plans
+        parked.clear()
+        tracemalloc.start()
+        try:
+            cg = classify_grid(f, spec, params, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(parked) == 63 and 0 < max(parked) < grid.PARK
+        assert (cg.term_kind == orbit.TERM_OVERFLOW).mean() > 0.9
+        # five output arrays (13 bytes a pixel, with the two flags the
+        # rule table reads), the table's temporaries over them and a
+        # chunk's working arrays
+        output = 13 * spec.pixel_count
+        assert peak < 3 * output, (peak, output)
 
 
 class TestWorkerResolution:

@@ -734,7 +734,8 @@ class TestRetirement:
             axis = (r * np.abs(a) ** (1 / k)) * (-1 / a) ** (1 / k) * roots
             z = np.concatenate([z, axis])
             inside = np.concatenate([inside, np.full(k, want)])
-        got = orbit._in_petal(petal, z, np.log10(np.abs(z)))
+        with np.errstate(all="ignore"):
+            got = orbit._in_petal(petal, z, np.log10(np.abs(z)))
         assert (got == inside).all(), z[got != inside]
 
     @pytest.mark.parametrize("text, sigma", [("z*exp(z^2)", 3.31), ("sin(z)", 10.11)])
