@@ -16,11 +16,13 @@ the block size and CHUNK_PIXELS, never on the worker count.  A row
 wider than CHUNK_PIXELS is split into column ranges.  Each chunk builds
 its own pixel centers and steps them as one classify_batch state
 (orbit._BatchRun), on the worker threads, until fewer than PARK of its
-seeds are live or finished drifting; then it parks.  Most orbits are
-short, so each chunk would otherwise run its own long tail of steps
-over a handful of seeds.  The calling thread takes the parked states in
-order of their step, steps the merged set on to the next one's step
-and merges it in, and runs the whole set to the end once.  Seeds never
+seeds are live; then it parks.  Seeds that start drifting leave the
+live set and are finished to max_iter by their own chunk, on its
+thread.  Most orbits are short, so each chunk would otherwise run its
+own long tail of steps over a handful of seeds.  The calling thread
+takes the parked states in order of their step, steps the merged set
+on to the next one's step and merges it in, and runs the whole set to
+the end once.  Seeds never
 interact, so the output is bit-identical to one classify_batch over the
 block, whatever the worker count, and memory follows the chunk size and
 the parked seeds rather than the grid size.
@@ -71,9 +73,10 @@ from .orbit import classify_batch  # noqa: F401
 
 MAX_GRID_PIXELS = 2**26
 CHUNK_PIXELS = 2**15
-# a chunk parks once fewer seeds than this are live or finished drifting;
-# on the six gallery grids at 2 threads, 2048 and 4096 ran 5% faster than
-# 1024 and 8192, and 64 and 256 gained half as much or less
+# a chunk parks once fewer seeds than this are live; drifting seeds, which
+# the chunk finishes itself, do not count.  On the six gallery grids at 2
+# threads, 2048 and 4096 ran 5% faster than 1024 and 8192, and 64 and 256
+# gained half as much or less
 PARK = 2**12
 
 
@@ -205,10 +208,7 @@ def classify_grid(
         seeds = (xs[lo:hi] + 1j * ys[rows, None]).ravel()
         state = _BatchRun(f, params, out, (rows[:, None] * nx + np.arange(lo, hi)).ravel(), seeds)
         state.run(max_iter, PARK)
-        if state.n < max_iter:
-            return state
-        state.finish()
-        return None
+        return state if state.n < max_iter else None
 
     chunks = _deal(nx, ny, r0, c0)
     n_workers = resolve_workers(workers)
@@ -224,7 +224,6 @@ def classify_grid(
             merged.run(state.n)
             merged.absorb(state)
         merged.run(max_iter)
-        merged.finish()
 
     term_kind, term_step, osc, all_below, tail_escape = (a.reshape(ny, nx) for a in out[:5])
     block = np.s_[r0:, c0:]

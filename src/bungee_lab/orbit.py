@@ -81,8 +81,9 @@ point with Re z >= DRIFT_X by a chain of float additions of its
 constants alone: there each exp(-z) is below 2^-54 of the partial sum
 it is added to, in both components, so adding it returns that sum bit
 for bit, and Re z never decreases, so this holds to the end.  Once a
-live seed also has Re z > bound_radius, classify_batch steps it by
-those additions alone, in place, and takes its magnitudes only for the
+live seed also has Re z > bound_radius, it leaves the live set, and
+classify_batch steps it on to max_iter by those additions alone, in
+place, once the live steps are done, taking its magnitudes only for the
 last tail_window steps.  Its outputs, tails included, are then those
 of every step of f, by construction.
 
@@ -97,6 +98,7 @@ from __future__ import annotations
 import bisect
 import cmath
 import enum
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -946,21 +948,21 @@ def _outputs(k: int, params: OrbitParams, want_tail_values: bool = False) -> tup
 
 
 class _BatchRun:
-    """classify_batch's loop state for a set of seeds, at the start of step n.
+    """classify_batch's loop state for a set of live seeds, at the start of step n.
 
     Seeds are named by flat indices into output arrays the caller owns
     (see _outputs); a seed writes its outputs there as it finishes.  The
-    state holds the live seeds (index, point z_n, excursion and
+    state holds the live seeds: index, point z_n, excursion and
     all-below flags, oscillation count and, from step first_tail on,
-    tail test and last magnitude) and the finished drifting seeds,
-    whose buffers always have room for every live seed as well.
+    tail test and last magnitude.
 
     run steps the state on to a given step, or parks it once fewer than
-    a given number of seeds are live or finished drifting.  absorb
-    merges another state that stands at the same step, and finish
-    writes the outputs of the seeds still held at max_iter.  Seeds never
-    interact, so states run apart and merged at common steps give every
-    output bit for bit as one state over all their seeds would.
+    a given number of seeds are live; the drifting seeds that leave the
+    live set on the way are finished before it returns, and the live
+    seeds that reach max_iter write their outputs.  absorb merges another
+    state that stands at the same step.  Seeds never interact, so states
+    run apart and merged at common steps give every output bit for bit
+    as one state over all their seeds would.
     """
 
     def __init__(
@@ -994,34 +996,16 @@ class _BatchRun:
         self.tail_ok = self.prev = None
         if tail_values is not None:
             tail_values[self.alive, 0] = self.z
-        # the finished drifting seeds, in the first done entries: index,
-        # point and, from step first_tail on, tail test and last magnitude
-        self.done = 0
-        self.finished = None
-        if self.drift is not None:
-            self._regroup()
         self.n = 0
 
-    def _regroup(self, *others: _BatchRun) -> None:
-        """Gather the finished drifting seeds of self and others into
-        fresh buffers, with room for every live seed of self too."""
-        states = (self, *others)
-        done = sum(s.done for s in states)
-        size = done + self.alive.size
-        dtypes = (np.intp, np.complex128, bool, np.float64)
-        buffers = [np.empty(size, dtype=t) for t in dtypes]
-        if done:
-            for j, b in enumerate(buffers):
-                np.concatenate([s.finished[j][: s.done] for s in states], out=b[:done])
-        self.finished, self.done = buffers, done
-
     def run(self, stop: int, park: int = 0) -> None:
-        """Step on to n = stop, or park once fewer than park seeds are
-        live or finished drifting.
+        """Step on to n = stop, or park once fewer than park seeds are live.
 
         Every step works on locals, under one errstate, so a step costs
-        the same in a state of any origin.  A parked state trims its
-        buffers to the seeds it holds.
+        the same in a state of any origin.  Seeds that start drifting
+        leave the live set in one group per step, and _finish_drift
+        carries the call's groups to max_iter before it returns.  At
+        max_iter the live seeds, which completed, write their outputs.
         """
         params = self.params
         f, retire, petal, drift = self.f, self.retire, self.petal, self.drift
@@ -1033,34 +1017,15 @@ class _BatchRun:
         log_bound = params.log_bound
         first_tail = n_total - w
         alive, z, in_exc, below, n_osc = self.alive, self.z, self.in_exc, self.below, self.n_osc
-        tail_ok, prev, done = self.tail_ok, self.prev, self.done
+        tail_ok, prev = self.tail_ok, self.prev
         if drift is not None:
             entry = max(DRIFT_X, params.bound_radius * (1 + 1e-9))
-            done_idx, done_z, done_ok, done_prev = self.finished
+        groups = []
 
         n = self.n
         with np.errstate(all="ignore"):
             for n in range(self.n, stop):
-                if alive.size + done < park:
-                    break
-                if done:
-                    zd = done_z[:done]
-                    for c in drift.steps:
-                        np.add(zd, c, out=zd)
-                    if n >= first_tail:
-                        md = np.abs(zd)
-                        np.log10(md, out=md)
-                        okd = done_ok[:done]
-                        if n == first_tail:
-                            np.greater(md, log_esc, out=okd)
-                        else:
-                            okd &= (md > log_esc) & (md >= done_prev[:done])
-                        done_prev[:done] = md
-                        if want_tail_values:
-                            tail_values[done_idx[:done], (n + 1) % w] = zd
-                if alive.size == 0:
-                    if done:
-                        continue
+                if alive.size < park or alive.size == 0:
                     break
                 vals, status = eval_array(f, z)
                 ok = status == engine.OK
@@ -1117,25 +1082,22 @@ class _BatchRun:
                 if frozen.any():
                     idx = alive[frozen]
                     # later magnitudes repeat m or stay below log_bound, so no
-                    # later step changes the tail test; a finished drifting
-                    # seed's is written at the end
+                    # later step changes the tail test; a drifting seed's is
+                    # written when it is finished
                     tail_escape[idx] = tail_ok[frozen] if n >= first_tail else m[frozen] > log_esc
                     osc[idx] = n_osc[frozen]
                     all_below[idx] = below[frozen]
                     if want_tail_values:
                         # the tails hold points up to n + 1; a fixed point's later
-                        # ones repeat it, and a finished seed writes its own
+                        # ones repeat it, and a drifting seed writes its own
                         fixed = vals == z
                         later = np.arange(max(n + 2, n_total + 1 - w), n_total + 1)
                         tail_values[np.ix_(alive[fixed], later % w)] = vals[fixed, None]
                     if going is not None and going.any():
-                        new = slice(done, done + int(np.count_nonzero(going)))
-                        done_idx[new] = alive[going]
-                        done_z[new] = vals[going]
-                        if tail_ok is not None:
-                            done_ok[new] = tail_ok[going]
-                            done_prev[new] = m[going]
-                        done = new.stop
+                        # before first_tail the tail test is a placeholder,
+                        # which step first_tail overwrites
+                        carried = tail_ok if n >= first_tail else above
+                        groups.append((n + 1, alive[going], vals[going], carried[going], m[going]))
                     live = ~frozen
                     alive, vals = alive[live], vals[live]
                     in_exc, below, n_osc = in_exc[live], below[live], n_osc[live]
@@ -1144,13 +1106,55 @@ class _BatchRun:
                 z = vals
             else:
                 n = stop
-        if not (alive.size or done):
+            if groups:
+                self._finish_drift(groups)
+        if alive.size == 0:
             n = stop  # an empty state stands at every step
+        elif n == n_total:
+            osc[alive] = n_osc
+            all_below[alive] = below
+            tail_escape[alive] = tail_ok
 
         self.alive, self.z, self.in_exc, self.below, self.n_osc = alive, z, in_exc, below, n_osc
-        self.tail_ok, self.prev, self.done, self.n = tail_ok, prev, done, n
-        if n < stop and drift is not None:
-            self._regroup()
+        self.tail_ok, self.prev, self.n = tail_ok, prev, n
+
+    def _finish_drift(self, groups: list) -> None:
+        """Carry drifting seeds to max_iter by the drift's constant additions.
+
+        A group, one per step n at which seeds started drifting, holds
+        their first step n + 1, indices, points, tail tests and last
+        magnitudes; groups come in order of first step.  At each step the
+        groups started by then are a prefix of the concatenated seeds,
+        which the step moves in place.  From first_tail on it takes their
+        magnitudes for the tail test, fresh at first_tail and carried
+        after, and writes the points to the tails.  Run under
+        np.errstate(all="ignore").
+        """
+        tail_escape, tail_values = self.out[4:]
+        w = self.params.tail_window
+        n_total = self.params.max_iter
+        log_esc = self.params.log_escape
+        first_tail = n_total - w
+        ends = dict(zip((g[0] for g in groups), itertools.accumulate(g[1].size for g in groups)))
+        idx, z, ok, prev = (np.concatenate(parts) for parts in list(zip(*groups))[1:])
+        k = 0
+        for n in range(groups[0][0], n_total):
+            k = ends.get(n, k)
+            zd = z[:k]
+            for c in self.drift.steps:
+                np.add(zd, c, out=zd)
+            if n >= first_tail:
+                md = np.abs(zd)
+                np.log10(md, out=md)
+                okd = ok[:k]
+                if n == first_tail:
+                    np.greater(md, log_esc, out=okd)
+                else:
+                    okd &= (md > log_esc) & (md >= prev[:k])
+                prev[:k] = md
+                if tail_values is not None:
+                    tail_values[idx[:k], (n + 1) % w] = zd
+        tail_escape[idx] = ok
 
     def absorb(self, other: _BatchRun) -> None:
         """Take over the seeds of other, which stands at the same step."""
@@ -1166,19 +1170,6 @@ class _BatchRun:
         if held:
             self.tail_ok = np.concatenate([s.tail_ok for s in held])
             self.prev = np.concatenate([s.prev for s in held])
-        if self.drift is not None:
-            self._regroup(other)
-
-    def finish(self) -> None:
-        """Write the outputs of the seeds held at max_iter, which completed."""
-        _, _, osc, all_below, tail_escape, _ = self.out
-        if self.alive.size:
-            osc[self.alive] = self.n_osc
-            all_below[self.alive] = self.below
-            tail_escape[self.alive] = self.tail_ok
-        if self.done:
-            done_idx, _, done_ok, _ = self.finished
-            tail_escape[done_idx[: self.done]] = done_ok[: self.done]
 
 
 def classify_batch(
@@ -1197,7 +1188,7 @@ def classify_batch(
     the last tail_window magnitudes, since only completed orbits read it.
     That state is a _BatchRun, run here from step 0 to max_iter.
     classify_grid instead runs one per chunk and parks it once few seeds
-    are left, then merges the parked states at common steps and runs
+    are live, then merges the parked states at common steps and runs
     them to the end as one; seeds never interact, so every output is the
     same bit for bit.
 
@@ -1230,14 +1221,15 @@ def classify_batch(
     1e-9), unless its remaining steps could move a component past
     FINISH_MAX.  From there the exp terms vanish exactly and Re z never
     decreases, so the seed's later points are those of adding the
-    steps of _drift_form in turn, done in place on one array of such
-    seeds, in lockstep with the live set; they stay above bound_radius,
-    beyond the rounding of the magnitude, so the oscillation count and
-    the all-below flag (False) stand, and the orbit completes at
-    max_iter.  Only from step first_tail on are magnitudes taken, for
-    the tail test, and points written to the tails.  So every output,
-    tails included, is bit-identical to a run of every step.  For other
-    maps the step costs one is-None test.
+    steps of _drift_form in turn.  The seed leaves the live set, and
+    before _BatchRun.run returns, _finish_drift steps it from the next
+    step on, in place, with the seeds that left before it.  Its points
+    stay above bound_radius, beyond the rounding of the magnitude, so
+    the oscillation count and the all-below flag (False) stand, and the
+    orbit completes at max_iter.  Only from step first_tail on are
+    magnitudes taken, for the tail test, and points written to the
+    tails.  So every output, tails included, is bit-identical to a run
+    of every step.  For other maps the step costs one is-None test.
 
     So the tail test of a frozen seed is m > log10(escape_radius) before
     the window starts and the test so far inside it: a fixed point
@@ -1254,7 +1246,6 @@ def classify_batch(
     out = _outputs(seeds.size, params, want_tail_values)
     state = _BatchRun(f, params, out, np.arange(seeds.size), seeds)
     state.run(params.max_iter)
-    state.finish()
     term_kind, term_step, osc, all_below, tail_escape, tail_values = out
     verdict, confident = _verdicts(term_kind, osc, all_below, tail_escape, params)
     return BatchClassification(

@@ -376,37 +376,45 @@ class TestParking:
     @pytest.mark.parametrize("tails", [False, True])
     @pytest.mark.parametrize("order", ["emptied-first", "live-first"])
     def test_merge_past_first_tail_with_an_emptied_live_set(self, order, tails):
-        # one state's live set empties at step 0, when its seeds finish
-        # drifting, so it has no tail test; the other's seeds stay live
-        # past first_tail = 20.  Point 21 of 10+37i, 31+37i, fails the
-        # tail test (|z| < 50) before the merge at step 25, and points 26
-        # to 30 would pass it; 5+48i passes throughout
+        # first_tail = 20, and a seed starts drifting once Re z >= 40.
+        # One state's seeds all start at step 0, so its live set empties
+        # and it has no tail test.  The other's start at step 10, before
+        # first_tail, at 22 (-3: the tail test failed, |z| < 50), at 29
+        # (10+37i: point 21, 31+37i, failed it, though every point from
+        # 40+37i on, where it starts, passes), at 35 (5+48i: passed) and
+        # at 37 and 38, across the merge at step 25
         f = parse("1+z+exp(-z)")
-        params = OrbitParams(max_iter=30, escape_radius=50.0, bound_radius=30.0)
+        params = OrbitParams(max_iter=40, escape_radius=50.0, bound_radius=30.0, tail_window=20)
         drifting = np.array([45 + 1j, 60 - 2j, 41 + 0j])
-        live = np.array([10 + 37j, 5 + 48j, 1 + 0.5j, 2 - 0.5j])
-        out = orbit._outputs(7, params, tails)
+        mixed = np.array([30 + 10j, -3 + 0j, 10 + 37j, 5 + 48j, 1 + 0.5j, 2 - 0.5j])
+        want = classify_batch(f, np.concatenate([drifting, mixed]), params, tails)
+        e, u = Verdict.ESCAPING, Verdict.UNDECIDED
+        assert want.verdict.tolist() == [e, e, e, e, u, u, e, u, u]
+        out = orbit._outputs(9, params, tails)
+
+        def check(rows):
+            term_kind, term_step, osc, all_below, tail_escape, tail_values = out
+            verdict, confident = orbit._verdicts(term_kind, osc, all_below, tail_escape, params)
+            got = dict(verdict=verdict, confident=confident, term_kind=term_kind,
+                       term_step=term_step, oscillations=osc)
+            for name in FIELDS:
+                assert got[name][rows].tobytes() == getattr(want, name)[rows].tobytes(), name
+            if tails:
+                assert tail_values[rows].tobytes() == want.tail_values[rows].tobytes()
+
         emptied = orbit._BatchRun(f, params, out, np.arange(3), drifting)
-        held = orbit._BatchRun(f, params, out, np.arange(3, 7), live)
+        held = orbit._BatchRun(f, params, out, np.arange(3, 9), mixed)
         for state in (emptied, held):
             state.run(25)
-        assert emptied.alive.size == 0 and emptied.done == 3 and emptied.tail_ok is None
-        assert held.alive.size == 4 and held.tail_ok is not None
+        assert emptied.n == 25 and emptied.alive.size == 0 and emptied.tail_ok is None
+        assert held.n == 25 and held.alive.size == 4 and held.tail_ok is not None
+        # the seeds that started drifting were finished to max_iter: 30+10i
+        # had failed the test (|z| < 50) when it started, and passes it now
+        check(slice(0, 5))
         merged, other = (emptied, held) if order == "emptied-first" else (held, emptied)
         merged.absorb(other)
         merged.run(params.max_iter)
-        merged.finish()
-        want = classify_batch(f, np.concatenate([drifting, live]), params, tails)
-        term_kind, term_step, osc, all_below, tail_escape, tail_values = out
-        verdict, confident = orbit._verdicts(term_kind, osc, all_below, tail_escape, params)
-        got = dict(verdict=verdict, confident=confident, term_kind=term_kind,
-                   term_step=term_step, oscillations=osc)
-        for name in FIELDS:
-            assert got[name].tobytes() == getattr(want, name).tobytes(), name
-        e, u = Verdict.ESCAPING, Verdict.UNDECIDED
-        assert want.verdict.tolist() == [e, e, e, u, e, u, u]
-        if tails:
-            assert tail_values.tobytes() == want.tail_values.tobytes()
+        check(slice(None))
 
     def test_states_merge_only_at_one_step(self):
         f, params = parse("z^2"), OrbitParams(max_iter=20)
@@ -443,13 +451,42 @@ class TestParking:
         whole = classify_batch(parse("z*exp(z^2)"), spec.points(), params)
         assert cg.verdict.tobytes() == whole.verdict.tobytes()
 
+    def test_chunks_of_drifting_seeds_park(self, monkeypatch):
+        # in the upper half of the drift map all but a few seeds of each
+        # chunk of 1+z+exp(-z) start drifting or overflow within about 40
+        # steps; parking counts live seeds only, so each chunk parks then
+        # instead of stepping its drifting seeds to max_iter
+        monkeypatch.setattr(grid, "CHUNK_PIXELS", 64)
+        monkeypatch.setattr(grid, "PARK", 8)
+        spec = GridSpec(0j, 12.0, 12.0, 32, 32)
+        f = parse("1+z+exp(-z)")
+        chunks = []
+        real_run = orbit._BatchRun.run
+
+        def run(self, stop, park=0):
+            real_run(self, stop, park)
+            if park:
+                chunks.append((self.n, self.alive.size))
+
+        monkeypatch.setattr(orbit._BatchRun, "run", run)
+        whole = classify_batch(f, spec.points(), FATOU_PARAMS)
+        for workers in (1, 2, 4):
+            chunks.clear()
+            cg = classify_grid(f, spec, FATOU_PARAMS, workers=workers)
+            assert len(chunks) == 8
+            for n, live in chunks:
+                assert n < 100 and 0 < live < 8, (workers, n, live)
+            for name in FIELDS:
+                assert getattr(cg, name).tobytes() == getattr(whole, name).tobytes(), name
+
     def test_parked_states_hold_no_chunk_buffers(self, monkeypatch):
         # 64 chunks of 16 x 32 pixels of 1+z+exp(-z) in the left
         # half-plane: nearly every seed overflows at step 2, and the top
-        # rows, one or two in each chunk, where cos(Im z) > 0, finish
-        # drifting.  So every chunk parks, at step 2, holding under PARK
-        # seeds; buffers of chunk size kept by each would add 64 x 512 x
-        # 33 bytes, more than twice the output
+        # rows, one or two in each chunk, where cos(Im z) > 0, are thrown
+        # to the right, where most start drifting and are finished by
+        # their own chunk.  So every chunk parks, at step 2, holding under
+        # PARK live seeds; the points alone of a chunk kept by each would
+        # add 64 x 512 x 16 bytes, more than the output
         monkeypatch.setattr(grid, "CHUNK_PIXELS", 512)
         monkeypatch.setattr(grid, "PARK", 64)
         spec = GridSpec(complex(-10, np.pi + 0.81), 4.0, 1.62, 16, 2048)
@@ -460,7 +497,7 @@ class TestParking:
         real_absorb = orbit._BatchRun.absorb
 
         def absorb(self, other):
-            parked.append(other.alive.size + other.done)
+            parked.append((other.n, other.alive.size))
             return real_absorb(self, other)
 
         monkeypatch.setattr(orbit._BatchRun, "absorb", absorb)
@@ -472,8 +509,12 @@ class TestParking:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(parked) == 63 and 0 < max(parked) < grid.PARK
+        assert len(parked) == 63
+        assert all(n == 2 and 0 < live < grid.PARK for n, live in parked), parked
         assert (cg.term_kind == orbit.TERM_OVERFLOW).mean() > 0.9
+        whole = classify_batch(f, spec.points(), params)
+        for name in FIELDS:
+            assert getattr(cg, name).tobytes() == getattr(whole, name).tobytes(), name
         # five output arrays (13 bytes a pixel, with the two flags the
         # rule table reads), the table's temporaries over them and a
         # chunk's working arrays

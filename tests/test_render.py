@@ -149,14 +149,18 @@ GALLERY_DIGESTS = {
 
 
 def test_gallery_script_smoke(tmp_path):
-    # the README's gallery script, run as a user runs it
+    # the README's gallery script, run as a user runs it, with one
+    # worker and with two; at 8 pixels a side every map is one chunk, so
+    # both give the same chunks and the same bits
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    done = subprocess.run(
-        [sys.executable, str(root / "scripts" / "render_gallery.py"),
-         "--size", "8", "--workers", "1", "--out", str(tmp_path)],
-        env=env, capture_output=True, text=True,
-    )
-    assert done.returncode == 0, done.stderr
-    digests = {p.stem: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.ppm")}
-    assert digests == GALLERY_DIGESTS
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        done = subprocess.run(
+            [sys.executable, str(root / "scripts" / "render_gallery.py"),
+             "--size", "8", "--workers", workers, "--out", str(out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        digests = {p.stem: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*.ppm")}
+        assert digests == GALLERY_DIGESTS, workers
