@@ -6,8 +6,8 @@ Iteration stops early when the map overflows, hits a pole, or lands
 exactly on a fixed point (from there the tail is constant, so the
 remaining magnitudes are filled in without further evaluation).
 classify_batch also finishes a seed that drifts away under a map of
-the form z + c + k exp(-z) by cheaper exact steps and, without tails,
-retires one certified to stay bounded to the end, as below.
+the form z + c + k exp(-z) by cheaper exact steps and retires one
+certified to stay bounded to the end, as below.
 
 Verdicts, in the order the rules are tried:
 
@@ -52,10 +52,10 @@ outputs are what the remaining steps would give: those steps stay below
 bound_radius, so the orbit completes at max_iter without overflow or
 pole, its excursion flag (just cleared, since m < log_bound) stays
 clear and its oscillation count stays, all_below keeps its value and
-the tail test fails.  So every output array is bit-identical to a run
-of every step.  A table covers at most RETIRE_STEPS remaining steps
-and is built once per map, bound_radius and length, on the first call
-that needs it.
+the tail test fails.  So every output array but the tails is
+bit-identical to a run of every step.  A table covers at most
+RETIRE_STEPS remaining steps and is built once per map, bound_radius
+and length, on the first call that needs it.
 
 Petals.  The radial table must allow for the repelling directions of a
 parabolic fixed point, so a seed creeping into one along an attracting
@@ -88,9 +88,9 @@ last tail_window steps.  Its outputs, tails included, are then those
 of every step of f, by construction.
 
 classify_point, which reports the last magnitudes, runs every step.
-classify_batch with want_tail_values keeps the bounded-seed table and
-petal off, but finishes drifting seeds, and writes each seed's tail
-points into its own output row as it goes.
+classify_batch with want_tail_values runs the same certificates and
+writes each seed's tail points into its own output row as it goes; a
+retired seed's later points are not held.
 """
 
 from __future__ import annotations
@@ -365,8 +365,8 @@ class BatchClassification:
     term_kind: np.ndarray  # uint8, TERM_* values
     term_step: np.ndarray  # int32
     oscillations: np.ndarray  # int32
-    # complex, (n, tail_window): orbit point t of sample i is in column
-    # t % tail_window if it is among the last tail_window up to tail_last
+    # complex, (n, tail_window): orbit point t of sample i, or NaN after it
+    # retired, is in column t % tail_window if among the last up to tail_last
     tail_values: np.ndarray | None = None
 
     @property
@@ -385,15 +385,16 @@ class BatchClassification:
         Returns (points, held), both (len(idx), tail_window): row j holds
         sample idx[j]'s points oldest first, ending at column
         tail_window - 1 with point tail_last; held marks the columns that
-        hold a point, all but the first ones of an orbit with fewer than
-        tail_window points.
+        hold a point: not the first ones of an orbit with fewer than
+        tail_window points, nor the NaN ones after a seed retired.
         """
         if self.tail_values is None:
             raise ValueError("batch was classified without want_tail_values")
         idx = np.asarray(idx, dtype=np.intp)
         w = self.tail_values.shape[1]
         t = self.tail_last[idx, None] + np.arange(1 - w, 1)
-        return self.tail_values[idx[:, None], t % w], t >= 0
+        points = self.tail_values[idx[:, None], t % w]
+        return points, (t >= 0) & ~np.isnan(points)
 
 
 # ---------------------------------------------------------------------------
@@ -970,7 +971,7 @@ class _BatchRun:
     ):
         self.f, self.params, self.out = f, params, out
         term_kind, term_step, tail_values = out[0], out[1], out[5]
-        retire = _NO_TABLE if tail_values is not None else _retire_table(f, params)
+        retire = _retire_table(f, params)
         petal = None
         if retire.size and not math.isnan(retire[-1]):
             petal = _petal(f, params)
@@ -1010,7 +1011,6 @@ class _BatchRun:
         params = self.params
         f, retire, petal, drift = self.f, self.retire, self.petal, self.drift
         term_kind, term_step, osc, all_below, tail_escape, tail_values = self.out
-        want_tail_values = tail_values is not None
         w = params.tail_window
         n_total = params.max_iter
         log_esc = params.log_escape
@@ -1049,7 +1049,7 @@ class _BatchRun:
                         tail_ok, prev = tail_ok[ok], prev[ok]
                     if alive.size == 0:
                         continue
-                if want_tail_values:
+                if tail_values is not None:
                     tail_values[alive, (n + 1) % w] = vals
                 m = np.abs(vals)
                 np.log10(m, out=m)
@@ -1087,12 +1087,12 @@ class _BatchRun:
                     tail_escape[idx] = tail_ok[frozen] if n >= first_tail else m[frozen] > log_esc
                     osc[idx] = n_osc[frozen]
                     all_below[idx] = below[frozen]
-                    if want_tail_values:
-                        # the tails hold points up to n + 1; a fixed point's later
-                        # ones repeat it, and a drifting seed writes its own
-                        fixed = vals == z
+                    if tail_values is not None:
+                        # points up to n + 1 are written; a fixed point repeats, a
+                        # retired seed is NaN (not held), a drifting one is rewritten
+                        fill = np.where(vals == z, vals, np.nan)[frozen]
                         later = np.arange(max(n + 2, n_total + 1 - w), n_total + 1)
-                        tail_values[np.ix_(alive[fixed], later % w)] = vals[fixed, None]
+                        tail_values[np.ix_(alive[frozen], later % w)] = fill[:, None]
                     if going is not None and going.any():
                         # before first_tail the tail test is a placeholder,
                         # which step first_tail overwrites
@@ -1235,12 +1235,12 @@ def classify_batch(
     the window starts and the test so far inside it: a fixed point
     repeats m and a retired bounded seed fails both.
 
-    With want_tail_values the table and the petal stay off, since the
-    tails need the points of bounded seeds.  Each step writes the points
-    of the seeds still live after it, those that did not fail, straight
-    into their tail_values rows, as a finished drifting seed writes its
-    window points; an exact fixed point's later columns are filled with
-    its value when it freezes.  tail_last follows from the termination.
+    With want_tail_values each step writes the points of the seeds still
+    live after it straight into their tail_values rows, as a finished
+    drifting seed writes its window points.  A seed frozen at step n
+    fills the columns of its points n + 2 .. max_iter with its value at
+    an exact fixed point and, retired, with NaN, which ordered_tails
+    reads as not held.  tail_last follows from the termination.
     """
     seeds = np.ascontiguousarray(seeds, dtype=np.complex128).ravel()
     out = _outputs(seeds.size, params, want_tail_values)

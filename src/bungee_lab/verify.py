@@ -682,8 +682,8 @@ def verify_property_a(
     out of the bounded region records pre-escape points in its tail,
     and the claim is about the far part of the orbit.
 
-    The tails of g-orbits that classify_batch finishes by drift are its
-    exact points (see orbit._drift_form), so every row is tested alike.
+    Retired seeds are never escaping, so every row read holds exact
+    points, those finished by drift too (see orbit._drift_form).
     """
     t0 = time.perf_counter()
     pts = sampler.points()

@@ -493,12 +493,17 @@ class TestBatchAgreement:
         assert not held.any()
 
     def test_tail_values_window(self):
-        b = classify_batch(parse("z^2"), np.array([0.5 + 0j]), OrbitParams(max_iter=20),
-                           want_tail_values=True)
+        # 0.5 retires on z^2's table after its first step, so its window
+        # holds no point; with no table it holds every one, all at or
+        # below 0.5^2 as the orbit collapses toward 0
+        f, seeds, p = parse("z^2"), np.array([0.5 + 0j]), OrbitParams(max_iter=20)
+        b = classify_batch(f, seeds, p, want_tail_values=True)
         tail, held = b.ordered_tails([0])
-        assert tail.shape == (1, 10) and held.all()
-        # orbit of 0.5 under squaring collapses toward 0
-        assert np.all(np.abs(tail) <= 0.5**2)
+        assert tail.shape == (1, 10) and not held.any() and np.isnan(tail).all()
+        assert b.verdict[0] == Verdict.BOUNDED
+        with mock.patch.object(orbit, "_retire_table", no_table):
+            tail, held = classify_batch(f, seeds, p, want_tail_values=True).ordered_tails([0])
+        assert held.all() and np.all(np.abs(tail) <= 0.5**2)
 
     # (map, seeds) at max_iter 400 and tail_window 10; each seed's orbit
     # overflows, hits a pole or freezes at the step noted, or completes.
@@ -532,20 +537,42 @@ class TestBatchAgreement:
 
     @staticmethod
     def assert_tails_match_oracle(text, seeds, p):
+        """With no table, the tails are each orbit's last finite points;
+        with the certificates on, every held point is the orbit's point
+        at its index, and rows that do not complete or that escape are
+        those of the run with no table, bit for bit."""
         f = parse(text)
         seeds = np.array(seeds, dtype=np.complex128)
         b = classify_batch(f, seeds, p, want_tail_values=True)
-        rows, held = b.ordered_tails(np.arange(seeds.size))
+        with mock.patch.object(orbit, "_retire_table", no_table):
+            full = classify_batch(f, seeds, p, want_tail_values=True)
+        for name in BATCH_FIELDS:
+            assert getattr(b, name).tobytes() == getattr(full, name).tobytes(), (text, name)
+        idx = np.arange(seeds.size)
+        rows, held = b.ordered_tails(idx)
+        full_rows, full_held = full.ordered_tails(idx)
+        kept = (b.term_kind != orbit.TERM_COMPLETED) | (b.verdict == Verdict.ESCAPING)
         for i, z0 in enumerate(seeds):
             trace = oracle_iterate_orbit(f, z0, p)
             points = list(trace.points)
             if trace.termination.kind == "completed":
                 # a frozen orbit repeats its last point up to max_iter
                 points += [points[-1]] * (p.max_iter + 1 - len(points))
-            want = np.array(points[-p.tail_window:], dtype=np.complex128).tobytes()
-            assert rows[i, held[i]].tobytes() == want, (text, z0)
+            # column c holds point tail_last - tail_window + 1 + c, NaN before 0
+            want = np.full(p.tail_window, np.nan, dtype=np.complex128)
+            last = points[-p.tail_window:]
+            want[p.tail_window - len(last):] = last
+            assert full_rows[i, full_held[i]].tobytes() == want[full_held[i]].tobytes(), (text, z0)
             # a short tail is missing its oldest points, not its newest
-            assert held[i, -1] and np.all(np.diff(held[i].astype(int)) >= 0)
+            assert full_held[i, -1] and np.all(np.diff(full_held[i].astype(int)) >= 0)
+            assert rows[i, held[i]].tobytes() == want[held[i]].tobytes(), (text, z0)
+            # of the points a run of every step holds, a retired seed's
+            # come first, up to its last one
+            assert np.all(held[i] <= full_held[i])
+            assert np.all(np.diff(held[i, full_held[i]].astype(int)) <= 0)
+            if kept[i]:
+                assert rows[i].tobytes() == full_rows[i].tobytes(), (text, z0)
+                assert (held[i] == full_held[i]).all(), (text, z0)
 
     def test_tail_values_opt_in(self):
         b = classify_batch(parse("z^2"), np.array([0.5 + 0j]), OrbitParams())
@@ -577,7 +604,7 @@ def no_petal(f, params):
     return None
 
 
-def seed_steps(f, seeds, params, patches) -> list[int]:
+def seed_steps(f, seeds, params, patches, want_tail_values=False) -> list[int]:
     """Seed-steps of classify_batch under each dict of orbit patches."""
     steps = []
     real = orbit.eval_array
@@ -590,7 +617,7 @@ def seed_steps(f, seeds, params, patches) -> list[int]:
         for patch in patches:
             steps.append(0)
             with mock.patch.multiple(orbit, **patch) if patch else contextlib.nullcontext():
-                classify_batch(f, seeds, params)
+                classify_batch(f, seeds, params, want_tail_values)
     return steps
 
 
@@ -828,18 +855,26 @@ class TestRetirement:
         assert len(builds) == 1 and all(t is tables[0] for t in tables)
 
     @pytest.mark.parametrize("text", ["z*exp(-z^2)", "sin(z)", "z^2"])
-    def test_tails_run_every_step(self, text):
-        def refuse(f, params):
-            raise AssertionError("a classification with tails read the table or the petal")
-
+    def test_tails_calls_retire(self, text):
+        # a call with tails reads the table and the petal, retires the
+        # seeds a call without tails retires, and gives its arrays
         f, p = parse(text), OrbitParams(max_iter=300)
         seeds = random_points(random.Random(text), 30, 1.0)
-        with mock.patch.multiple(orbit, _retire_table=refuse, _petal=refuse):
+        reads = []
+
+        def reading(name):
+            real = getattr(orbit, name)
+            return lambda *args: reads.append(name) or real(*args)
+
+        with mock.patch.multiple(orbit, _retire_table=reading("_retire_table"),
+                                 _petal=reading("_petal")):
             with_tails = classify_batch(f, seeds, p, want_tail_values=True)
+        assert reads == ["_retire_table", "_petal"]
         plain = classify_batch(f, seeds, p)
         for name in BATCH_FIELDS:
             assert getattr(with_tails, name).tobytes() == getattr(plain, name).tobytes()
-        # with the table and the petal built, tails still hold the last points
+        steps = seed_steps(f, seeds, p, [{}, {"_retire_table": no_table}], want_tail_values=True)
+        assert steps[0] < steps[1], steps
         TestBatchAgreement.assert_tails_match_oracle(text, seeds[:6], p)
 
     def test_no_warnings_while_building(self):
@@ -877,13 +912,15 @@ class TestRetirementMemory:
     def test_drift_finish_holds_no_path(self):
         # finished seeds of 1+z+exp(-z) step in place: a million steps
         # run in seconds, and memory is a few arrays of the seeds, not of
-        # the steps left (2^16 of them take 1 MiB as complex128); with
-        # tails, so that no retirement table is built.  tracemalloc slows
+        # the steps left (2^16 of them take 1 MiB as complex128).  The
+        # retirement table of 2^16 entries (512 KiB) is built before
+        # tracing, so the bound watches the run alone.  tracemalloc slows
         # each step about twentyfold, so it watches the shorter run
         seeds = np.concatenate([np.linspace(40, 60, 48) + 1j, 1j * np.linspace(-3, 3, 16)])
         f = parse(FATOU_F)
         for max_iter, traced in ((2**20, False), (2**16, True)):
             p = dataclasses.replace(FATOU_PARAMS, max_iter=max_iter)
+            orbit._retire_table(f, p)
             t0 = time.perf_counter()
             if traced:
                 tracemalloc.start()

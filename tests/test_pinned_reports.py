@@ -89,6 +89,14 @@ def test_value_identity_mismatch_report():
             id="property-a",
         ),
         pytest.param(
+            # recorded while tails calls still ran every step
+            ["verify", "property-a", "--f", "z^2", "--g", "z*exp(z^2)",
+             "--grid", "0,0,8,8"],
+            0,
+            "8e625eb19dfcecc41f48c00e9dcfd405bf232104c5061102716fd9beccc6437d",
+            id="property-a-retired",
+        ),
+        pytest.param(
             ["verify", "property-a", "--f", "1e-9*z", "--g", "z^2"],
             1,
             "faff069d60981d87a23a9b062d0f4ce2b30fdc98756e822046b4faf3780e2927",

@@ -276,6 +276,31 @@ class TestPropertyAAndPartition:
         assert r.relation == "escaping-orbits-forwarded"
         assert r.violations == 0
 
+    def test_tails_call_retires_bounded_seeds(self):
+        # f reads only the tails of escaping g-orbits, so g's tails call
+        # retires bounded seeds on the table and the petal like any other
+        # call: it gives the report of a run of every step, in under a
+        # tenth of its 2,180,510 seed-steps
+        f, g = parse("z^2"), parse("z*exp(z^2)")
+        s, p = SamplerSpec(Rect(0, 8, 8), 4096, 42), OrbitParams()
+        steps, reports = [], []
+        real = orbit.eval_array
+
+        def counting(e, z):
+            steps[-1] += z.size
+            return real(e, z)
+
+        with mock.patch.object(orbit, "eval_array", counting):
+            for table in (orbit._retire_table, lambda e, params: orbit._NO_TABLE):
+                steps.append(0)
+                with mock.patch.object(orbit, "_retire_table", table):
+                    reports.append(verify_property_a(f, g, s, p).to_dict())
+        for r in reports:
+            del r["runtime_ms"]
+        assert reports[0] == reports[1]
+        assert reports[0]["samples_confident"] > 800
+        assert steps[0] < 0.1 * steps[1], steps
+
     def test_partition_counts_cover_all_samples(self):
         p = OrbitParams(max_iter=300)
         r = verify_partition(parse("1/z^2"), sampler(500), p)
