@@ -28,7 +28,10 @@ function; it is built from the plan on first use, so plans that only
 see longer arrays never compile it.  The array function calls the same
 numpy ufuncs in the same order as a node-by-node evaluation (Pow is
 square-and-multiply with *, constants are full arrays), so values are
-bit-identical to it.  The source holds only register numbers and names
+bit-identical to it.  The compiler visits the tree once with expr.fold,
+children first, so a node's lines, a check or status of its left
+operand among them, follow both operands' lines; no operand's lines
+write another's registers.  The source holds only register numbers and names
 from a fixed table: ufuncs and constants are bound through the
 functions' globals, so no value is written as a literal (-0.0,
 subnormals and 2*pi*i stay exact) and no input text reaches compile().
@@ -103,7 +106,7 @@ from typing import Callable
 
 import numpy as np
 
-from .expr import Add, Const, Cos, Div, Exp, Expr, Mul, Neg, Pow, Sin, Sub, Var
+from .expr import Add, Const, Div, Exp, Expr, Mul, Neg, Pow, Sin, Sub, Var, fold
 
 OK = np.uint8(0)
 OVERFLOW = np.uint8(1)  # == True viewed as uint8: a failed finiteness mask
@@ -278,39 +281,33 @@ class _Compiler:
 
     # -- nodes -----------------------------------------------------------
 
-    def compile(self, e: Expr) -> _Operand:
+    def node(self, e: Expr, *ops: _Operand) -> _Operand:
+        """Compile e from ops, its children compiled in turn (see fold)."""
         if isinstance(e, Var):
             return _Operand(0, owned=False, pending=True, terms=[], val="z", arr="r0")
         if isinstance(e, Const):
             return self.fill(e.value)
         if isinstance(e, (Add, Sub, Mul)):
             fn = "add" if isinstance(e, Add) else "subtract" if isinstance(e, Sub) else "multiply"
-            a = self.compile(e.a)
+            a, b = ops
             if not e.b.entire:
                 self.check(a)
-            b = self.compile(e.b)
-            return self.ufunc(fn, (a, b), a.terms + b.terms)
+            return self.ufunc(fn, ops, a.terms + b.terms)
         if isinstance(e, Div):
-            a = self.compile(e.a)
-            sa = self.status(a)
-            b = self.compile(e.b)
-            return self.divide(a, sa, b)
+            a, b = ops
+            return self.divide(a, self.status(a), b)
+        (a,) = ops
         if isinstance(e, Neg):
-            a = self.compile(e.a)
-            return self.ufunc("negative", (a,), a.terms, a.pending)
+            return self.ufunc("negative", ops, a.terms, a.pending)
         if isinstance(e, Pow):
-            p = self.power(self.compile(e.base), abs(e.exponent))
+            p = self.power(a, abs(e.exponent))
             if e.exponent > 0:
                 return p
             return self.divide(self.fill(1), None, p)
         if isinstance(e, Exp):
-            a = self.compile(e.a)
             self.check(a)
-            return self.ufunc("exp", (a,), a.terms)
-        if isinstance(e, (Sin, Cos)):
-            a = self.compile(e.a)
-            return self.ufunc("sin" if isinstance(e, Sin) else "cos", (a,), a.terms)
-        raise TypeError(f"not an expression node: {e!r}")
+            return self.ufunc("exp", ops, a.terms)
+        return self.ufunc("sin" if isinstance(e, Sin) else "cos", ops, a.terms)
 
     def power(self, base: _Operand, n: int) -> _Operand:
         """base**n for n >= 1 by square-and-multiply on whole arrays."""
@@ -434,7 +431,7 @@ def _function(signature: str, body: list[str], names: dict) -> Callable:
 
 def _compile(e: Expr) -> _Plan:
     c = _Compiler()
-    root = c.compile(e)
+    root = fold(e, c.node)
     # the root's finiteness check, when it has one, also leaves the value
     # in z as a Python complex; an OK status means the check ran
     kept = root.pending

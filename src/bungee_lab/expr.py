@@ -105,9 +105,15 @@ class Expr:
     parity: int
 
     def __post_init__(self):
+        # __match_args__ lists a dataclass's fields in order, without the
+        # per-call cost of dataclasses.fields
+        children = tuple(
+            v for name in self.__match_args__ if isinstance(v := getattr(self, name), Expr)
+        )
+        object.__setattr__(self, "_children", children)
         node_count, var_count = 1, 0
         entire = real = True
-        for k in self.children():
+        for k in children:
             node_count += k.node_count
             var_count += k.var_count
             entire = entire and k.entire
@@ -128,11 +134,7 @@ class Expr:
         return 0
 
     def children(self) -> tuple["Expr", ...]:
-        # __match_args__ lists a dataclass's fields in order, without the
-        # per-call cost of dataclasses.fields
-        return tuple(
-            v for name in self.__match_args__ if isinstance(v := getattr(self, name), Expr)
-        )
+        return self._children
 
     def __str__(self) -> str:
         return format_expr(self)
@@ -250,6 +252,30 @@ class Cos(Expr):
 
 
 Z = Var()
+
+
+def fold(e: Expr, leave):
+    """Fold e bottom up: the value of each node is leave(node, *values of
+    its children), children first, left to right.
+
+    The walk keeps its own lists instead of recursing, so a tree of any
+    depth folds.  A subtree that several parents share is folded once
+    for each, as in a recursive walk.
+    """
+    # node, right subtree, left subtree: the reverse of the post-order
+    order, todo = [], [e]
+    while todo:
+        node = todo.pop()
+        order.append(node)
+        todo += node._children
+    values = []
+    for node in reversed(order):
+        k = len(node._children)
+        if k:
+            values[-k:] = [leave(node, *values[-k:])]
+        else:
+            values.append(leave(node))
+    return values[0]
 
 
 def _coerce(x) -> Expr:
@@ -380,31 +406,23 @@ def _fmt_const(v: complex) -> str:
     return f"({_fmt_signed(v.real)}+({_fmt_signed(v.imag)}*i))"
 
 
-def format_expr(e: Expr) -> str:
-    """Render the canonical fully parenthesized form."""
-    if isinstance(e, Var):
-        return "z"
+# the canonical form of each node type around its children's forms (and
+# a power's exponent)
+_FORMS = {Var: "z", Add: "({}+{})", Sub: "({}-{})", Mul: "({}*{})", Div: "({}/{})",
+          Neg: "(-{})", Pow: "({}^{})", Exp: "exp({})", Sin: "sin({})", Cos: "cos({})"}
+
+
+def _format_node(e: Expr, *parts: str) -> str:
     if isinstance(e, Const):
         return _fmt_const(e.value)
-    if isinstance(e, Add):
-        return f"({format_expr(e.a)}+{format_expr(e.b)})"
-    if isinstance(e, Sub):
-        return f"({format_expr(e.a)}-{format_expr(e.b)})"
-    if isinstance(e, Mul):
-        return f"({format_expr(e.a)}*{format_expr(e.b)})"
-    if isinstance(e, Div):
-        return f"({format_expr(e.a)}/{format_expr(e.b)})"
-    if isinstance(e, Neg):
-        return f"(-{format_expr(e.a)})"
     if isinstance(e, Pow):
-        return f"({format_expr(e.base)}^{e.exponent})"
-    if isinstance(e, Exp):
-        return f"exp({format_expr(e.a)})"
-    if isinstance(e, Sin):
-        return f"sin({format_expr(e.a)})"
-    if isinstance(e, Cos):
-        return f"cos({format_expr(e.a)})"
-    raise TypeError(f"not an expression node: {e!r}")
+        parts += (e.exponent,)
+    return _FORMS[type(e)].format(*parts)
+
+
+def format_expr(e: Expr) -> str:
+    """Render the canonical fully parenthesized form."""
+    return fold(e, _format_node)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +496,11 @@ class _Parser:
         )
 
     def parse(self) -> Expr:
-        e = self.expr()
+        try:
+            e = self.expr()
+        except RecursionError:
+            # the descent takes a few frames per level of nesting
+            raise ParseError("expression nests too deeply", self.peek().offset) from None
         if self.peek().kind != "end":
             self.fail(("'+'", "'-'", "'*'", "'/'", "end of input"))
         return e
@@ -586,33 +608,34 @@ def _power_of(u: Expr, k: int) -> Expr:
     return mul(pow_(u, step), _power_of(u, k - step))
 
 
-def derivative(e: Expr) -> Expr:
-    """Symbolic derivative with respect to z."""
+# the folding constructor of each node type with children, but Pow
+_BUILD = {Add: add, Sub: sub, Mul: mul, Div: div, Neg: neg, Exp: exp_, Sin: sin_, Cos: cos_}
+
+
+def _derive(e: Expr, *d: Expr) -> Expr:
+    """e's derivative from the derivatives d of its children."""
     if isinstance(e, Var):
         return Const(1)
     if isinstance(e, Const):
         return Const(0)
-    if isinstance(e, Add):
-        return add(derivative(e.a), derivative(e.b))
-    if isinstance(e, Sub):
-        return sub(derivative(e.a), derivative(e.b))
+    if isinstance(e, (Add, Sub, Neg)):
+        return _BUILD[type(e)](*d)
     if isinstance(e, Mul):
-        return add(mul(derivative(e.a), e.b), mul(e.a, derivative(e.b)))
+        return add(mul(d[0], e.b), mul(e.a, d[1]))
     if isinstance(e, Div):
-        num = sub(mul(derivative(e.a), e.b), mul(e.a, derivative(e.b)))
-        return div(num, pow_(e.b, 2))
-    if isinstance(e, Neg):
-        return neg(derivative(e.a))
+        return div(sub(mul(d[0], e.b), mul(e.a, d[1])), pow_(e.b, 2))
     if isinstance(e, Pow):
-        chain = mul(Const(e.exponent), _power_of(e.base, e.exponent - 1))
-        return mul(chain, derivative(e.base))
+        return mul(mul(Const(e.exponent), _power_of(e.base, e.exponent - 1)), *d)
     if isinstance(e, Exp):
-        return mul(exp_(e.a), derivative(e.a))
+        return mul(exp_(e.a), *d)
     if isinstance(e, Sin):
-        return mul(cos_(e.a), derivative(e.a))
-    if isinstance(e, Cos):
-        return neg(mul(sin_(e.a), derivative(e.a)))
-    raise TypeError(f"not an expression node: {e!r}")
+        return mul(cos_(e.a), *d)
+    return neg(mul(sin_(e.a), *d))
+
+
+def derivative(e: Expr) -> Expr:
+    """Symbolic derivative with respect to z."""
+    return fold(e, _derive)
 
 
 def check_composition(f: Expr, g: Expr) -> None:
@@ -633,32 +656,14 @@ def compose(f: Expr, g: Expr) -> Expr:
     """
     check_composition(f, g)
 
-    def subst(e: Expr) -> Expr:
+    def subst(e: Expr, *parts: Expr) -> Expr:
         if isinstance(e, Var):
             return g
-        if isinstance(e, Const):
-            return e
-        if isinstance(e, Add):
-            return add(subst(e.a), subst(e.b))
-        if isinstance(e, Sub):
-            return sub(subst(e.a), subst(e.b))
-        if isinstance(e, Mul):
-            return mul(subst(e.a), subst(e.b))
-        if isinstance(e, Div):
-            return div(subst(e.a), subst(e.b))
-        if isinstance(e, Neg):
-            return neg(subst(e.a))
         if isinstance(e, Pow):
-            return pow_(subst(e.base), e.exponent)
-        if isinstance(e, Exp):
-            return exp_(subst(e.a))
-        if isinstance(e, Sin):
-            return sin_(subst(e.a))
-        if isinstance(e, Cos):
-            return cos_(subst(e.a))
-        raise TypeError(f"not an expression node: {e!r}")
+            return pow_(*parts, e.exponent)
+        return _BUILD[type(e)](*parts) if parts else e
 
-    return subst(f)
+    return fold(f, subst)
 
 
 def iterate_expr(f: Expr, n: int) -> Expr:

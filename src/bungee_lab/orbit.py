@@ -107,7 +107,7 @@ import numpy as np
 
 from . import engine
 from .engine import eval_array
-from .expr import Add, Const, Cos, Exp, Expr, Mul, Neg, Pow, Sin, Sub, Var, derivative
+from .expr import Add, Const, Cos, Exp, Expr, Mul, Neg, Pow, Sin, Sub, Var, derivative, fold
 
 TERM_COMPLETED = 0
 TERM_OVERFLOW = 1
@@ -417,7 +417,8 @@ LOG10_MARGIN = 1e-9
 # natural log; far above the rounding of the chain arithmetic
 CHAIN_SHRINK = 1e-10
 
-_DOMINANT = {Exp: np.exp, Sin: np.sinh, Cos: np.cosh}
+# each operation's dominant series as a function of its operands' (see majorant)
+_DOMINANT = {Add: np.add, Sub: np.add, Mul: np.multiply, Exp: np.exp, Sin: np.sinh, Cos: np.cosh}
 _NO_TABLE = np.empty(0)
 _tables_lock = threading.Lock()
 
@@ -465,23 +466,22 @@ def majorant(e: Expr, r: np.ndarray, lower: bool = False) -> np.ndarray:
 
     r is a float64 array; run under np.errstate(all="ignore").
     """
-    if isinstance(e, Var):
-        v = r
-    elif isinstance(e, Const):
-        v = np.full(r.shape, abs(e.value))
-    elif isinstance(e, Neg):
-        return majorant(e.a, r, lower)
-    elif isinstance(e, Pow):
-        v = majorant(e.base, r, lower) ** e.exponent
-    elif isinstance(e, (Add, Sub)):
-        v = majorant(e.a, r, lower) + majorant(e.b, r, lower)
-    elif isinstance(e, Mul):
-        v = majorant(e.a, r, lower) * majorant(e.b, r, lower)
-    else:
-        v = _DOMINANT[type(e)](majorant(e.a, r, lower))
-    if lower:
-        return np.maximum(v * (1 - SLACK) - TINY, 0)
-    return v * (1 + SLACK) + TINY
+    def node(e: Expr, *parts: np.ndarray) -> np.ndarray:
+        if isinstance(e, Var):
+            v = r
+        elif isinstance(e, Const):
+            v = np.full(r.shape, abs(e.value))
+        elif isinstance(e, Neg):
+            return parts[0]
+        elif isinstance(e, Pow):
+            v = parts[0] ** e.exponent
+        else:
+            v = _DOMINANT[type(e)](*parts)
+        if lower:
+            return np.maximum(v * (1 - SLACK) - TINY, 0)
+        return v * (1 + SLACK) + TINY
+
+    return fold(e, node)
 
 
 def _retire_table(f: Expr, params: OrbitParams) -> np.ndarray:
@@ -654,47 +654,48 @@ def _taylor(e: Expr, n: int, number) -> list | None:
     argument of one vanishes at 0; e must be entire.
     """
     zero, one = number(0j), number(1 + 0j)
-    if isinstance(e, Var):
-        return [zero, one] + [zero] * (n - 2)
-    if isinstance(e, Const):
-        return [number(e.value)] + [zero] * (n - 1)
-    if isinstance(e, Pow):
-        base = _taylor(e.base, n, number)
-        if base is None:
+
+    def node(e: Expr, *parts: list | None) -> list | None:
+        if isinstance(e, Var):
+            return [zero, one] + [zero] * (n - 2)
+        if isinstance(e, Const):
+            return [number(e.value)] + [zero] * (n - 1)
+        if None in parts:
             return None
-        out, m = [one] + [zero] * (n - 1), e.exponent
-        while True:  # square and multiply
-            if m & 1:
-                out = _series_mul(out, base)
-            m >>= 1
-            if not m:
-                return out
-            base = _series_mul(base, base)
-    parts = [_taylor(k, n, number) for k in e.children()]
-    if any(p is None for p in parts):
-        return None
-    if isinstance(e, Neg):
-        return [-x for x in parts[0]]
-    if isinstance(e, Add):
-        return [x + y for x, y in zip(*parts)]
-    if isinstance(e, Sub):
-        return [x - y for x, y in zip(*parts)]
-    if isinstance(e, Mul):
-        return _series_mul(*parts)
-    (arg,) = parts
-    if arg[0]:
-        return None
-    # the sign of arg^j / j! in exp, sin and cos, by j mod 4
-    signs = {Exp: (1, 1, 1, 1), Sin: (0, 1, 0, -1), Cos: (1, 0, -1, 0)}[type(e)]
-    out = [one if signs[0] else zero] + [zero] * (n - 1)
-    power = [one] + [zero] * (n - 1)
-    for j in range(1, n):
-        power = [x / j if x else x for x in _series_mul(power, arg)]
-        if not any(power):
-            break
-        if signs[j % 4]:
-            out = [x + y if signs[j % 4] > 0 else x - y for x, y in zip(out, power)]
-    return out
+        if isinstance(e, Pow):
+            (base,) = parts
+            out, m = [one] + [zero] * (n - 1), e.exponent
+            while True:  # square and multiply
+                if m & 1:
+                    out = _series_mul(out, base)
+                m >>= 1
+                if not m:
+                    return out
+                base = _series_mul(base, base)
+        if isinstance(e, Neg):
+            return [-x for x in parts[0]]
+        if isinstance(e, Add):
+            return [x + y for x, y in zip(*parts)]
+        if isinstance(e, Sub):
+            return [x - y for x, y in zip(*parts)]
+        if isinstance(e, Mul):
+            return _series_mul(*parts)
+        (arg,) = parts
+        if arg[0]:
+            return None
+        # the sign of arg^j / j! in exp, sin and cos, by j mod 4
+        signs = {Exp: (1, 1, 1, 1), Sin: (0, 1, 0, -1), Cos: (1, 0, -1, 0)}[type(e)]
+        out = [one if signs[0] else zero] + [zero] * (n - 1)
+        power = [one] + [zero] * (n - 1)
+        for j in range(1, n):
+            power = [x / j if x else x for x in _series_mul(power, arg)]
+            if not any(power):
+                break
+            if signs[j % 4]:
+                out = [x + y if signs[j % 4] > 0 else x - y for x, y in zip(out, power)]
+        return out
+
+    return fold(e, node)
 
 
 def _petal(f: Expr, params: OrbitParams) -> _Petal | None:
@@ -861,7 +862,7 @@ def _drift_form(f: Expr) -> _Drift | None:
     1+z+exp(-z).  Every exp(-z) must be added to a partial sum that
     holds z and no constant with a nonzero imaginary part, and every
     other z-free part must be a constant whose value (-K for a - K) has
-    Re >= 0.  The chain is walked with a stack, so a long sum needs no
+    Re >= 0.  The tree is walked with fold, so a long sum needs no
     recursion.
 
     Then, from a point z that f returned with Re z >= DRIFT_X,
@@ -885,30 +886,23 @@ def _drift_form(f: Expr) -> _Drift | None:
     """
     if not isinstance(f, (Add, Sub)):
         return None
-    # post-order over the chain: a finished subtree is _PATH (it holds z,
-    # with the steps so far), _EXP or its constant value
-    steps, imaginary = [], False
-    done: list = []
-    stack = [(f, False)]
-    while stack:
-        e, joined = stack.pop()
-        if not joined:
-            if isinstance(e, (Add, Sub)):
-                stack += ((e, True), (e.b, False), (e.a, False))
-            elif isinstance(e, Var):
-                done.append(_PATH)
-            elif isinstance(e, Const):
-                done.append(e.value)
-            elif e == _EXP_MINUS_Z:
-                done.append(_EXP)
-            else:
-                return None
-            continue
-        b, a = done.pop(), done.pop()
+    steps = []
+
+    def node(e: Expr, *parts):
+        # a subtree of the chain is _PATH (it holds z, with the steps so
+        # far), _EXP or its constant value; any other subtree is None
+        if isinstance(e, Var):
+            return _PATH
+        if isinstance(e, Const):
+            return e.value
+        if e == _EXP_MINUS_Z:
+            return _EXP
+        if not isinstance(e, (Add, Sub)) or None in parts:
+            return None
+        a, b = parts
         if isinstance(a, complex) and isinstance(b, complex):
             # Python complex + and - round each component as numpy does
-            done.append(a + b if isinstance(e, Add) else a - b)
-            continue
+            return a + b if isinstance(e, Add) else a - b
         if isinstance(e, Sub):
             if not (a is _PATH and isinstance(b, complex)):
                 return None
@@ -919,10 +913,12 @@ def _drift_form(f: Expr) -> _Drift | None:
             return None
         if isinstance(b, complex):
             steps.append(b)
-            imaginary = imaginary or b.imag != 0
-        elif b is not _EXP or imaginary:
+        elif b is not _EXP or any(v.imag for v in steps):
             return None
-        done.append(_PATH)
+        return _PATH
+
+    if fold(f, node) is None:
+        return None
     if not all(cmath.isfinite(v) and v.real >= 0 for v in steps):
         return None
     return _Drift(

@@ -218,7 +218,7 @@ def run_drift_pair(
     trep = verify_translate(f, c, sampler, params)
     ff = trep.detail.get("first_failure")
     sig = (
-        not trep.detail["identity_holds"]
+        trep.passes(expect_violations=True)
         and trep.detail["drift_identity_holds"]
         and ff is not None
         and ff["n"] == 2

@@ -85,6 +85,33 @@ class TestClassify:
         assert code == 2
         assert err.startswith("error: bad expression") and "out of range" in err
 
+    def test_long_sum_classifies(self, capsys):
+        terms = "+".join(f"z/{k}" for k in range(1, 1201))
+        code, _, _ = run(capsys, "classify", f"--f={terms}", "--z0=0.1")
+        assert code == 0
+
+    @staticmethod
+    def classify_process(f: str) -> subprocess.CompletedProcess:
+        # a fresh process, so that the stack below the parser is the CLI's
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        return subprocess.run(
+            [sys.executable, "-m", "bungee_lab", "classify", f"--f={f}", "--z0=0.1"],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+        )
+
+    @pytest.mark.parametrize("f", ["(" * 250 + "z" + ")" * 250, "-" * 3000 + "z"],
+                             ids=["parentheses", "minuses"])
+    def test_too_deep_nesting_exits_2(self, f):
+        done = self.classify_process(f)
+        assert done.returncode == 2
+        errors = [line for line in done.stderr.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "nests too deeply" in errors[0]
+        assert "Traceback" not in done.stderr
+
+    def test_nesting_that_parsed_still_parses(self):
+        assert self.classify_process("(" * 240 + "z" + ")" * 240).returncode == 0
+
     def test_bad_seed_exits_2(self, capsys):
         code, _, err = run(capsys, "classify", "--f", "z^2", "--z0", "nope")
         assert code == 2

@@ -5,11 +5,13 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bungee_lab.engine import evaluate
+from bungee_lab import orbit
+from bungee_lab.engine import OK, eval_array, evaluate
 from bungee_lab.expr import (
     EVEN,
     ODD,
@@ -32,6 +34,7 @@ from bungee_lab.expr import (
     compose,
     constant_value,
     derivative,
+    fold,
     format_expr,
     iterate_expr,
     parse,
@@ -289,3 +292,59 @@ class TestSurgery:
         assert e.var_count == 2
         assert Const(5).var_count == 0
 
+
+class TestDeepTrees:
+    """Every tree walk folds without recursion, so depth is no limit."""
+
+    # ((z+1)+1)+... is 3000 levels deep, the sums 1200 terms long
+    ITERATE = iterate_expr(parse("z+1"), 3000)
+    SUM = parse("+".join(f"z/{k}" for k in range(1, 1201)))
+    ENTIRE_SUM = parse("+".join(f"{k}*z" for k in range(1, 1201)))
+
+    def test_fold_visits_children_first_left_to_right(self):
+        visits = []
+        fold(parse("exp(z)*(1-z)"), lambda e, *parts: visits.append(format_expr(e)))
+        assert visits == ["z", "exp(z)", "1.0", "z", "(1.0-z)", "(exp(z)*(1.0-z))"]
+
+    @pytest.mark.parametrize(
+        "name, slope",
+        [("ITERATE", 1), ("SUM", sum(1 / k for k in range(1, 1201))), ("ENTIRE_SUM", 720600)],
+    )
+    def test_every_walk(self, name, slope):
+        e = getattr(self, name)
+        text = format_expr(e)
+        assert format_expr(compose(e, parse("z^2"))) == text.replace("z", "(z^2)")
+        d = derivative(e)
+        assert isinstance(d, Const) and d.value == pytest.approx(slope, rel=1e-12)
+        for z in ([0.1 + 0j], [0.1 + 0j, 1j, -2.0]):
+            _, status = eval_array(e, np.array(z))
+            assert (status == OK).all()
+        if e.entire:
+            r = np.array([0.5, 1.0])
+            upper, lower = orbit.majorant(e, r), orbit.majorant(e, r, lower=True)
+            assert (lower <= upper).all() and np.isfinite(upper).all()
+            assert orbit._taylor(e, 3, complex) is not None
+
+    def test_round_trip(self):
+        # Expr.__eq__ recurses, so compare the texts; the parser recurses
+        # too, which bounds the nesting of a text it reads
+        text = format_expr(iterate_expr(parse("z+1"), 100))
+        assert format_expr(parse(text)) == text
+
+    def test_walk_results(self):
+        assert format_expr(derivative(self.ITERATE)) == "1.0"
+        assert orbit._taylor(self.ITERATE, 3, complex) == [3000, 1, 0]
+        assert orbit._drift_form(self.ITERATE).steps == (1,) * 3000
+        assert orbit._drift_form(self.SUM) is None
+        assert evaluate(self.ITERATE, 0.5).value == 3000.5
+        assert evaluate(iterate_expr(self.ITERATE, 2), 0.5).value == 6000.5
+
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_long_sum_evaluates_as_numpy_does(self, size):
+        z = np.array([0.1 + 0.2j, -3.0 + 1e-3j, 7.5 - 2j][:size])
+        expected = z.copy()
+        for k in range(2, 1201):
+            expected = np.add(expected, np.divide(z, np.full(size, k, np.complex128)))
+        values, status = eval_array(self.SUM, z)
+        assert (status == OK).all()
+        assert values.tobytes() == expected.tobytes()

@@ -268,6 +268,14 @@ class TestTranslate:
                              sampler(100, rect=BIDISC), OrbitParams())
         assert r.detail["identity_holds"] is False
 
+    @pytest.mark.parametrize("preset", ["fatou-pair", "sine-drift-pair"])
+    def test_drift_signature_fails_when_inconclusive(self, preset):
+        # 5 samples leave fewer usable ones than a conclusive report needs
+        (check,) = [c for c in presets.run_preset(preset, samples=5)
+                    if c.name == "translate-drift-signature"]
+        assert check.report["detail"]["inconclusive"] is True
+        assert check.passed is False
+
 
 class TestPropertyAAndPartition:
     def test_escaping_orbits_forwarded(self):
