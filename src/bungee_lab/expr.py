@@ -96,6 +96,10 @@ class Expr:
     about the real axis, an odd or even map half of a grid whose pixels
     pair exactly under z -> -z, and a map with both facts a quarter of
     a grid with both properties (see the grid module).
+
+    Equality, hashing and repr are those a frozen dataclass would
+    generate, with no recursion: the hash is computed once, from the
+    children's, and == walks both trees with a list.
     """
 
     node_count: int
@@ -107,10 +111,13 @@ class Expr:
     def __post_init__(self):
         # __match_args__ lists a dataclass's fields in order, without the
         # per-call cost of dataclasses.fields
-        children = tuple(
-            v for name in self.__match_args__ if isinstance(v := getattr(self, name), Expr)
-        )
+        fields = tuple([getattr(self, name) for name in self.__match_args__])
+        children = tuple([v for v in fields if isinstance(v, Expr)])
+        # a node's subtree fields come first, then its constant or exponent
         object.__setattr__(self, "_children", children)
+        object.__setattr__(self, "_label", fields[len(children):])
+        # a child's hash is already stored, so this walks one level
+        object.__setattr__(self, "_hash", hash(fields))
         node_count, var_count = 1, 0
         entire = real = True
         for k in children:
@@ -139,8 +146,31 @@ class Expr:
     def __str__(self) -> str:
         return format_expr(self)
 
+    def __hash__(self) -> int:
+        return self._hash
 
-@dataclass(frozen=True)
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Expr):
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__ or a._hash != b._hash or a._label != b._label:
+                return False
+            todo += zip(a._children, b._children)
+        return True
+
+    def __repr__(self) -> str:
+        def node(e: Expr, *parts: str) -> str:
+            fields = zip(e.__match_args__, parts + tuple(map(repr, e._label)))
+            return f"{type(e).__qualname__}({', '.join(f'{k}={v}' for k, v in fields)})"
+
+        return fold(self, node)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Var(Expr):
     def __post_init__(self):
         super().__post_init__()
@@ -150,7 +180,7 @@ class Var(Expr):
         return ODD
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Const(Expr):
     value: complex
 
@@ -165,7 +195,7 @@ class Const(Expr):
         return EVEN
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Add(Expr):
     a: Expr
     b: Expr
@@ -175,7 +205,7 @@ class Add(Expr):
         return p if p == self.b.parity else 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Sub(Expr):
     a: Expr
     b: Expr
@@ -183,7 +213,7 @@ class Sub(Expr):
     _parity = Add._parity
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Mul(Expr):
     a: Expr
     b: Expr
@@ -192,7 +222,7 @@ class Mul(Expr):
         return self.a.parity * self.b.parity
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Div(Expr):
     a: Expr
     b: Expr
@@ -200,7 +230,7 @@ class Div(Expr):
     _parity = Mul._parity
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Neg(Expr):
     a: Expr
 
@@ -208,7 +238,7 @@ class Neg(Expr):
         return self.a.parity
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Pow(Expr):
     base: Expr
     exponent: int
@@ -228,7 +258,7 @@ class Pow(Expr):
         return p if self.exponent % 2 else p * p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Exp(Expr):
     a: Expr
 
@@ -236,14 +266,14 @@ class Exp(Expr):
         return EVEN if self.a.parity == EVEN else 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Sin(Expr):
     a: Expr
 
     _parity = Neg._parity
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Cos(Expr):
     a: Expr
 

@@ -38,17 +38,14 @@ SUMMARY_MAGNITUDES magnitudes, so its memory does not grow with
 max_iter.  classify_batch streams per seed as well.
 
 Retirement.  For an entire map (no division, no negative power),
-majorant walks the dominant series M, with |f(z)| <= M(|z|), each node
-rounded outward by a relative SLACK and an absolute TINY.  That covers
-the rounding of numpy's +, -, *, powers, exp, sin and cos (below 2^-40
-relative per node, plus a few 2^-1074 under 2^-1022), so the walked
-B(r) bounds |f(z)| as eval_array computes it for every |z| <= r.  From
-B, _build_table chains radii r*(R), each verified by a forward
-evaluation of B: a point at or below r*(R) stays at or below
-bound_radius / 2 for R more steps.  After step n's bookkeeping, a live
-seed with log10|z| <= log10 r*(max_iter - n - 1), less LOG10_MARGIN for
-the rounding of np.log10(np.abs(z)), leaves on the frozen path, and its
-outputs are what the remaining steps would give: those steps stay below
+majorant's B(r) bounds |f(z)| as eval_array computes it, rounding
+included, for every |z| <= r.  From B, _build_table chains radii
+r*(R), each verified by a forward evaluation of B: a point at or below
+r*(R) stays at or below bound_radius / 2 for R more steps.  After step
+n's bookkeeping, a live seed with log10|z| <= log10 r*(R), R =
+max_iter - n - 1, less LOG10_MARGIN for the rounding of
+np.log10(np.abs(z)), leaves on the frozen path, and its outputs are
+what the remaining steps would give: those steps stay below
 bound_radius, so the orbit completes at max_iter without overflow or
 pole, its excursion flag (just cleared, since m < log_bound) stays
 clear and its oscillation count stays, all_below keeps its value and
@@ -71,9 +68,7 @@ bound_radius / 2.  So its orbit stays in that region until it falls
 below floor, which is at or below the table's last radius, and there
 the table takes over.  A live seed in the petal takes the frozen path
 with the same outputs as above, at the step where it enters the
-petal.  A petal is built once per map and bound_radius, and read only
-where the table is finite to its last entry, at steps the table
-covers.
+petal.  A petal is built once per map and bound_radius.
 
 Drift.  A map whose tree is a sum of one z, constants and terms
 exp(-z), such as 1+z+exp(-z), in a form _drift_form accepts, moves a
@@ -82,15 +77,13 @@ constants alone: there each exp(-z) is below 2^-54 of the partial sum
 it is added to, in both components, so adding it returns that sum bit
 for bit, and Re z never decreases, so this holds to the end.  Once a
 live seed also has Re z > bound_radius, it leaves the live set, and
-classify_batch steps it on to max_iter by those additions alone, in
-place, once the live steps are done, taking its magnitudes only for the
-last tail_window steps.  Its outputs, tails included, are then those
-of every step of f, by construction.
+classify_batch steps it on to max_iter by those additions alone.  Its
+outputs, tails included, are then those of every step of f.
 
 classify_point, which reports the last magnitudes, runs every step.
-classify_batch with want_tail_values runs the same certificates and
-writes each seed's tail points into its own output row as it goes; a
-retired seed's later points are not held.
+classify_batch tries the certificates as one list, which _certificates
+builds, after every step, with or without want_tail_values; with it, a
+retired seed's later tail points are not held.
 """
 
 from __future__ import annotations
@@ -812,8 +805,7 @@ def _in_petal(petal: _Petal, z: np.ndarray, m: np.ndarray) -> np.ndarray:
     as computed here, which the 1e-9 and PETAL_ROUND in sigma turn into
     Re u >= sigma0 for the exact w (see _build_petal), and with m at
     least LOG10_MARGIN above log10 floor, which absorbs the rounding of
-    m.  Run on the live set only, after the table's test, under
-    np.errstate(all="ignore").
+    m.  Run under np.errstate(all="ignore").
     """
     w = z * petal.ka
     for _ in range(petal.k - 1):
@@ -928,6 +920,70 @@ def _drift_form(f: Expr) -> _Drift | None:
     )
 
 
+# ---------------------------------------------------------------------------
+# The list of certificates
+
+
+def _certificates(f: Expr, params: OrbitParams) -> tuple:
+    """f's retirement certificates at params, as (test, drift) pairs.
+
+    After step n, test(vals, m, left) takes the points z_(n+1), their
+    log10 magnitudes m and left = max_iter - n - 1, and gives the mask
+    of the seeds it retires, or None for none.  drift is None where they
+    take the frozen path, which writes what their remaining steps would
+    (see the module docstring), and for the drift finish the _Drift
+    whose steps _BatchRun._finish_drift adds.  A _BatchRun builds the
+    tuple once and tries every entry after every step; patching this
+    builder to return () makes it run every step of every seed.
+
+    table  frozen: m at or below entry left of an entire f's table (see
+           _retire_table), read where left is below its size and the
+           entry is not NaN; the seed stays at or below bound_radius / 2.
+    petal  frozen: _in_petal, where f has a petal at 0 (see _build_petal)
+           and a table finite to its end whose last entry is at or above
+           log10 floor, read where left is below the table's size; the
+           seed stays within radius down to floor, and from there the
+           table's last radius holds it to the end.
+    drift  drift finish: Re z >= DRIFT_X and Re z >= bound_radius (1 +
+           1e-9), where _drift_form accepts f, unless left more steps
+           could move a component past FINISH_MAX.  At left = 0 the
+           finish runs no step and writes what the live seed would.
+    """
+    table, drift = _retire_table(f, params), _drift_form(f)
+    petal = None
+    if table.size and not math.isnan(table[-1]):
+        petal = _petal(f, params)
+        if petal is not None and math.log10(petal.floor) > table[-1]:
+            petal = None  # a seed falling below floor would outrun the table
+    entry = max(DRIFT_X, params.bound_radius * (1 + 1e-9))
+
+    def in_table(vals, m, left):
+        if left < table.size and not math.isnan(limit := table[left]):
+            return m <= limit
+        return None
+
+    def in_petal(vals, m, left):
+        # NaN ends a table, so this one is finite wherever left is below its size
+        return _in_petal(petal, vals, m) if left < table.size else None
+
+    def drifting(vals, m, left):
+        going = vals.real >= entry
+        if not going.any():
+            return None
+        x, y = vals.real[going], np.abs(vals.imag[going])
+        going[going] = (x + left * drift.re <= FINISH_MAX) & (y + left * drift.im <= FINISH_MAX)
+        return going
+
+    certificates = []
+    if table.size:
+        certificates.append((in_table, None))
+    if petal is not None:
+        certificates.append((in_petal, None))
+    if drift is not None:
+        certificates.append((drifting, drift))
+    return tuple(certificates)
+
+
 def _outputs(k: int, params: OrbitParams, want_tail_values: bool = False) -> tuple:
     """Output arrays for k seeds, as a seed that completes leaves them.
 
@@ -967,13 +1023,7 @@ class _BatchRun:
     ):
         self.f, self.params, self.out = f, params, out
         term_kind, term_step, tail_values = out[0], out[1], out[5]
-        retire = _retire_table(f, params)
-        petal = None
-        if retire.size and not math.isnan(retire[-1]):
-            petal = _petal(f, params)
-            if petal is not None and math.log10(petal.floor) > retire[-1]:
-                petal = None  # a seed falling below floor would outrun the table
-        self.retire, self.petal, self.drift = retire, petal, _drift_form(f)
+        self.certificates = _certificates(f, params)
 
         finite = np.isfinite(seeds)
         if not finite.all():
@@ -1004,8 +1054,7 @@ class _BatchRun:
         carries the call's groups to max_iter before it returns.  At
         max_iter the live seeds, which completed, write their outputs.
         """
-        params = self.params
-        f, retire, petal, drift = self.f, self.retire, self.petal, self.drift
+        params, f, certificates = self.params, self.f, self.certificates
         term_kind, term_step, osc, all_below, tail_escape, tail_values = self.out
         w = params.tail_window
         n_total = params.max_iter
@@ -1014,8 +1063,6 @@ class _BatchRun:
         first_tail = n_total - w
         alive, z, in_exc, below, n_osc = self.alive, self.z, self.in_exc, self.below, self.n_osc
         tail_ok, prev = self.tail_ok, self.prev
-        if drift is not None:
-            entry = max(DRIFT_X, params.bound_radius * (1 + 1e-9))
         groups = []
 
         n = self.n
@@ -1060,21 +1107,13 @@ class _BatchRun:
                     tail_ok = above if tail_ok is None else tail_ok & above & (m >= prev)
                     prev = m
                 frozen = vals == z
-                left = n_total - n - 1
-                if left < retire.size and not math.isnan(limit := retire[left]):
-                    # certified to stay at or below bound_radius / 2 to the end
-                    frozen |= m <= limit
-                    if petal is not None:
-                        frozen |= _in_petal(petal, vals, m)
                 going = None
-                if drift is not None and left:
-                    going = vals.real >= entry
-                    if going.any():
-                        x, y = vals.real[going], np.abs(vals.imag[going])
-                        going[going] = (x + left * drift.re <= FINISH_MAX) & (
-                            y + left * drift.im <= FINISH_MAX
-                        )
-                        frozen |= going
+                for test, drift in certificates:
+                    taken = test(vals, m, n_total - n - 1)
+                    if taken is not None:
+                        frozen |= taken
+                        if drift is not None:
+                            going, finish = taken, drift
                 if frozen.any():
                     idx = alive[frozen]
                     # later magnitudes repeat m or stay below log_bound, so no
@@ -1103,7 +1142,7 @@ class _BatchRun:
             else:
                 n = stop
             if groups:
-                self._finish_drift(groups)
+                self._finish_drift(finish, groups)
         if alive.size == 0:
             n = stop  # an empty state stands at every step
         elif n == n_total:
@@ -1114,8 +1153,8 @@ class _BatchRun:
         self.alive, self.z, self.in_exc, self.below, self.n_osc = alive, z, in_exc, below, n_osc
         self.tail_ok, self.prev, self.n = tail_ok, prev, n
 
-    def _finish_drift(self, groups: list) -> None:
-        """Carry drifting seeds to max_iter by the drift's constant additions.
+    def _finish_drift(self, drift: _Drift, groups: list) -> None:
+        """Carry drifting seeds to max_iter by drift's constant additions.
 
         A group, one per step n at which seeds started drifting, holds
         their first step n + 1, indices, points, tail tests and last
@@ -1137,7 +1176,7 @@ class _BatchRun:
         for n in range(groups[0][0], n_total):
             k = ends.get(n, k)
             zd = z[:k]
-            for c in self.drift.steps:
+            for c in drift.steps:
                 np.add(zd, c, out=zd)
             if n >= first_tail:
                 md = np.abs(zd)
@@ -1177,59 +1216,20 @@ def classify_batch(
     """Classify many seeds at once.
 
     Streaming counterpart of classify_point: per-seed state is updated
-    step by step and finished seeds drop out of the working set.  The
-    state of live seeds (excursion flag, all-below flag, oscillation
-    count) is kept compact, in the order of the live set, and written
-    to the outputs when a seed finishes.  The tail test runs only over
-    the last tail_window magnitudes, since only completed orbits read it.
-    That state is a _BatchRun, run here from step 0 to max_iter.
-    classify_grid instead runs one per chunk and parks it once few seeds
-    are live, then merges the parked states at common steps and runs
-    them to the end as one; seeds never interact, so every output is the
-    same bit for bit.
+    step by step and finished seeds drop out of the working set; that
+    state is a _BatchRun, run here from step 0 to max_iter.  The tail
+    test runs only over the last tail_window magnitudes, since only
+    completed orbits read it.  classify_grid instead runs one per chunk
+    and parks it once few seeds are live, then merges the parked states
+    at common steps and runs them to the end as one; seeds never
+    interact, so every output is the same bit for bit.
 
-    A seed finishes early by overflow, pole, exact fixed point or, for
-    an entire f, retirement: after step n, with R = max_iter - n - 1
-    steps left, a seed with log10|z| at or below entry R of f's table
-    is certified to stay at or below bound_radius / 2 to the end.  The
-    certificate bounds numpy's rounding by the majorant's SLACK and
-    TINY per node, and the table's entries sit LOG10_MARGIN below the
-    certified radii to absorb the rounding of the magnitude itself (see
-    majorant and the module docstring).  The seed takes the frozen path,
-    which writes exactly what its remaining steps would: completed at
-    max_iter, its oscillation count and all-below flag as they stand,
-    and a failed tail test.  Entries for R >= RETIRE_STEPS, or without a
-    certificate, are NaN, and such a step costs no array operation.
-
-    Where f has a petal at 0 (see _build_petal) whose floor is at or
-    below the last entry of a table finite to its end, a step the table
-    covers also retires every live seed that _in_petal takes.  Such a
-    seed stays within radius <= bound_radius / 2 for as long as it
-    stays at or above floor, moving Re u up by 1/2 or more per step, so
-    the petal holds it; once below floor, it has fewer steps left than
-    the table has entries, and the table's last radius, at least floor,
-    holds it to the end.  So it, too, takes the frozen path with
-    bit-identical outputs.  Patching _retire_table to return _NO_TABLE
-    turns both certificates off.
-
-    A map of the form z + c + k exp(-z) (see _drift_form) also finishes
-    a seed that reaches Re z >= DRIFT_X and Re z >= bound_radius (1 +
-    1e-9), unless its remaining steps could move a component past
-    FINISH_MAX.  From there the exp terms vanish exactly and Re z never
-    decreases, so the seed's later points are those of adding the
-    steps of _drift_form in turn.  The seed leaves the live set, and
-    before _BatchRun.run returns, _finish_drift steps it from the next
-    step on, in place, with the seeds that left before it.  Its points
-    stay above bound_radius, beyond the rounding of the magnitude, so
-    the oscillation count and the all-below flag (False) stand, and the
-    orbit completes at max_iter.  Only from step first_tail on are
-    magnitudes taken, for the tail test, and points written to the
-    tails.  So every output, tails included, is bit-identical to a run
-    of every step.  For other maps the step costs one is-None test.
-
-    So the tail test of a frozen seed is m > log10(escape_radius) before
-    the window starts and the test so far inside it: a fixed point
-    repeats m and a retired bounded seed fails both.
+    A seed finishes early by overflow, pole, exact fixed point or one of
+    the certificates _certificates lists, with every output but a
+    retired seed's later tail points bit-identical to a run of every
+    step.  The tail test of a frozen seed is m > log10(escape_radius)
+    before the window starts and the test so far inside it: a fixed
+    point repeats m and a retired bounded seed fails both.
 
     With want_tail_values each step writes the points of the seeds still
     live after it straight into their tail_values rows, as a finished

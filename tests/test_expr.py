@@ -326,10 +326,28 @@ class TestDeepTrees:
             assert orbit._taylor(e, 3, complex) is not None
 
     def test_round_trip(self):
-        # Expr.__eq__ recurses, so compare the texts; the parser recurses
-        # too, which bounds the nesting of a text it reads
-        text = format_expr(iterate_expr(parse("z+1"), 100))
-        assert format_expr(parse(text)) == text
+        # the parser recurses, which bounds the nesting of a text it reads
+        e = iterate_expr(parse("z+1"), 100)
+        assert parse(format_expr(e)) == e
+
+    def test_equality_hash_and_repr(self):
+        deep = iterate_expr(parse("z+1"), 3000)
+        assert deep is not self.ITERATE
+        assert deep == self.ITERATE and not deep != self.ITERATE
+        assert hash(deep) == hash(self.ITERATE)
+        text = repr(deep)
+        assert text == repr(self.ITERATE)
+        assert text.startswith("Add(a=Add(a=") and text.endswith("b=Const(value=(1+0j)))")
+        assert text.count("Const(value=(1+0j))") == 3000
+        # trees that differ only at their deepest leaf, and ones that
+        # differ there only in the sign of a zero, which compare and hash
+        # equal as the constants do
+        outer = iterate_expr(parse("z+1"), 2999)
+        assert compose(outer, Add(Z, Const(2))) != self.ITERATE
+        assert not compose(outer, Add(Z, Const(2))) == self.ITERATE
+        plus, minus = (compose(outer, Add(Z, Const(v))) for v in (0.0, -0.0))
+        assert plus == minus and hash(plus) == hash(minus)
+        assert repr(minus) == repr(plus).replace("value=0j", "value=(-0+0j)") != repr(plus)
 
     def test_walk_results(self):
         assert format_expr(derivative(self.ITERATE)) == "1.0"

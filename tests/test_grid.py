@@ -19,6 +19,8 @@ from bungee_lab.grid import (
 from bungee_lab.orbit import OrbitParams, Verdict, classify_batch
 from bungee_lab.presets import FATOU_PARAMS, PRESET_FUNCTIONS
 
+from conftest import every_step
+
 FIELDS = ("verdict", "confident", "term_kind", "term_step", "oscillations")
 REAL_MAPS = [t for t in PRESET_FUNCTIONS if parse(t).real_coefficients] + [
     "(z+1)/(z-1)",
@@ -339,15 +341,14 @@ class TestRetirement:
     @pytest.mark.parametrize("text, width, params", RETIRE_CASES)
     def test_grids_equal_full_runs(self, text, width, params, monkeypatch):
         # a quarter (or half) classified and a whole grid off the axes,
-        # in chunks of 7 on 1 and 2 workers, against every seed run to
-        # the end without a table
+        # in chunks of 7 on 1, 2 and 4 workers, against every step of
+        # every seed
         monkeypatch.setattr(grid, "CHUNK_PIXELS", 7)
         f = parse(text)
         for spec in (GridSpec(0j, width, width, 8, 8), GridSpec(0.1 + 0.2j, width, width, 7, 5)):
-            with monkeypatch.context() as m:
-                m.setattr(orbit, "_retire_table", lambda f, params: orbit._NO_TABLE)
+            with every_step():
                 whole = classify_batch(parse(text), spec.points(), params)
-            for workers in (1, 2):
+            for workers in (1, 2, 4):
                 cg = classify_grid(f, spec, params, workers=workers)
                 for name in FIELDS:
                     got, want = getattr(cg, name), getattr(whole, name)

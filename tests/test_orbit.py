@@ -39,7 +39,7 @@ from bungee_lab.presets import FATOU_PARAMS, PRESET_FUNCTIONS
 from bungee_lab.verify import SamplerSpec
 
 import orbit_oracle
-from conftest import random_expr, random_points
+from conftest import every_step, random_expr, random_points
 from orbit_oracle import count_oscillations, oracle_iterate_orbit, oracle_summary, tail_flags
 
 
@@ -494,14 +494,14 @@ class TestBatchAgreement:
 
     def test_tail_values_window(self):
         # 0.5 retires on z^2's table after its first step, so its window
-        # holds no point; with no table it holds every one, all at or
+        # holds no point; run every step, it holds every one, all at or
         # below 0.5^2 as the orbit collapses toward 0
         f, seeds, p = parse("z^2"), np.array([0.5 + 0j]), OrbitParams(max_iter=20)
         b = classify_batch(f, seeds, p, want_tail_values=True)
         tail, held = b.ordered_tails([0])
         assert tail.shape == (1, 10) and not held.any() and np.isnan(tail).all()
         assert b.verdict[0] == Verdict.BOUNDED
-        with mock.patch.object(orbit, "_retire_table", no_table):
+        with every_step():
             tail, held = classify_batch(f, seeds, p, want_tail_values=True).ordered_tails([0])
         assert held.all() and np.all(np.abs(tail) <= 0.5**2)
 
@@ -537,14 +537,14 @@ class TestBatchAgreement:
 
     @staticmethod
     def assert_tails_match_oracle(text, seeds, p):
-        """With no table, the tails are each orbit's last finite points;
+        """Run every step, the tails are each orbit's last finite points;
         with the certificates on, every held point is the orbit's point
         at its index, and rows that do not complete or that escape are
-        those of the run with no table, bit for bit."""
+        those of the run of every step, bit for bit."""
         f = parse(text)
         seeds = np.array(seeds, dtype=np.complex128)
         b = classify_batch(f, seeds, p, want_tail_values=True)
-        with mock.patch.object(orbit, "_retire_table", no_table):
+        with every_step():
             full = classify_batch(f, seeds, p, want_tail_values=True)
         for name in BATCH_FIELDS:
             assert getattr(b, name).tobytes() == getattr(full, name).tobytes(), (text, name)
@@ -596,16 +596,12 @@ EXTRA_ENTIRE_MAPS = (
 ENTIRE_MAPS = tuple(t for t in PRESET_FUNCTIONS if parse(t).entire) + EXTRA_ENTIRE_MAPS
 
 
-def no_table(f, params):
-    return orbit._NO_TABLE
+def no_petal():
+    return mock.patch.object(orbit, "_petal", lambda f, params: None)
 
 
-def no_petal(f, params):
-    return None
-
-
-def seed_steps(f, seeds, params, patches, want_tail_values=False) -> list[int]:
-    """Seed-steps of classify_batch under each dict of orbit patches."""
+def seed_steps(f, seeds, params, contexts, want_tail_values=False) -> list[int]:
+    """Seed-steps of classify_batch in the context each of contexts makes."""
     steps = []
     real = orbit.eval_array
 
@@ -614,18 +610,19 @@ def seed_steps(f, seeds, params, patches, want_tail_values=False) -> list[int]:
         return real(e, z)
 
     with mock.patch.object(orbit, "eval_array", counting):
-        for patch in patches:
+        for context in contexts:
             steps.append(0)
-            with mock.patch.multiple(orbit, **patch) if patch else contextlib.nullcontext():
+            with context():
                 classify_batch(f, seeds, params, want_tail_values)
     return steps
 
 
 def assert_retirement_changes_nothing(f, seeds, params):
-    """classify_batch gives the same arrays with f's table and with none."""
+    """classify_batch gives the same arrays with f's certificates and
+    run every step."""
     seeds = np.asarray(seeds, dtype=np.complex128)
     got = classify_batch(f, seeds, params)
-    with mock.patch.object(orbit, "_retire_table", no_table):
+    with every_step():
         want = classify_batch(f, seeds, params)
     for name in BATCH_FIELDS:
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (str(f), name)
@@ -703,13 +700,13 @@ class TestRetirement:
         # and about halfway on the table alone
         f, p = parse("z*exp(z^2)"), OrbitParams()
         seeds = random_points(random.Random(3), 200, 0.3)
-        steps = seed_steps(f, seeds, p, [{}, {"_retire_table": no_table}])
+        steps = seed_steps(f, seeds, p, [contextlib.nullcontext, every_step])
         assert steps[0] < 0.6 * steps[1], steps
 
     def test_petal_saves_steps(self):
         f, p = parse("z*exp(z^2)"), OrbitParams()
         seeds = random_points(random.Random(3), 200, 0.3)
-        steps = seed_steps(f, seeds, p, [{}, {"_petal": no_petal}])
+        steps = seed_steps(f, seeds, p, [contextlib.nullcontext, no_petal])
         assert steps[0] < 0.2 * steps[1], steps
         assert_retirement_changes_nothing(f, seeds, p)
 
@@ -780,6 +777,29 @@ class TestRetirement:
         # no parabolic point at 0 with lam^k = 1 and k + 1 < PETAL_TERMS,
         # an exp argument that is not exactly 0 at 0, or no bound below 1/2
         assert orbit._petal(parse(text), OrbitParams()) is None
+
+    def test_petal_needs_a_table_down_to_its_floor(self):
+        # a point on z*exp(z^2)'s attracting axis at Re u = 2 sigma, with
+        # every step still to go: the petal takes it, the table does not.
+        # A seed below the petal's floor must be the table's to hold, so
+        # a table that stops above log10 floor, or is NaN at its end,
+        # keeps the petal out of the list
+        f, p = parse("z*exp(z^2)"), OrbitParams()
+        petal = orbit._petal(f, p)
+        z = np.array([(-1 / (4 * petal.sigma)) ** 0.5])
+        log_floor = math.log10(petal.floor)
+
+        def taken(table):
+            with mock.patch.object(orbit, "_retire_table", lambda f, params: table):
+                certificates = orbit._certificates(f, p)
+            with np.errstate(all="ignore"):
+                masks = [test(z, np.log10(np.abs(z)), p.max_iter - 1) for test, _ in certificates]
+            return any(mask is not None and mask[0] for mask in masks)
+
+        assert taken(orbit._retire_table(f, p))
+        assert taken(np.full(p.max_iter, log_floor))
+        assert not taken(np.full(p.max_iter, log_floor - 1e-9))
+        assert not taken(np.append(np.full(p.max_iter - 1, log_floor), np.nan))
 
     def test_petal_needs_room_below_the_bound(self):
         f = parse("z*exp(z^2)")
@@ -873,7 +893,7 @@ class TestRetirement:
         plain = classify_batch(f, seeds, p)
         for name in BATCH_FIELDS:
             assert getattr(with_tails, name).tobytes() == getattr(plain, name).tobytes()
-        steps = seed_steps(f, seeds, p, [{}, {"_retire_table": no_table}], want_tail_values=True)
+        steps = seed_steps(f, seeds, p, [contextlib.nullcontext, every_step], want_tail_values=True)
         assert steps[0] < steps[1], steps
         TestBatchAgreement.assert_tails_match_oracle(text, seeds[:6], p)
 
@@ -1078,20 +1098,42 @@ class TestDriftRetirement:
         assert on == 1 and off == p.max_iter
 
     @pytest.mark.parametrize("params", sorted(PARAMS))
-    @pytest.mark.parametrize("text", [FATOU_F, FATOU_G, "z+1e299+exp(-z)", "z+1e306+exp(-z)", "z+1e-13"])
+    @pytest.mark.parametrize("text", [FATOU_F, FATOU_G, "z+1e299+exp(-z)", "z+1e306+exp(-z)",
+                                      "z+exp(-z)+1e306*i", "z+1e-13"])
     def test_edge_seeds(self, text, params):
         # either side of Re z = DRIFT_X, with Im z = +-0, and near 1e300,
-        # where z + 1e306 overflows within the run and z + 1 no longer moves
+        # where z + 1e306 overflows within the run and z + 1 no longer
+        # moves.  Under z + 1e306 i, 5e4 - 1e306i steps to Im z = 0: a
+        # component at or below FINISH_MAX now, which the steps left
+        # would carry past it, so the seed runs every step and overflows
         x = orbit.DRIFT_X
         reals = [np.nextafter(x, 0), x, np.nextafter(x, 99), x - 1e-9, x + 1e-9, 1e300, 1e300 * (1 + 1e-9)]
         imags = np.array([0, -0.0, 1e-300, 60, -60, 3e3, 1e299])
         seeds = (np.array(reals)[:, None] + 1j * imags).ravel()
-        seeds = np.concatenate([seeds, 1e300 * np.exp(1j * np.linspace(-1.5, 1.5, 7)), [1e299]])
+        seeds = np.concatenate([seeds, 1e300 * np.exp(1j * np.linspace(-1.5, 1.5, 7)),
+                                [1e299, 5e4 - 1e306j]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             b, _ = drift_runs(parse(text), seeds, PARAMS[params])
-        if text == "z+1e306+exp(-z)":
-            assert b.term_kind[-1] == orbit.TERM_OVERFLOW
+        if "1e306" in text:
+            assert (b.term_kind[-2:] == orbit.TERM_OVERFLOW).all()
+
+    def test_seed_that_starts_drifting_at_the_last_step(self):
+        # from 30.5 + i, Re z passes DRIFT_X = 40 only at step 10 of 10,
+        # where the finish runs no step and writes what the live seed would
+        p = OrbitParams(max_iter=10, escape_radius=50, bound_radius=30, tail_window=4)
+        first_steps = []
+        real = orbit._BatchRun._finish_drift
+
+        def recording(state, drift, groups):
+            first_steps.append([g[0] for g in groups])
+            return real(state, drift, groups)
+
+        with mock.patch.object(orbit._BatchRun, "_finish_drift", recording):
+            b, (on, off) = drift_runs(parse(FATOU_F), [30.5 + 1j, 29.5 + 1j], p)
+        assert first_steps == [[10], [10]]
+        assert b.verdict.tolist() == [Verdict.UNDECIDED] * 2
+        assert on == off == 20
 
     @settings(max_examples=200, deadline=None)
     @given(

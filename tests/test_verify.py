@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 import multiprocessing
@@ -29,6 +30,8 @@ from bungee_lab.verify import (
     verify_translate,
     verify_value_identity,
 )
+
+from conftest import every_step
 
 BIDISC = Rect(0, 2.0, 2.0)
 SQUARE4 = Rect(0, 4.0, 4.0)
@@ -299,9 +302,9 @@ class TestPropertyAAndPartition:
             return real(e, z)
 
         with mock.patch.object(orbit, "eval_array", counting):
-            for table in (orbit._retire_table, lambda e, params: orbit._NO_TABLE):
+            for context in (contextlib.nullcontext, every_step):
                 steps.append(0)
-                with mock.patch.object(orbit, "_retire_table", table):
+                with context():
                     reports.append(verify_property_a(f, g, s, p).to_dict())
         for r in reports:
             del r["runtime_ms"]
